@@ -15,9 +15,9 @@ import time
 from conftest import save_result
 
 from repro.check import InvariantChecker
+from repro.engines import run_job
 from repro.experiments.clusters import heterogeneous6_cluster
 from repro.experiments.report import render_table
-from repro.experiments.runner import run_job
 from repro.workloads.puma import puma
 
 ROUNDS = 5

@@ -1,36 +1,31 @@
-"""Engine-dispatch macro-benchmark for the plugin refactor.
+"""Engine-dispatch macro-benchmark for the engine registry.
 
-Drives a 12-job burst (all submitted at t=0, so every AM's heartbeat lands
-on the same 5 s grid) through the multi-job service twice — once with the
-legacy one-event-per-service heartbeat scheduling and once with the
-:class:`~repro.yarn.heartbeat.HeartbeatHub` coalescing — and asserts:
+Drives a 12-job burst (all submitted at t=0, engines named by string)
+through the multi-job service, so every AM is built through
+``resolve_engine``, and asserts:
 
-* coalescing removes >= 20% of processed heap events on this scenario;
-* every per-job trace is byte-for-byte identical between the two modes
-  (the hub is a pure scheduling optimization, invisible to results);
+* every job completes under the engine it was submitted with;
 * registry dispatch (``resolve_engine`` string -> EngineSpec) stays cheap.
 
-The record is written to ``BENCH_refactor.json`` at the repo root (uploaded
-by CI) and mirrored as text under ``benchmarks/results/``.
+The record is written to ``BENCH_engine_dispatch.json`` at the repo root
+(uploaded by CI) and mirrored as text under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
 
 from conftest import bench_scale, save_result
 
-import repro.yarn.heartbeat as heartbeat_mod
 from repro.engines.registry import EngineSpec, resolve_engine
 from repro.experiments.clusters import heterogeneous6_cluster
 from repro.multijob.arrivals import JobRequest, TraceArrivals
 from repro.multijob.service import ClusterService, ServiceResult
 from repro.workloads.puma import puma
 
-BENCH_OUT = Path(__file__).parent.parent / "BENCH_refactor.json"
+BENCH_OUT = Path(__file__).parent.parent / "BENCH_engine_dispatch.json"
 
 N_JOBS = 12
 SEED = 7
@@ -51,26 +46,13 @@ def _arrivals(input_mb: float) -> TraceArrivals:
     ])
 
 
-def _run_service(coalesce: bool, input_mb: float) -> tuple[ServiceResult, float]:
-    saved = heartbeat_mod.COALESCE_HEARTBEATS
-    heartbeat_mod.COALESCE_HEARTBEATS = coalesce
-    try:
-        service = ClusterService(
-            heterogeneous6_cluster, _arrivals(input_mb), policy="fair", seed=SEED
-        )
-        start = time.perf_counter()
-        result = service.run(compute_slowdown=False)
-        wall = time.perf_counter() - start
-    finally:
-        heartbeat_mod.COALESCE_HEARTBEATS = saved
-    return result, wall
-
-
-def _trace_bytes(result: ServiceResult) -> list[bytes]:
-    return [
-        json.dumps(dataclasses.asdict(o.trace), sort_keys=True).encode()
-        for o in result.outcomes
-    ]
+def _run_service(input_mb: float) -> tuple[ServiceResult, float]:
+    service = ClusterService(
+        heterogeneous6_cluster, _arrivals(input_mb), policy="fair", seed=SEED
+    )
+    start = time.perf_counter()
+    result = service.run(compute_slowdown=False)
+    return result, time.perf_counter() - start
 
 
 def _time_dispatch() -> float:
@@ -84,26 +66,15 @@ def _time_dispatch() -> float:
     return elapsed / DISPATCH_LOOKUPS * 1e9
 
 
-def test_engine_dispatch_and_heartbeat_coalescing(benchmark):
+def test_engine_dispatch(benchmark):
     input_mb = 512.0 * bench_scale()
 
-    legacy, legacy_wall = _run_service(coalesce=False, input_mb=input_mb)
-    (coalesced, coalesced_wall) = benchmark.pedantic(
-        lambda: _run_service(coalesce=True, input_mb=input_mb),
-        rounds=1, iterations=1,
+    result, wall = benchmark.pedantic(
+        lambda: _run_service(input_mb), rounds=1, iterations=1
     )
-
-    # The hub must not change any result: same jobs, same JCTs, and every
-    # per-job trace byte-identical.
-    assert [o.job_id for o in legacy.outcomes] == [o.job_id for o in coalesced.outcomes]
-    assert [o.jct for o in legacy.outcomes] == [o.jct for o in coalesced.outcomes]
-    traces_identical = _trace_bytes(legacy) == _trace_bytes(coalesced)
-    assert traces_identical, "coalescing perturbed a per-job trace"
-
-    reduction = 1.0 - coalesced.events_processed / legacy.events_processed
-    assert reduction >= 0.20, (
-        f"heartbeat coalescing removed only {reduction:.1%} of heap events "
-        f"({legacy.events_processed} -> {coalesced.events_processed})"
+    assert len(result.outcomes) == N_JOBS
+    assert sorted(o.engine for o in result.outcomes) == sorted(
+        ENGINES[i % len(ENGINES)] for i in range(N_JOBS)
     )
 
     dispatch_ns = _time_dispatch()
@@ -119,16 +90,12 @@ def test_engine_dispatch_and_heartbeat_coalescing(benchmark):
             "benchmarks": list(BENCHMARKS),
             "input_mb_per_job": input_mb,
         },
-        "events_processed_legacy": legacy.events_processed,
-        "events_processed_coalesced": coalesced.events_processed,
-        "event_reduction_pct": round(reduction * 100.0, 2),
-        "traces_identical": traces_identical,
-        "makespan_s": round(max(o.finish_time for o in coalesced.outcomes), 3),
+        "events_processed": result.events_processed,
+        "makespan_s": round(max(o.finish_time for o in result.outcomes), 3),
         "mean_jct_s": round(
-            sum(o.jct for o in coalesced.outcomes) / len(coalesced.outcomes), 3
+            sum(o.jct for o in result.outcomes) / len(result.outcomes), 3
         ),
-        "wall_s_legacy": round(legacy_wall, 4),
-        "wall_s_coalesced": round(coalesced_wall, 4),
+        "wall_s": round(wall, 4),
         "dispatch_ns_per_lookup": round(dispatch_ns, 1),
         "dispatch_lookups": DISPATCH_LOOKUPS,
     }
@@ -136,13 +103,10 @@ def test_engine_dispatch_and_heartbeat_coalescing(benchmark):
 
     save_result(
         "engine_dispatch",
-        "Engine dispatch + heartbeat coalescing\n"
+        "Engine dispatch\n"
         f"  jobs={N_JOBS} input={input_mb:g}MB/job cluster=heterogeneous6 "
         f"policy=fair seed={SEED}\n"
-        f"  heap events: legacy={legacy.events_processed} "
-        f"coalesced={coalesced.events_processed} "
-        f"(-{reduction:.1%})\n"
-        f"  per-job traces identical: {traces_identical}\n"
+        f"  heap events: {result.events_processed}\n"
         f"  makespan={record['makespan_s']:.0f}s mean JCT={record['mean_jct_s']:.0f}s\n"
         f"  registry dispatch: {dispatch_ns:.0f} ns/lookup",
     )

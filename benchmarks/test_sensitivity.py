@@ -10,8 +10,8 @@ from conftest import bench_scale, save_result
 from repro.cluster.network import GIGABIT, NetworkModel
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
+from repro.engines import run_job
 from repro.experiments.report import render_table
-from repro.experiments.runner import run_job
 from repro.workloads.puma import puma
 
 

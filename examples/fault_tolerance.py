@@ -7,8 +7,8 @@ re-provision the lost work, visualized as an ASCII Gantt chart.
 import sys
 
 from repro.cluster.failures import FailureSchedule
+from repro.engines import run_job
 from repro.experiments.clusters import heterogeneous6_cluster
-from repro.experiments.runner import run_job
 from repro.viz.ascii import gantt
 from repro.workloads.puma import puma
 

@@ -4,8 +4,8 @@ The checker arms conservation laws on a live run by *wrapping* instance
 methods through the official hook points
 (:meth:`repro.sim.engine.Simulator.install_step_interceptor`,
 :meth:`repro.yarn.resource_manager.ResourceManager.install_audit`, the
-heartbeat subscriber list) plus white-box wraps of the ApplicationMaster
-lifecycle methods.  A run without a checker executes the exact unhooked
+heartbeat subscriber list) plus white-box wraps of the ApplicationMaster's
+job lifecycle methods and its map driver's attempt lifecycle methods.  A run without a checker executes the exact unhooked
 code, so disabled checks cost nothing — the same contract as
 :mod:`repro.obs`.
 
@@ -302,35 +302,36 @@ class InvariantChecker:
 
         am.requeue_map = requeue_map  # type: ignore[method-assign]
 
-        inner_launch = am._launch_map
+        maps = am.maps
+        inner_launch = maps.launch
 
-        def _launch_map(container, assignment) -> None:
+        def launch(container, assignment) -> None:
             state.maps_launched += 1
             inner_launch(container, assignment)
 
-        am._launch_map = _launch_map  # type: ignore[method-assign]
+        maps.launch = launch  # type: ignore[method-assign]
 
-        inner_finished = am._map_finished
+        inner_finished = maps.finished
 
-        def _map_finished(attempt, container) -> None:
-            assignment = am.running_maps.get(attempt)
+        def finished(attempt, container) -> None:
+            assignment = maps.running.get(attempt)
             if assignment is not None:
                 self._mark_done(state, assignment)
             inner_finished(attempt, container)
 
-        am._map_finished = _map_finished  # type: ignore[method-assign]
+        maps.finished = finished  # type: ignore[method-assign]
 
-        inner_stopped = am.finalize_stopped_map
+        inner_stopped = maps.finalize_stopped
 
-        def finalize_stopped_map(attempt, container) -> None:
+        def finalize_stopped(attempt, container) -> None:
             # Partial commit (SkewTune): the split's BUs count as consumed;
             # the remainder re-enters as synthetic mitigator chunks.
-            assignment = am.running_maps.get(attempt)
+            assignment = maps.running.get(attempt)
             if assignment is not None:
                 self._mark_done(state, assignment, completed_twice_ok=True)
             inner_stopped(attempt, container)
 
-        am.finalize_stopped_map = finalize_stopped_map  # type: ignore[method-assign]
+        maps.finalize_stopped = finalize_stopped  # type: ignore[method-assign]
 
         inner_finish = am._finish_job
 
@@ -436,22 +437,22 @@ class InvariantChecker:
         am = state.am
         job = am.job.name
         self._count("terminal-state")
-        if am.running_maps:
+        if am.maps.running:
             self._violate(
                 "terminal-state",
-                f"{job}: finished with {len(am.running_maps)} orphan map "
+                f"{job}: finished with {len(am.maps.running)} orphan map "
                 "attempt(s) still running",
             )
-        if am.running_reduces:
+        if am.reduces.running:
             self._violate(
                 "terminal-state",
-                f"{job}: finished with {len(am.running_reduces)} orphan "
+                f"{job}: finished with {len(am.reduces.running)} orphan "
                 "reduce attempt(s) still running",
             )
-        if am.pending_reducers != 0:
+        if am.reduces.pending != 0:
             self._violate(
                 "terminal-state",
-                f"{job}: finished with {am.pending_reducers} reducer(s) "
+                f"{job}: finished with {am.reduces.pending} reducer(s) "
                 "still pending",
             )
         index = self._find_index(am)
@@ -470,7 +471,7 @@ class InvariantChecker:
                 f"{orphans[:8]}",
             )
         if not am.job.map_only:
-            done = am.completed_reducers
+            done = len(am.reduces.done_ids)
             if done != am.job.num_reducers:
                 self._violate(
                     "terminal-state",

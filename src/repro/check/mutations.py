@@ -74,10 +74,10 @@ def _find_index(am: "ApplicationMaster"):
 # ----------------------------------------------------------------------
 def _install_double_assign(am: "ApplicationMaster") -> None:
     """Re-insert the first launched task's first BU into the index."""
-    inner_launch = am._launch_map
+    inner_launch = am.maps.launch
     state = {"done": False}
 
-    def _launch_map(container, assignment) -> None:
+    def launch(container, assignment) -> None:
         inner_launch(container, assignment)
         if state["done"]:
             return
@@ -91,7 +91,7 @@ def _install_double_assign(am: "ApplicationMaster") -> None:
         for node in block.replicas:
             index.node_to_block.setdefault(node, set()).add(block.block_id)
 
-    am._launch_map = _launch_map  # type: ignore[method-assign]
+    am.maps.launch = launch  # type: ignore[method-assign]
 
 
 def _install_leak_slot(am: "ApplicationMaster") -> None:

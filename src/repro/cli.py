@@ -193,38 +193,44 @@ def cmd_serve(args) -> int:
 
     engines = tuple(args.engines)
     benchmarks = tuple(args.benchmarks)
-    if args.arrivals == "poisson":
-        arrivals = PoissonArrivals(
-            rate=args.rate,
-            n_jobs=args.n_jobs,
-            rng=RandomStreams(args.seed).stream("arrivals"),
-            benchmarks=benchmarks,
-            engines=engines,
-            input_scale=args.scale,
+    if args.arrivals == "trace" and not args.trace_file:
+        raise SystemExit("--arrivals trace requires --trace-file")
+    # The arrival processes and the service validate their settings; a bad
+    # value is a usage error, reported like any other argparse error.
+    try:
+        if args.arrivals == "poisson":
+            arrivals = PoissonArrivals(
+                rate=args.rate,
+                n_jobs=args.n_jobs,
+                rng=RandomStreams(args.seed).stream("arrivals"),
+                benchmarks=benchmarks,
+                engines=engines,
+                input_scale=args.scale,
+            )
+        elif args.arrivals == "closed":
+            arrivals = ClosedLoopArrivals(
+                n_jobs=args.n_jobs,
+                width=args.width,
+                think_time_s=args.think_time,
+                benchmarks=benchmarks,
+                engines=engines,
+                input_scale=args.scale,
+            )
+        else:  # trace
+            arrivals = load_arrival_trace(args.trace_file)
+        service = ClusterService(
+            _cluster(args.cluster),
+            arrivals,
+            policy=args.policy,
+            seed=args.seed,
+            queues=_parse_queues(args.queues),
+            utilization_period_s=args.util_period,
+            obs=obs,
         )
-    elif args.arrivals == "closed":
-        arrivals = ClosedLoopArrivals(
-            n_jobs=args.n_jobs,
-            width=args.width,
-            think_time_s=args.think_time,
-            benchmarks=benchmarks,
-            engines=engines,
-            input_scale=args.scale,
-        )
-    else:  # trace
-        if not args.trace_file:
-            raise SystemExit("--arrivals trace requires --trace-file")
-        arrivals = load_arrival_trace(args.trace_file)
-
-    service = ClusterService(
-        _cluster(args.cluster),
-        arrivals,
-        policy=args.policy,
-        seed=args.seed,
-        queues=_parse_queues(args.queues),
-        utilization_period_s=args.util_period,
-        obs=obs,
-    )
+    except ValueError as exc:
+        if obs is not None:
+            obs.close()
+        args.usage_error(str(exc))
     wall_start = time.perf_counter()
     result = service.run(compute_slowdown=not args.no_slowdown)
     wall = time.perf_counter() - wall_start
@@ -445,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write engine events/sec + wall time JSON to FILE")
     p_srv.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write the service's typed JSONL trace to FILE")
+    p_srv.set_defaults(usage_error=p_srv.error)
 
     p_fuzz = sub.add_parser(
         "fuzz", help="fuzz the simulator with runtime invariants armed"

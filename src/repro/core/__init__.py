@@ -11,10 +11,10 @@ The paper's primary contribution (Section III).  Components mirror Fig. 4:
   locality-preserving split construction;
 * :mod:`~repro.core.mbe` — multi-block execution (splits as BU arrays);
 * :class:`~repro.core.reduce_bias.ReducePlacer` — capacity-biased reducer
-  dispatch;
-* :class:`~repro.engines.flexmap.FlexMapAM` — the augmented Application
-  Master tying everything into the YARN substrate (relocated to
-  :mod:`repro.engines`; re-exported here for compatibility).
+  dispatch.
+
+The augmented Application Master that ties these into the YARN substrate
+is :class:`repro.engines.flexmap.FlexMapAM`.
 """
 
 from repro.core.data_provision import DataProvision
@@ -24,24 +24,9 @@ from repro.core.reduce_bias import ReducePlacer
 from repro.core.sizing import DynamicSizer, SizingConfig
 from repro.core.speed_monitor import SpeedMonitor
 
-
-def __getattr__(name):
-    """Lazy re-export of the relocated AM.
-
-    ``FlexMapAM`` now lives in :mod:`repro.engines.flexmap` (which imports
-    this package's components); resolving it lazily keeps ``repro.core``
-    free of an eager upward import edge into the engines layer.
-    """
-    if name == "FlexMapAM":
-        from repro.engines.flexmap import FlexMapAM
-
-        return FlexMapAM
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "DataProvision",
     "DynamicSizer",
-    "FlexMapAM",
     "LateTaskBinder",
     "MapTemplate",
     "MultiBlockEngine",

@@ -8,6 +8,8 @@ experiment runner, the multi-job service, and the correctness harness all
 resolve engines through :data:`~repro.engines.registry.ENGINES` /
 :func:`~repro.engines.registry.resolve_engine`, so a registered engine
 appears everywhere automatically (see README, "Authoring a new engine").
+Importing this package imports the built-in engine modules (stock,
+SkewTune, FlexMap, in that order), which fills the registry.
 
 Layering: ``repro.engines`` sits above ``repro.sim``/``repro.hdfs``/
 ``repro.cluster``/``repro.yarn``/``repro.mapreduce`` and below
@@ -27,7 +29,6 @@ from repro.engines.driver import RunResult, compare_engines, run_job
 from repro.engines.registry import (
     ENGINES,
     EngineSpec,
-    _ensure_builtins,
     engine_names,
     register_engine,
     resolve_engine,
@@ -35,14 +36,11 @@ from repro.engines.registry import (
 )
 from repro.engines.speculation import SpeculationConfig, SpeculationManager
 
-# Load the built-in comparison set now, in canonical order — the registry
-# would do it lazily on first lookup, but importing the package should
-# leave ENGINES fully populated and deterministically ordered.
-_ensure_builtins()
-
-from repro.engines.flexmap import FlexMapAM  # noqa: E402
-from repro.engines.skewtune import SkewTuneAM, SkewTuneConfig  # noqa: E402
-from repro.engines.stock import StockHadoopAM  # noqa: E402
+# Importing the engine modules registers the built-in comparison set; the
+# import order is the registration order of ENGINES.
+from repro.engines.stock import StockHadoopAM  # isort: skip
+from repro.engines.skewtune import SkewTuneAM, SkewTuneConfig  # isort: skip
+from repro.engines.flexmap import FlexMapAM  # isort: skip
 
 __all__ = [
     "AMConfig",

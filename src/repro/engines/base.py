@@ -1,9 +1,8 @@
-"""ApplicationMaster: a thin facade over three phase collaborators.
+"""ApplicationMaster and the three phase collaborators it composes.
 
 The AM owns the lifecycle every engine shares — accepting container
 offers, launching task attempts, tracking the map -> shuffle/reduce phase
-transition, recording the job trace — decomposed into three composable
-collaborators instead of one monolith:
+transition, recording the job trace — split across three collaborators:
 
 * :class:`MapPhaseDriver` — map offer routing and attempt lifecycle
   (launch, completion, early-stop/kill bookkeeping, phase-end detection);
@@ -13,16 +12,16 @@ collaborators instead of one monolith:
   structured observability emissions.
 
 Engines subclass :class:`ApplicationMaster` and override the small
-strategy hooks (``prepare_maps``, ``select_map``, ``on_tick``, ...) or
-swap whole collaborators via the ``map_driver_cls`` /
-``reduce_driver_cls`` / ``trace_recorder_cls`` class attributes.
+strategy hooks (``prepare_maps``, ``select_map``, ``on_tick``, ...); the
+AM reaches its collaborators as ``am.maps``, ``am.reduces`` and
+``am.recorder``.
 
-The facade preserves the ``repro.check`` hook points: the lifecycle
-methods (``_launch_map``, ``_map_finished``, ``finalize_stopped_map``,
-``_finish_job``, ``on_node_failure``, ``prepare_maps``, ``requeue_map``)
-remain AM instance methods, and every internal call site routes through
-the instance attribute, so checkers and mutation self-tests can wrap them
-exactly as they wrapped the pre-decomposition god class.
+Hook points for ``repro.check``: the map attempt lifecycle lives on the
+map driver (``am.maps.launch``, ``am.maps.finished``,
+``am.maps.finalize_stopped``) and the job lifecycle on the AM
+(``_finish_job``, ``on_node_failure``, ``prepare_maps``, ``requeue_map``).
+Every internal call site goes through the instance attribute, so checkers
+and mutation self-tests can wrap these methods on one instance.
 
 Reducers are launched after the map phase completes (slowstart = 1.0, the
 conservative Hadoop setting; the paper's analysis treats the phases as
@@ -132,8 +131,8 @@ class TraceRecorder:
             am.sim.record_obs()
             self.obs.trace.emit(
                 "heartbeat", am.sim.now, round=round_no,
-                running_maps=len(am.running_maps),
-                running_reduces=len(am.running_reduces),
+                running_maps=len(am.maps.running),
+                running_reduces=len(am.reduces.running),
             )
 
     def container_offered(self) -> None:
@@ -214,11 +213,9 @@ class TraceRecorder:
             self.obs.trace.emit(
                 "node_failure", am.sim.now,
                 node=node.node_id,
-                running_maps=sum(
-                    1 for a in am.running_maps if a.node is node
-                ),
+                running_maps=sum(1 for a in am.maps.running if a.node is node),
                 running_reduces=sum(
-                    1 for a in am.running_reduces if a.node is node
+                    1 for a in am.reduces.running if a.node is node
                 ),
             )
 
@@ -226,10 +223,9 @@ class TraceRecorder:
 class MapPhaseDriver:
     """Map-phase collaborator: offer routing plus attempt lifecycle.
 
-    Owns the running-attempt tables and the task-id sequence.  All
-    externally observable transitions route back through the AM facade
-    (``am._launch_map``, ``am._map_finished``, ``am._finish_job``) so the
-    correctness harness can wrap them on the AM instance.
+    Owns the running-attempt tables and the task-id sequence.  Launch and
+    completion go through ``self.launch``/``self.finished``, so the
+    correctness harness can wrap them on the driver instance.
     """
 
     def __init__(self, am: "ApplicationMaster") -> None:
@@ -241,11 +237,10 @@ class MapPhaseDriver:
     # -- offer routing ---------------------------------------------------
     def offer(self, container: Container) -> bool:
         """Route an RM offer to the engine's map selector; True if bound."""
-        am = self.am
-        assignment = am.select_map(container)
+        assignment = self.am.select_map(container)
         if assignment is None:
             return False
-        am._launch_map(container, assignment)
+        self.launch(container, assignment)
         return True
 
     def next_task_id(self) -> str:
@@ -275,7 +270,7 @@ class MapPhaseDriver:
             work_s=split.work_mb * am.job.map_cost_s_per_mb * noise,
             overhead_s=overhead,
             transfer_s=transfer,
-            on_complete=lambda a: am._map_finished(a, container),
+            on_complete=lambda a: self.finished(a, container),
             wave=assignment.wave,
             speculative=assignment.speculative,
             num_bus=split.num_bus,
@@ -299,7 +294,7 @@ class MapPhaseDriver:
         am.recorder.map_completed(attempt)
         am.on_map_complete(attempt, assignment)
         am.rm.release(container)
-        am._check_map_phase_end()
+        self.check_phase_end()
 
     def finalize_stopped(self, attempt: TaskAttempt, container: Container) -> None:
         """Bookkeeping for an attempt stopped early with committed output."""
@@ -316,7 +311,12 @@ class MapPhaseDriver:
     def finalize_killed(
         self, attempt: TaskAttempt, container: Container | None
     ) -> None:
-        """Bookkeeping for an attempt killed with output discarded."""
+        """Bookkeeping for an attempt killed with output discarded.
+
+        ``container`` may be None for attempts whose container record was
+        already dropped (defensive: a crash arriving mid-teardown must not
+        turn into an AttributeError).
+        """
         am = self.am
         self.running.pop(attempt, None)
         self.containers.pop(attempt, None)
@@ -345,9 +345,8 @@ class MapPhaseDriver:
 class ReducePhaseDriver:
     """Reduce-phase collaborator: slowstart, placement, speculation race.
 
-    Owns the pending/running reducer tables.  Launch and completion route
-    through the AM facade (``am._launch_reduce``, ``am._reduce_finished``)
-    for the same wrap-ability as the map side.
+    Owns the pending/running reducer tables.  Launch and completion go
+    through ``self.launch``/``self.finished``, as on the map side.
     """
 
     def __init__(self, am: "ApplicationMaster") -> None:
@@ -374,10 +373,10 @@ class ReducePhaseDriver:
         if self.started and self.pending > 0:
             if not am.select_reduce_node_ok(container):
                 return False
-            am._launch_reduce(container)
+            self.launch(container)
             return True
         if self.started and self.running:
-            return am._maybe_speculate_reduce(container)
+            return self.maybe_speculate(container)
         return False
 
     # -- attempt lifecycle ---------------------------------------------------
@@ -405,7 +404,7 @@ class ReducePhaseDriver:
             work_s=share * am.job.reduce_cost_s_per_mb * noise,
             overhead_s=overhead,
             transfer_s=am.cluster.network.shuffle_time(cross),
-            on_complete=lambda a: am._reduce_finished(a, container),
+            on_complete=lambda a: self.finished(a, container),
             speculative=speculative,
             local_mb=share - cross,
             remote_mb=cross,
@@ -458,7 +457,7 @@ class ReducePhaseDriver:
             return False
         victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
         self.speculated_ids.add(victim.task_id)
-        am._launch_reduce(container, task_id=victim.task_id, speculative=True)
+        self.launch(container, task_id=victim.task_id, speculative=True)
         return True
 
 
@@ -466,11 +465,6 @@ class ApplicationMaster:
     """Engine-agnostic job driver composing the three phase collaborators."""
 
     engine_name = "base"
-
-    #: Collaborator classes; engines may substitute their own strategies.
-    map_driver_cls = MapPhaseDriver
-    reduce_driver_cls = ReducePhaseDriver
-    trace_recorder_cls = TraceRecorder
 
     def __init__(
         self,
@@ -492,60 +486,19 @@ class ApplicationMaster:
         self.obs = self.config.obs
         self.store = IntermediateStore()
         self.heartbeat = HeartbeatService(sim, self.config.heartbeat_period_s)
-        self.recorder = self.trace_recorder_cls(self)
-        self.maps = self.map_driver_cls(self)
-        self.reduces = self.reduce_driver_cls(self)
+        self.recorder = TraceRecorder(self)
+        self.maps = MapPhaseDriver(self)
+        self.reduces = ReducePhaseDriver(self)
         self.job_done = False
         # Overhead/noise draws are interleaved across map and reduce
         # launches, so both drivers share the AM-level generators.
         self._overhead_rng = streams.stream("overhead")
         self._noise_rng = streams.stream("exec-noise")
 
-    # ------------------------------------------------------------------
-    # collaborator state, exposed under the historical names
-    # ------------------------------------------------------------------
     @property
     def trace(self) -> JobTrace:
         """The job trace owned by the :class:`TraceRecorder`."""
         return self.recorder.trace
-
-    @property
-    def running_maps(self) -> dict[TaskAttempt, MapAssignment]:
-        """Live map attempts -> their assignments (map driver state)."""
-        return self.maps.running
-
-    @property
-    def map_containers(self) -> dict[TaskAttempt, Container]:
-        """Live map attempts -> their containers (map driver state)."""
-        return self.maps.containers
-
-    @property
-    def running_reduces(self) -> dict[TaskAttempt, Container]:
-        """Live reduce attempts -> their containers (reduce driver state)."""
-        return self.reduces.running
-
-    @property
-    def reduce_started(self) -> bool:
-        """True once the slowstart boundary has passed."""
-        return self.reduces.started
-
-    @reduce_started.setter
-    def reduce_started(self, value: bool) -> None:
-        self.reduces.started = value
-
-    @property
-    def pending_reducers(self) -> int:
-        """Reducers not yet launched (reduce driver state)."""
-        return self.reduces.pending
-
-    @pending_reducers.setter
-    def pending_reducers(self, value: int) -> None:
-        self.reduces.pending = value
-
-    @property
-    def completed_reducers(self) -> int:
-        """Count of distinct reducers that have committed output."""
-        return len(self.reduces.done_ids)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -604,64 +557,18 @@ class ApplicationMaster:
         if self.job_done:
             return False
         self.recorder.container_offered()
-        if not self.maps_done():
+        if not self.maps.done():
             return self.maps.offer(container)
         return self.reduces.offer(container)
 
     # ------------------------------------------------------------------
-    # map phase (facade over MapPhaseDriver; wrap-able hook points)
+    # reduce phase
     # ------------------------------------------------------------------
-    def next_map_id(self) -> str:
-        """Fresh sequential map task id."""
-        return self.maps.next_task_id()
-
-    def _launch_map(self, container: Container, assignment: MapAssignment) -> None:
-        self.maps.launch(container, assignment)
-
-    def _map_finished(self, attempt: TaskAttempt, container: Container) -> None:
-        self.maps.finished(attempt, container)
-
-    def finalize_stopped_map(self, attempt: TaskAttempt, container: Container) -> None:
-        """Bookkeeping for an attempt stopped early with committed output."""
-        self.maps.finalize_stopped(attempt, container)
-
-    def finalize_killed_map(
-        self, attempt: TaskAttempt, container: Container | None
-    ) -> None:
-        """Bookkeeping for an attempt killed with output discarded.
-
-        ``container`` may be None for attempts whose container record was
-        already dropped (defensive: a crash arriving mid-teardown must not
-        turn into an AttributeError).
-        """
-        self.maps.finalize_killed(attempt, container)
-
-    def maps_done(self) -> bool:
-        """True once no map work is pending and nothing is running."""
-        return self.maps.done()
-
-    def _check_map_phase_end(self) -> None:
-        self.maps.check_phase_end()
-
-    # ------------------------------------------------------------------
-    # reduce phase (facade over ReducePhaseDriver)
-    # ------------------------------------------------------------------
-    def _launch_reduce(
-        self, container: Container, task_id: str | None = None, speculative: bool = False
-    ) -> None:
-        self.reduces.launch(container, task_id=task_id, speculative=speculative)
-
-    def _reduce_finished(self, attempt: TaskAttempt, container: Container) -> None:
-        self.reduces.finished(attempt, container)
-
     def _reduce_speculation_enabled(self) -> bool:
         """Reduce backups run whenever the engine's speculator is enabled —
         YARN speculates reduces exactly as it does maps."""
         manager = getattr(self, "speculation", None)
         return manager is not None and manager.config.enabled
-
-    def _maybe_speculate_reduce(self, container: Container) -> bool:
-        return self.reduces.maybe_speculate(container)
 
     # ------------------------------------------------------------------
     # fault tolerance
@@ -677,7 +584,7 @@ class ApplicationMaster:
 
     def _has_live_copy(self, task_id: str, other_than: TaskAttempt) -> bool:
         return any(
-            a.task_id == task_id and a is not other_than for a in self.running_maps
+            a.task_id == task_id and a is not other_than for a in self.maps.running
         )
 
     def on_node_failure(self, node) -> None:
@@ -708,7 +615,7 @@ class ApplicationMaster:
             attempt.kill()
             if not self._has_live_copy(attempt.task_id, other_than=attempt):
                 self.requeue_map(assignment)
-            self.finalize_killed_map(attempt, container)
+            self.maps.finalize_killed(attempt, container)
         for attempt, container in list(self.reduces.running.items()):
             if attempt.node is not node:
                 continue

@@ -112,7 +112,7 @@ class FlexMapAM(ApplicationMaster):
             return self.speculation.select_speculative(container)
         wave = self._completions.get(node_id, 0) // max(1, container.node.slots)
         assignment = MapAssignment(
-            task_id=self.next_map_id(),
+            task_id=self.maps.next_task_id(),
             split=split,
             wave=wave,
             alg1_bus=alg1,
@@ -218,7 +218,7 @@ class FlexMapAM(ApplicationMaster):
     def on_tick(self, round_no: int) -> None:
         self.speculation.on_tick()
         node_ips: dict[str, list[float]] = {}
-        for attempt in self.running_maps:
+        for attempt in self.maps.running:
             node_ips.setdefault(attempt.node.node_id, []).append(attempt.ips())
         self.monitor.report_round(round_no, node_ips)
 

@@ -19,11 +19,14 @@ built-in comparison set matches the paper:
 * ``hadoop-nospec-64`` — speculation disabled (Fig. 8's "No Speculation");
 * ``skewtune-64`` — the SkewTune baseline;
 * ``flexmap`` — elastic tasks (8 MB BUs).
+
+The built-ins register when :mod:`repro.engines` imports their modules,
+which Python does before any ``repro.engines.*`` submodule is used, so
+:data:`ENGINES` is a plain dict that is already complete on first use.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -31,25 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engines.base import ApplicationMaster
 
 AMFactory = Callable[..., "ApplicationMaster"]
-
-#: Modules whose import populates the built-in comparison set.
-_BUILTIN_MODULES = (
-    "repro.engines.stock",
-    "repro.engines.skewtune",
-    "repro.engines.flexmap",
-)
-
-_builtins_loaded = False
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in engine modules so their decorators register."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
 
 
 @dataclass(frozen=True)
@@ -77,56 +61,8 @@ class EngineSpec:
         )
 
 
-class _EngineRegistry(dict):
-    """Name -> :class:`EngineSpec` mapping that self-populates lazily.
-
-    Subclassing ``dict`` keeps the historical ``ENGINES`` surface (it was a
-    plain dict in ``repro.experiments.runner``) while guaranteeing the
-    built-in engines are registered before any lookup or iteration, even
-    when ``repro.engines.registry`` is imported directly.
-    """
-
-    def __missing__(self, key):
-        _ensure_builtins()
-        if key in dict.keys(self):
-            return dict.__getitem__(self, key)
-        raise KeyError(key)
-
-    def __iter__(self):
-        _ensure_builtins()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        _ensure_builtins()
-        return dict.__len__(self)
-
-    def __contains__(self, key) -> bool:
-        _ensure_builtins()
-        return dict.__contains__(self, key)
-
-    def keys(self):
-        """Registered engine names (loads the built-ins first)."""
-        _ensure_builtins()
-        return dict.keys(self)
-
-    def values(self):
-        """Registered :class:`EngineSpec` objects."""
-        _ensure_builtins()
-        return dict.values(self)
-
-    def items(self):
-        """Registered ``(name, spec)`` pairs."""
-        _ensure_builtins()
-        return dict.items(self)
-
-    def get(self, key, default=None):
-        """Dict.get with lazy built-in loading."""
-        _ensure_builtins()
-        return dict.get(self, key, default)
-
-
 #: The global registry.  Mutated only through :func:`register_engine`.
-ENGINES: dict[str, EngineSpec] = _EngineRegistry()
+ENGINES: dict[str, EngineSpec] = {}
 
 
 def register_engine(
@@ -154,16 +90,14 @@ def register_engine(
     if (block_size_mb is None) == (block_size is None):
         raise ValueError("pass exactly one of block_size_mb or block_size")
     size = block_size() if block_size is not None else block_size_mb
-    # Fail at the call site already, not only when the decorator is applied
-    # (re-entrant during builtin loading: _builtins_loaded is set first).
-    _ensure_builtins()
-    if dict.__contains__(ENGINES, name):
+    # Fail at the call site already, not only when the decorator is applied.
+    if name in ENGINES:
         raise ValueError(f"engine {name!r} already registered")
 
     def decorator(factory: AMFactory) -> AMFactory:
-        if dict.__contains__(ENGINES, name):
+        if name in ENGINES:
             raise ValueError(f"engine {name!r} already registered")
-        dict.__setitem__(ENGINES, name, EngineSpec(name, size, factory, kwargs))
+        ENGINES[name] = EngineSpec(name, size, factory, kwargs)
         return factory
 
     return decorator
@@ -171,28 +105,23 @@ def register_engine(
 
 def unregister_engine(name: str) -> None:
     """Remove a registered engine (tests registering throwaway engines)."""
-    dict.pop(ENGINES, name, None)
+    ENGINES.pop(name, None)
 
 
 def engine_names() -> list[str]:
     """Sorted names of every registered engine."""
-    _ensure_builtins()
-    return sorted(dict.keys(ENGINES))
+    return sorted(ENGINES)
 
 
 def resolve_engine(engine: "str | EngineSpec") -> EngineSpec:
     """Resolve an engine given by name or as an explicit spec.
 
-    The single home of the ``ENGINES[x] if isinstance(x, str) else x``
-    logic that used to be duplicated across the experiment runner and the
-    multi-job service.  Unknown names raise ``KeyError`` listing the
-    registered engines.
+    Unknown names raise ``KeyError`` listing the registered engines.
     """
     if isinstance(engine, EngineSpec):
         return engine
-    _ensure_builtins()
     try:
-        return dict.__getitem__(ENGINES, engine)
+        return ENGINES[engine]
     except KeyError:
         raise KeyError(
             f"unknown engine {engine!r}; registered: {engine_names()}"

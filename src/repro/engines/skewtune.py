@@ -85,7 +85,7 @@ class SkewTuneAM(StockHadoopAM):
             return
         candidates = [
             a
-            for a in self.running_maps
+            for a in self.maps.running
             if a.task_id not in self.mitigated_tasks
             and not a.record.task_id.startswith("st")
             and a.elapsed() >= cfg.min_age_s
@@ -99,7 +99,7 @@ class SkewTuneAM(StockHadoopAM):
 
     def outstanding_mitigators(self) -> int:
         """Mitigator tasks running or queued."""
-        running = sum(1 for a in self.running_maps if a.task_id.startswith("st"))
+        running = sum(1 for a in self.maps.running if a.task_id.startswith("st"))
         return running + len(self.mitigation_queue)
 
     def _repartition(self, victim: TaskAttempt, container: Container) -> None:
@@ -108,8 +108,8 @@ class SkewTuneAM(StockHadoopAM):
         if remaining_mb <= 0:
             return
         source_node = victim.node.node_id
-        victim_container = self.map_containers.get(victim)
-        assignment = self.running_maps.get(victim)
+        victim_container = self.maps.containers.get(victim)
+        assignment = self.maps.running.get(victim)
         avg_cost = (
             assignment.split.work_mb / assignment.split.size_mb
             if assignment is not None and assignment.split.size_mb > 0
@@ -117,7 +117,7 @@ class SkewTuneAM(StockHadoopAM):
         )
         victim.stop_early()
         if victim_container is not None:
-            self.finalize_stopped_map(victim, victim_container)
+            self.maps.finalize_stopped(victim, victim_container)
         self.mitigated_tasks.add(victim.task_id)
         self.mitigations += 1
         if self.obs is not None:
@@ -180,5 +180,5 @@ class SkewTuneAM(StockHadoopAM):
     def on_tick(self, round_no: int) -> None:
         # Idle slots during the last wave trigger straggler scans.
         assert self.index is not None
-        if self.index.unprocessed == 0 and not self.maps_done():
+        if self.index.unprocessed == 0 and not self.maps.done():
             self.rm.request_offers()

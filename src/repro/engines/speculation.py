@@ -57,7 +57,7 @@ class SpeculationManager:
     # ------------------------------------------------------------------
     def live_backups(self) -> list[TaskAttempt]:
         """Speculative copies currently running."""
-        return [a for a in self.am.running_maps if a.record.speculative]
+        return [a for a in self.am.maps.running if a.record.speculative]
 
     def has_live_copies(self) -> bool:
         """True while any backup copy is in flight."""
@@ -87,7 +87,7 @@ class SpeculationManager:
         cfg = self.config
         fresh = self._fresh_copy_estimate_s()
         out = []
-        for attempt in self.am.running_maps:
+        for attempt in self.am.maps.running:
             if attempt.record.speculative:
                 continue
             if attempt.task_id in self.speculated_tasks:
@@ -116,11 +116,11 @@ class SpeculationManager:
         if victim is None:
             return None
         # Re-read the victim's blocks on the new node; locality recomputed.
-        blocks = self.am.running_maps[victim].split.blocks
+        blocks = self.am.maps.running[victim].split.blocks
         assignment = MapAssignment(
             task_id=victim.task_id,
             split=InputSplit.for_node(blocks, container.node_id),
-            wave=self.am.running_maps[victim].wave,
+            wave=self.am.maps.running[victim].wave,
             speculative=True,
         )
         self.speculated_tasks.add(victim.task_id)
@@ -136,7 +136,7 @@ class SpeculationManager:
         return max(slow, key=lambda a: (a.est_time_left(), a.task_id))
 
     def _pick_default(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:
-        all_progress = [a.progress() for a in self.am.running_maps]
+        all_progress = [a.progress() for a in self.am.maps.running]
         mean = float(np.mean(all_progress)) if all_progress else 0.0
         laggards = [
             a for a in candidates if a.progress() < mean - self.config.lag_threshold
@@ -147,7 +147,7 @@ class SpeculationManager:
 
     # ------------------------------------------------------------------
     def _find_copies(self, task_id: str) -> list[TaskAttempt]:
-        return [a for a in self.am.running_maps if a.task_id == task_id]
+        return [a for a in self.am.maps.running if a.task_id == task_id]
 
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
         """First copy home wins: kill the remaining copies of the task."""
@@ -156,10 +156,10 @@ class SpeculationManager:
         for copy in self._find_copies(attempt.task_id):
             if copy is attempt or copy.finished or copy.killed:
                 continue
-            container = self.am.map_containers.get(copy)
+            container = self.am.maps.containers.get(copy)
             copy.kill()
             if container is not None:
-                self.am.finalize_killed_map(copy, container)
+                self.am.maps.finalize_killed(copy, container)
 
     def on_tick(self) -> None:
         """Keep the last wave alive: poke the RM so idle slots get offered
@@ -167,7 +167,7 @@ class SpeculationManager:
         index = getattr(self.am, "index", None)
         if (
             self.config.enabled
-            and not self.am.maps_done()
+            and not self.am.maps.done()
             and index is not None
             and index.unprocessed == 0
         ):

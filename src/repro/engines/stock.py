@@ -83,7 +83,7 @@ class StockHadoopAM(ApplicationMaster):
             wave = self._wave_counter.get(node_id, 0)
             self._wave_counter[node_id] = wave + 1
             return MapAssignment(
-                task_id=self.next_map_id(),
+                task_id=self.maps.next_task_id(),
                 split=InputSplit.for_node([block], node_id),
                 wave=wave // max(1, container.node.slots),
             )

@@ -1,5 +1,6 @@
 """Experiment harness: evaluation clusters, engine registry, figure drivers."""
 
+from repro.engines import ENGINES, EngineSpec, RunResult, run_job
 from repro.experiments.clusters import (
     heterogeneous6_cluster,
     homogeneous_cluster,
@@ -9,7 +10,6 @@ from repro.experiments.clusters import (
     virtual_cluster,
 )
 from repro.experiments.iterative import IterativeResult, run_iterative_job
-from repro.experiments.runner import ENGINES, EngineSpec, RunResult, run_job
 from repro.experiments.stats import SweepResult, SweepStats, compare_sweep, seed_sweep
 
 __all__ = [

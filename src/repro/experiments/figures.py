@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.cluster.topology import Cluster
 from repro.core.sizing import SizingConfig
+from repro.engines import ENGINES, EngineSpec, RunResult, run_job
 from repro.engines.flexmap import FlexMapAM
 from repro.engines.stock import StockHadoopAM
 from repro.experiments.clusters import (
@@ -26,7 +27,6 @@ from repro.experiments.clusters import (
     three_node_example,
     virtual_cluster,
 )
-from repro.experiments.runner import ENGINES, EngineSpec, RunResult, run_job
 from repro.metrics.stats import normalized_runtime_pdf, straggler_ratio
 from repro.workloads.puma import FIGURE_ORDER, puma
 

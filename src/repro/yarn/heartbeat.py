@@ -6,18 +6,9 @@ of one event per container — same information, far fewer events.  The tick
 also drives time-based scheduler logic (speculation checks, SkewTune
 straggler scans).
 
-Multi-job runs create one :class:`HeartbeatService` per ApplicationMaster,
-so a cluster hosting N concurrent jobs pays N heap events every period even
-though the ticks land on the same instant.  The :class:`HeartbeatHub`
-coalesces them: services attached to the same simulator whose next tick is
-due at the same time share a single heap event that walks the members in
-enlistment order.  Because same-instant tick events were adjacent in the
-``(time, seq)`` heap anyway (each service re-schedules its next tick while
-handling the current one, so no foreign event can claim a sequence number
-between two member ticks), walking the group inside one event preserves the
-exact global event order — per-job traces are byte-identical to the legacy
-one-event-per-service mode, which remains available via
-``COALESCE_HEARTBEATS`` for differential benchmarking.
+Each service owns one pending heap event; :meth:`HeartbeatService._tick`
+reschedules the next one through the instance attribute, so correctness
+harnesses that wrap ``service._tick`` keep intercepting later ticks.
 """
 
 from __future__ import annotations
@@ -27,85 +18,6 @@ from typing import Callable
 from repro.sim.engine import EventHandle, Simulator
 
 HEARTBEAT_PERIOD_S = 5.0
-
-#: When True (the default), heartbeat ticks due at the same instant on the
-#: same simulator share one heap event.  Set to False to restore the legacy
-#: one-event-per-service scheduling (used as the benchmark baseline).
-COALESCE_HEARTBEATS = True
-
-
-class _TickGroup:
-    """The services whose next tick falls on one shared due time."""
-
-    __slots__ = ("due", "members", "event")
-
-    def __init__(self, due: float) -> None:
-        self.due = due
-        self.members: list["HeartbeatService"] = []
-        self.event: EventHandle | None = None
-
-
-class HeartbeatHub:
-    """Per-simulator coalescer: one heap event per distinct tick due time.
-
-    The hub is created lazily on first use and cached on the simulator
-    instance, so independent simulators never share state and a simulator
-    that runs no heartbeats never allocates one.
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._groups: dict[float, _TickGroup] = {}
-
-    @classmethod
-    def for_sim(cls, sim: Simulator) -> "HeartbeatHub":
-        hub = getattr(sim, "_heartbeat_hub", None)
-        if hub is None:
-            hub = cls(sim)
-            sim._heartbeat_hub = hub  # type: ignore[attr-defined]
-        return hub
-
-    def enlist(self, service: "HeartbeatService", due: float) -> None:
-        """Queue ``service`` for a tick at absolute time ``due``."""
-        group = self._groups.get(due)
-        if group is None:
-            group = _TickGroup(due)
-            self._groups[due] = group
-            group.event = self.sim.schedule_at(due, lambda: self._fire(due))
-        group.members.append(service)
-        service._group = group
-
-    def retire(self, service: "HeartbeatService") -> None:
-        """Drop ``service`` from its pending group (service stopped)."""
-        group = service._group
-        service._group = None
-        if group is None:
-            return
-        try:
-            group.members.remove(service)
-        except ValueError:
-            return
-        if not group.members and self._groups.get(group.due) is group:
-            del self._groups[group.due]
-            if group.event is not None:
-                group.event.cancel()
-                group.event = None
-
-    def _fire(self, due: float) -> None:
-        group = self._groups.pop(due)
-        group.event = None  # fired — must never be cancelled after the fact
-        # Walk members in enlistment order and re-enlist each immediately
-        # after its callbacks, exactly mirroring the legacy per-service
-        # sequence: tick A, reschedule A, tick B, reschedule B, ...
-        for service in list(group.members):
-            if not service._running:
-                continue  # stopped by an earlier member's callbacks
-            service._group = None
-            # Instance-attribute lookup on purpose: correctness harnesses
-            # wrap ``service._tick`` and must keep intercepting ticks.
-            service._tick()
-            if service._running:
-                self.enlist(service, self.sim.now + service.period_s)
 
 
 class HeartbeatService:
@@ -120,8 +32,6 @@ class HeartbeatService:
         self._round = 0
         self._event: EventHandle | None = None
         self._running = False
-        self._group: _TickGroup | None = None
-        self._coalesced = False
 
     def subscribe(self, callback: Callable[[int], None]) -> None:
         """Register a callback invoked with the heartbeat round number."""
@@ -132,17 +42,11 @@ class HeartbeatService:
         if self._running:
             return
         self._running = True
-        self._coalesced = COALESCE_HEARTBEATS
-        if self._coalesced:
-            HeartbeatHub.for_sim(self.sim).enlist(self, self.sim.now + self.period_s)
-        else:
-            self._event = self.sim.schedule(self.period_s, self._tick)
+        self._event = self.sim.schedule(self.period_s, self._tick)
 
     def stop(self) -> None:
         """Stop ticking and cancel the pending event."""
         self._running = False
-        if self._group is not None:
-            HeartbeatHub.for_sim(self.sim).retire(self)
         if self._event is not None:
             self._event.cancel()
             self._event = None
@@ -153,9 +57,7 @@ class HeartbeatService:
         self._round += 1
         for callback in list(self._subscribers):
             callback(self._round)
-        # In coalesced mode the hub re-enlists after this returns; a tick
-        # must not also self-reschedule or rounds would double up.
-        if self._running and not self._coalesced:
+        if self._running:
             self._event = self.sim.schedule(self.period_s, self._tick)
 
     @property

@@ -49,7 +49,7 @@ def tiny_job(input_mb=512.0, reducers=2, shuffle=0.1) -> JobSpec:
 
 def quick_run(engine: str, speeds=(1.0, 1.0, 2.0), input_mb=512.0, seed=7, **kwargs):
     """Run a small job end-to-end on a 3-node noise-free cluster."""
-    from repro.experiments.runner import run_job
+    from repro.engines import run_job
 
     return run_job(
         lambda: make_cluster(speeds),

@@ -4,14 +4,14 @@ import math
 
 import pytest
 
-from repro.experiments.runner import run_job
-from repro.schedulers.base import AMConfig
+from repro.engines import run_job
+from repro.engines.base import AMConfig
 from repro.yarn.overhead import OverheadModel
 from tests.conftest import make_cluster, quick_run, tiny_job
 
 
 def test_base_am_requeue_is_abstract():
-    from repro.schedulers.base import ApplicationMaster, MapAssignment
+    from repro.engines.base import ApplicationMaster, MapAssignment
 
     class Dummy(ApplicationMaster):
         pass

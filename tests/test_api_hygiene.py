@@ -6,6 +6,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,23 @@ def test_top_level_all_resolves():
         assert getattr(repro, name, None) is not None, name
 
 
+def test_import_repro_emits_no_deprecation_warning():
+    saved = {
+        name: sys.modules.pop(name)
+        for name in list(sys.modules)
+        if name == "repro" or name.startswith("repro.")
+    }
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            importlib.import_module("repro")
+        assert not [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ], "plain `import repro` must not touch deprecated paths"
+    finally:
+        sys.modules.update(saved)
+
+
 def test_subpackage_alls_resolve():
     for module_name in MODULES:
         module = importlib.import_module(module_name)
@@ -81,9 +100,7 @@ ALLOWED_EDGES = {
     "check": {"cluster", "engines", "hdfs", "mapreduce", "obs", "sim", "yarn"},
     "cli": {"engines", "experiments", "workloads"},
     "cluster": {"sim"},
-    # core -> engines exists only through the repro.core.flexmap_am
-    # deprecation shim; FlexMap's algorithm modules stay below engines.
-    "core": {"engines", "hdfs", "mapreduce"},
+    "core": {"hdfs", "mapreduce"},
     "engines": {
         "cluster", "core", "hdfs", "mapreduce", "metrics", "obs", "sim",
         "workloads", "yarn",
@@ -100,7 +117,6 @@ ALLOWED_EDGES = {
         "yarn",
     },
     "obs": {"viz"},
-    "schedulers": {"engines"},  # pure deprecation shims
     "viz": {"sim"},
     "workloads": {"mapreduce"},
     "yarn": {"cluster", "sim"},

@@ -153,6 +153,22 @@ def test_serve_rejects_bad_queues():
         main(["serve", "--queues", "no-equals-sign", "--n-jobs", "1"])
 
 
+@pytest.mark.parametrize("bad_args,message", [
+    (["--n-jobs", "0"], "need at least one job"),
+    (["--rate", "0"], "non-positive arrival rate"),
+    (["--arrivals", "closed", "--width", "0"], "non-positive width"),
+    (["--scale", "0"], "non-positive input scale"),
+    (["--policy", "capacity", "--queues", "batch=0"], "non-positive capacity"),
+])
+def test_serve_bad_input_is_a_usage_error(capsys, bad_args, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--cluster", "heterogeneous6", "--no-slowdown", *bad_args])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro serve: error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_fuzz_small_campaign_clean(capsys):
     assert main(["fuzz", "--iterations", "3", "--seed", "0"]) == 0
     out = capsys.readouterr().out

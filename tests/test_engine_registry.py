@@ -22,6 +22,14 @@ def test_builtins_registered_lazily():
         assert ENGINES[name].name == name
 
 
+def test_builtins_register_in_import_order():
+    # Importing repro.engines loads stock, SkewTune, then FlexMap; every
+    # consumer that iterates ENGINES sees this order.
+    assert [name for name in ENGINES if name in BUILTINS] == [
+        "hadoop-64", "hadoop-128", "hadoop-nospec-64", "skewtune-64", "flexmap",
+    ]
+
+
 def test_resolve_engine_accepts_name_and_spec():
     spec = resolve_engine("flexmap")
     assert spec.name == "flexmap"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.failures import FailureSchedule, NodeFailure
-from repro.experiments.runner import run_job
+from repro.engines import run_job
 from tests.conftest import make_cluster, tiny_job
 
 
@@ -128,10 +128,10 @@ def test_node_fails_twice_at_the_same_instant():
 def test_failure_after_job_completion_only_marks_node_dead():
     """A crash event firing after the job finished must not resurrect any
     bookkeeping: the AM released everything at job end."""
-    from repro.experiments.runner import ENGINES
+    from repro.engines import ENGINES
     from repro.hdfs.namenode import NameNode
     from repro.hdfs.placement import RandomPlacement
-    from repro.schedulers.base import AMConfig
+    from repro.engines.base import AMConfig
     from repro.sim.engine import Simulator
     from repro.sim.random import RandomStreams
     from repro.yarn.resource_manager import ResourceManager
@@ -158,7 +158,7 @@ def test_failure_after_job_completion_only_marks_node_dead():
 
     assert not node.alive
     assert am.job_done
-    assert not am.running_maps and not am.running_reduces
+    assert not am.maps.running and not am.reduces.running
     assert len(trace.records) == records_before  # nothing resurrected
     assert am.index is not None and am.index.unprocessed == 0
 
@@ -189,7 +189,7 @@ def test_skewtune_mitigation_actually_fired_in_regression_config():
     """Companion to the regression above: prove the config exercises the
     mitigator-requeue path (a crash killing a running ``st`` chunk), so the
     regression cannot rot into a vacuous pass."""
-    from repro.experiments.runner import run_job as run
+    from repro.engines import run_job as run
     from repro.obs import MemoryTraceEmitter, Observability
 
     def two_node():

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.flexmap_am import FlexMapAM
 from repro.core.sizing import SizingConfig
-from repro.experiments.runner import ENGINES, EngineSpec, run_job
+from repro.engines import EngineSpec, run_job
+from repro.engines.flexmap import FlexMapAM
 from tests.conftest import make_cluster, tiny_job
 
 

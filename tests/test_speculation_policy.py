@@ -3,9 +3,9 @@ and stock Hadoop's delay scheduling."""
 
 import pytest
 
-from repro.experiments.runner import EngineSpec, run_job
-from repro.schedulers.speculation import SpeculationConfig
-from repro.schedulers.stock import StockHadoopAM
+from repro.engines import EngineSpec, run_job
+from repro.engines.speculation import SpeculationConfig
+from repro.engines.stock import StockHadoopAM
 from tests.conftest import make_cluster, tiny_job
 
 
