@@ -32,7 +32,7 @@ from repro.check.fuzz import (
     sample_scenario,
     shrink,
 )
-from repro.check.harness import ScenarioConfig, build_scenario, run_scenario
+from repro.check.harness import ScenarioConfig, run_scenario
 from repro.check.invariants import CheckReport, InvariantChecker, InvariantViolation
 from repro.check.mutations import MUTATIONS, apply_mutation
 
@@ -46,7 +46,6 @@ __all__ = [
     "MUTATIONS",
     "ScenarioConfig",
     "apply_mutation",
-    "build_scenario",
     "fuzz_run",
     "probe",
     "run_differentials",

@@ -3,14 +3,18 @@
 A :class:`ScenarioConfig` is a small, JSON-serializable description of one
 simulation — topology, workload, failure schedule, interference, and (for
 multi-job runs) the arrival stream and cluster policy.  ``run_scenario``
-builds the run from scratch, arms an :class:`InvariantChecker` on it, and
-returns the check report; the fuzzer (:mod:`repro.check.fuzz`) samples
-configs, and a failing config shrinks to a minimal JSON reproducer that
-``from_json`` replays bit-identically.
+builds the run from scratch — a single job through
+:func:`repro.engines.driver.run_job`, a job stream through
+:class:`repro.multijob.service.ClusterService` — arms an
+:class:`InvariantChecker` on it, and returns the check report; the fuzzer
+(:mod:`repro.check.fuzz`) samples configs, and a failing config shrinks to
+a minimal JSON reproducer that ``from_json`` replays bit-identically.
 
 ``mutation`` names a deliberately seeded bug from
 :mod:`repro.check.mutations`; it exists only so the mutation self-tests can
-prove the checker catches each failure class.
+prove the checker catches each failure class.  ``run_scenario`` hands it to
+:func:`~repro.check.mutations.apply_mutation` with the checker, before
+either run path builds anything.
 """
 
 from __future__ import annotations
@@ -19,19 +23,16 @@ import json
 from dataclasses import dataclass, fields
 
 from repro.check.invariants import CheckReport, InvariantChecker
+from repro.check.mutations import apply_mutation
 from repro.cluster.failures import FailureSchedule, NodeFailure
 from repro.cluster.interference import MultiTenantInterference
 from repro.cluster.network import NetworkModel
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
-from repro.engines.base import AMConfig
+from repro.engines.driver import run_job
 from repro.engines.registry import ENGINES
-from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import RandomPlacement
 from repro.mapreduce.job import JobSpec
-from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
-from repro.yarn.resource_manager import ResourceManager
 
 #: Cluster scheduling policies a multi-job scenario may use.
 POLICIES: tuple[str, ...] = ("fifo", "fair", "capacity")
@@ -203,55 +204,24 @@ def build_failures(config: ScenarioConfig) -> FailureSchedule | None:
     )
 
 
-def build_scenario(config: ScenarioConfig) -> dict:
-    """Constructed-but-unrun pieces of a scenario (inspection, tests)."""
-    return {
-        "cluster": build_cluster(config),
-        "job": build_job(config),
-        "failures": build_failures(config),
-    }
-
-
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-def _apply_mutation(config: ScenarioConfig, rm: ResourceManager) -> None:
-    if config.mutation is not None:
-        from repro.check.mutations import apply_mutation
-
-        apply_mutation(config.mutation, rm)
-
-
 def _run_single(
     config: ScenarioConfig, checker: InvariantChecker, max_events: int
 ) -> tuple[tuple[float, ...], int]:
-    """One job end-to-end, mirroring :func:`repro.engines.driver.run_job`
-    with the checker armed between RM creation and AM registration."""
-    spec = ENGINES[config.engine]
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
-    cluster = build_cluster(config)
-    cluster.install(sim, streams)
-    job = build_job(config)
-    namenode = NameNode(
-        [n.node_id for n in cluster.nodes],
-        replication=min(3, len(cluster.nodes)),
-        policy=RandomPlacement(),
-        rng=streams.stream("placement"),
+    """One job end-to-end through :func:`repro.engines.driver.run_job`."""
+    result = run_job(
+        lambda: build_cluster(config),
+        build_job(config),
+        config.engine,
+        seed=config.seed,
+        replication=min(3, len(config.speeds)),
+        failures=build_failures(config),
+        check=checker,
+        max_events=max_events,
     )
-    namenode.create_file(job.input_file, job.input_mb, spec.block_size_mb)
-    rm = ResourceManager(sim, cluster, rng=streams.stream("rm-offers"))
-    checker.arm(sim, cluster=cluster, rm=rm)
-    _apply_mutation(config, rm)
-    am = spec.build(
-        sim, cluster, rm, namenode, job, streams,
-        AMConfig(block_size_mb=spec.block_size_mb),
-    )
-    failures = build_failures(config)
-    if failures is not None:
-        failures.install(sim, cluster, am)
-    trace = am.run_to_completion(max_events=max_events)
-    return (trace.jct,), sim.events_processed
+    return (result.jct,), result.am.sim.events_processed
 
 
 def _run_service(
@@ -278,7 +248,6 @@ def _run_service(
         failures=build_failures(config),
         check=checker,
     )
-    _apply_mutation(config, service.rm)
     result = service.run(max_events=max_events, compute_slowdown=False)
     return tuple(o.jct for o in result.outcomes), result.events_processed
 
@@ -295,6 +264,8 @@ def run_scenario(
     ``strict=False`` collects every violation into the report.
     """
     checker = InvariantChecker(strict=strict)
+    if config.mutation is not None:
+        apply_mutation(config.mutation, checker)
     if config.n_jobs <= 1:
         jcts, events = _run_single(config, checker, max_events)
     else:

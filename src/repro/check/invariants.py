@@ -277,17 +277,16 @@ class InvariantChecker:
 
         am.heartbeat.subscribe(lambda round_no: self._on_round(state, round_no))
 
-        index = self._find_index(am)
-        if index is not None:
-            self._wrap_index(state, index)
+        if am.index is not None:
+            self._wrap_index(state, am.index)
         else:
+            # Multi-job services register an AM before submit() builds it.
             inner_prepare = am.prepare_maps
 
             def prepare_maps() -> None:
                 inner_prepare()
-                idx = self._find_index(am)
-                if idx is not None:
-                    self._wrap_index(state, idx)
+                if am.index is not None:
+                    self._wrap_index(state, am.index)
 
             am.prepare_maps = prepare_maps  # type: ignore[method-assign]
 
@@ -343,13 +342,6 @@ class InvariantChecker:
                 self._check_terminal(state)
 
         am._finish_job = _finish_job  # type: ignore[method-assign]
-
-    @staticmethod
-    def _find_index(am: "ApplicationMaster"):
-        binder = getattr(am, "binder", None)
-        if binder is not None:
-            return binder.index
-        return getattr(am, "index", None)
 
     def _wrap_index(self, state: _AMState, index) -> None:
         inner_take = index.take
@@ -455,7 +447,7 @@ class InvariantChecker:
                 f"{job}: finished with {am.reduces.pending} reducer(s) "
                 "still pending",
             )
-        index = self._find_index(am)
+        index = am.index
         if index is not None and index.unprocessed != 0:
             self._violate(
                 "terminal-state",

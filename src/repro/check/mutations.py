@@ -22,9 +22,11 @@ The three mutations:
     The AM's heartbeat ticker skips a round number (reports 1, 2, 4, ...),
     as a buggy restart/renumbering would.  Caught by ``heartbeat-order``.
 
-Mutations are installed by wrapping ``rm.register``, so they apply to the
-first AM that attaches no matter how the run is driven.  They are never
-active unless a test (or a ``ScenarioConfig.mutation`` field) asks for one.
+``apply_mutation(name, checker)`` wraps the checker's ``arm``: once the
+checker is armed on a run, the mutation wraps that run's ``rm.register``,
+so it applies to the first AM that attaches, in single-job and multi-job
+runs alike.  Mutations are never active unless a test (or a
+``ScenarioConfig.mutation`` field) asks for one.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.check.invariants import InvariantChecker
     from repro.engines.base import ApplicationMaster
-    from repro.yarn.resource_manager import ResourceManager
 
 MUTATIONS: tuple[str, ...] = (
     "double-assign-bu",
@@ -42,8 +44,13 @@ MUTATIONS: tuple[str, ...] = (
 )
 
 
-def apply_mutation(name: str, rm: "ResourceManager") -> None:
-    """Arm the named bug on the next AM registering with ``rm``."""
+def apply_mutation(name: str, checker: "InvariantChecker") -> None:
+    """Arm the named bug on the first AM registering with the RM that
+    ``checker`` is armed on.
+
+    The bug's ``rm.register`` wrap goes on right after the checker's own
+    hooks, so it sits outside them however the run is driven.
+    """
     if name not in MUTATIONS:
         raise ValueError(f"unknown mutation: {name!r} (have {MUTATIONS})")
     installer = {
@@ -51,24 +58,24 @@ def apply_mutation(name: str, rm: "ResourceManager") -> None:
         "leak-slot-on-failure": _install_leak_slot,
         "skip-heartbeat": _install_skip_heartbeat,
     }[name]
+    inner_arm = checker.arm
 
-    inner_register = rm.register
-    state = {"applied": False}
+    def arm(sim, cluster=None, rm=None):
+        armed = inner_arm(sim, cluster=cluster, rm=rm)
+        inner_register = rm.register
+        applied = False
 
-    def register(am, queue: str = "default", weight: float = 1.0) -> None:
-        inner_register(am, queue=queue, weight=weight)
-        if not state["applied"]:
-            state["applied"] = True
-            installer(am)
+        def register(am, queue: str = "default", weight: float = 1.0) -> None:
+            nonlocal applied
+            inner_register(am, queue=queue, weight=weight)
+            if not applied:
+                applied = True
+                installer(am)
 
-    rm.register = register  # type: ignore[method-assign]
+        rm.register = register  # type: ignore[method-assign]
+        return armed
 
-
-def _find_index(am: "ApplicationMaster"):
-    binder = getattr(am, "binder", None)
-    if binder is not None:
-        return binder.index
-    return getattr(am, "index", None)
+    checker.arm = arm  # type: ignore[method-assign]
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +89,7 @@ def _install_double_assign(am: "ApplicationMaster") -> None:
         if state["done"]:
             return
         state["done"] = True
-        index = _find_index(am)
+        index = am.index
         block = assignment.split.blocks[0]
         # Bypass put_back on purpose: the bug under simulation is corrupt
         # bookkeeping, not a legitimate failure re-enqueue.

@@ -40,14 +40,21 @@ CLUSTERS = {
     "multitenant40": functools.partial(multitenant_cluster, 0.4),
 }
 
+BENCHMARKS = [w.abbrev for w in PUMA_BENCHMARKS]
 FIGURES = ("fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "overhead", "ablation")
 
 
-def _cluster(name: str):
-    try:
-        return CLUSTERS[name]
-    except KeyError:
-        raise SystemExit(f"unknown cluster {name!r}; choose from {sorted(CLUSTERS)}")
+def _positive(kind):
+    """argparse ``type=`` for a positive ``kind`` (int or float)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in parse errors
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +67,7 @@ def cmd_list(args) -> int:
 
     print("engines:     " + ", ".join(engine_names()))
     print("clusters:    " + ", ".join(sorted(CLUSTERS)))
-    print("benchmarks:  " + ", ".join(w.abbrev for w in PUMA_BENCHMARKS))
+    print("benchmarks:  " + ", ".join(BENCHMARKS))
     print("workloads:   " + ", ".join(
         f"{w.abbrev}={w.name}" for w in PUMA_BENCHMARKS))
     print("figures:     " + ", ".join(FIGURES))
@@ -78,7 +85,7 @@ def cmd_run(args) -> int:
 
         obs = Observability.for_files(trace_path=args.trace_out)
     result = run_job(
-        _cluster(args.cluster),
+        CLUSTERS[args.cluster],
         puma(args.benchmark),
         args.engine,
         seed=args.seed,
@@ -134,7 +141,7 @@ def cmd_compare(args) -> int:
     rows = []
     for engine in engines:
         sweep = seed_sweep(
-            _cluster(args.cluster), puma(args.benchmark), engine,
+            CLUSTERS[args.cluster], puma(args.benchmark), engine,
             seeds=list(args.seeds), jobs=args.jobs,
             input_mb=args.input_gb * 1024.0 if args.input_gb else None,
         )
@@ -185,6 +192,8 @@ def cmd_serve(args) -> int:
     from repro.multijob.service import ClusterService
     from repro.sim.random import RandomStreams
 
+    if args.queues and args.policy != "capacity":
+        args.usage_error("--queues applies only to --policy capacity")
     obs = None
     if args.trace_out:
         from repro.obs import Observability
@@ -219,7 +228,7 @@ def cmd_serve(args) -> int:
         else:  # trace
             arrivals = load_arrival_trace(args.trace_file)
         service = ClusterService(
-            _cluster(args.cluster),
+            CLUSTERS[args.cluster],
             arrivals,
             policy=args.policy,
             seed=args.seed,
@@ -387,23 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list engines, clusters, benchmarks, figures")
 
     p_run = sub.add_parser("run", help="run one job")
-    p_run.add_argument("--cluster", default="physical")
+    p_run.add_argument("--cluster", default="physical", choices=sorted(CLUSTERS))
     p_run.add_argument("--engine", default="flexmap", choices=engine_names())
-    p_run.add_argument("--benchmark", default="WC")
+    p_run.add_argument("--benchmark", default="WC", type=str.upper,
+                       choices=BENCHMARKS)
     p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--input-gb", type=float, default=None)
+    p_run.add_argument("--input-gb", type=_positive(float), default=None)
     p_run.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write typed JSONL trace events to FILE")
     p_run.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write the run's metrics snapshot (JSON) to FILE")
 
     p_cmp = sub.add_parser("compare", help="compare engines on one benchmark")
-    p_cmp.add_argument("--cluster", default="physical")
-    p_cmp.add_argument("--benchmark", default="WC")
+    p_cmp.add_argument("--cluster", default="physical", choices=sorted(CLUSTERS))
+    p_cmp.add_argument("--benchmark", default="WC", type=str.upper,
+                       choices=BENCHMARKS)
     p_cmp.add_argument("--engines", nargs="*", choices=engine_names())
-    p_cmp.add_argument("--seeds", nargs="*", type=int, default=[1, 2])
-    p_cmp.add_argument("--input-gb", type=float, default=None)
-    p_cmp.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_cmp.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    p_cmp.add_argument("--input-gb", type=_positive(float), default=None)
+    p_cmp.add_argument("--jobs", type=_positive(int), default=1, metavar="N",
                        help="run seeds in N worker processes (1 = serial, "
                             "bit-identical output either way)")
 
@@ -412,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--cluster", default="physical",
                        choices=["physical", "virtual"])
     p_fig.add_argument("--seed", type=int, default=1)
-    p_fig.add_argument("--scale", type=float, default=0.25)
+    p_fig.add_argument("--scale", type=_positive(float), default=0.25)
 
     p_srv = sub.add_parser(
         "serve", help="run a multi-job arrival stream and report cluster SLOs"
     )
-    p_srv.add_argument("--cluster", default="physical")
+    p_srv.add_argument("--cluster", default="physical", choices=sorted(CLUSTERS))
     p_srv.add_argument("--arrivals", default="poisson",
                        choices=["poisson", "closed", "trace"])
     p_srv.add_argument("--rate", type=float, default=0.05,
@@ -433,10 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--policy", default="fair",
                        choices=["fifo", "fair", "capacity"])
     p_srv.add_argument("--queues", default=None, metavar="Q=W,...",
-                       help="capacity-queue weights, e.g. batch=3,adhoc=1")
+                       help="capacity-queue weights, e.g. batch=3,adhoc=1 "
+                            "(--policy capacity only)")
     p_srv.add_argument("--engines", nargs="*", default=["flexmap", "hadoop-64"],
                        choices=engine_names())
-    p_srv.add_argument("--benchmarks", nargs="*",
+    p_srv.add_argument("--benchmarks", nargs="*", type=str.upper,
+                       choices=BENCHMARKS,
                        default=["WC", "GR", "HR", "HM"])
     p_srv.add_argument("--scale", type=float, default=0.125,
                        help="input scale vs. Table II small sizes")

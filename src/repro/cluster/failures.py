@@ -8,15 +8,16 @@ reducers back to pending), and the node stops receiving containers.  HDFS
 replication keeps the data reachable — blocks whose local replicas died are
 simply read remotely.
 
-Failures compose with every engine: the ApplicationMaster exposes
-``on_node_failure`` and each engine re-enqueues its own bookkeeping.  Two
-edge cases are pinned down by ``tests/test_failures.py``:
+Failures compose with every engine and with multi-job runs: a crash marks
+the node dead and calls ``on_node_failure`` on every AM registered with the
+ResourceManager at that moment; each engine re-enqueues its own
+bookkeeping.  Two edge cases are pinned down by ``tests/test_failures.py``:
 
 * a node may fail *twice* (duplicate schedule entries, or one schedule per
   job in a service run) — the second crash finds no running attempts and
   must not re-enqueue anything;
-* a node may fail *after* the job completed — the AM ignores the event
-  beyond marking the node dead (see ``ApplicationMaster.on_node_failure``).
+* a node may fail *after* the job completed — the finished AM has
+  unregistered, so the crash only marks the node dead.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.cluster.topology import Cluster
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engines.base import ApplicationMaster
     from repro.yarn.resource_manager import ResourceManager
 
 
@@ -58,25 +58,10 @@ class FailureSchedule:
     def single(cls, time_s: float, node_id: str) -> "FailureSchedule":
         return cls([NodeFailure(time_s, node_id)])
 
-    def _validate(self, cluster: Cluster) -> None:
-        ids = {n.node_id for n in cluster.nodes}
-        for failure in self.failures:
-            if failure.node_id not in ids:
-                raise KeyError(f"unknown node: {failure.node_id}")
-
-    def install(self, sim: Simulator, cluster: Cluster, am: "ApplicationMaster") -> None:
-        """Arm the crash events against a submitted job's AM."""
-        self._validate(cluster)
-        for failure in self.failures:
-            sim.schedule_at(
-                failure.time_s,
-                lambda f=failure: am.on_node_failure(cluster.node(f.node_id)),
-            )
-
-    def install_service(
+    def install(
         self, sim: Simulator, cluster: Cluster, rm: "ResourceManager"
     ) -> None:
-        """Arm crashes against a shared cluster hosting many AMs.
+        """Arm the crash events against every AM registered with ``rm``.
 
         Each crash marks the node dead and notifies every AM registered at
         crash time (finished AMs have unregistered; each AM only touches its
@@ -84,12 +69,15 @@ class FailureSchedule:
         submitted after the crash never see the node: the RM skips dead
         nodes in its offer rounds.
         """
-        self._validate(cluster)
+        ids = {n.node_id for n in cluster.nodes}
+        for failure in self.failures:
+            if failure.node_id not in ids:
+                raise KeyError(f"unknown node: {failure.node_id}")
 
         def fire(failure: NodeFailure) -> None:
             node = cluster.node(failure.node_id)
             node.fail()
-            for record in list(rm.apps):
+            for record in rm.apps:
                 record.am.on_node_failure(node)
 
         for failure in self.failures:

@@ -68,14 +68,6 @@ class Cluster:
         """Maximum effective node speed right now."""
         return max(n.effective_speed for n in self.nodes)
 
-    def normalized_capacities(self) -> dict[str, float]:
-        """Capacities normalized to (0, 1] with the fastest node at 1.0.
-
-        Used by FlexMap's reduce-placement bias (Section III-F).
-        """
-        fastest = self.fastest_speed()
-        return {n.node_id: n.effective_speed / fastest for n in self.nodes}
-
     def reset(self) -> None:
         """Clear interference and slot bookkeeping between runs."""
         for n in self.nodes:

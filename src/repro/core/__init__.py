@@ -9,17 +9,18 @@ The paper's primary contribution (Section III).  Components mirror Fig. 4:
   for a granted container;
 * :class:`~repro.core.late_binding.LateTaskBinder` — template management and
   locality-preserving split construction;
-* :mod:`~repro.core.mbe` — multi-block execution (splits as BU arrays);
 * :class:`~repro.core.reduce_bias.ReducePlacer` — capacity-biased reducer
   dispatch.
 
-The augmented Application Master that ties these into the YARN substrate
-is :class:`repro.engines.flexmap.FlexMapAM`.
+Multi-block execution (Section III-B) has no module of its own: a split is
+an array of BUs (:class:`repro.mapreduce.split.InputSplit`) and a
+:class:`repro.mapreduce.attempt.TaskAttempt` reports progress over the
+aggregate size.  The augmented Application Master that ties these into the
+YARN substrate is :class:`repro.engines.flexmap.FlexMapAM`.
 """
 
 from repro.core.data_provision import DataProvision
 from repro.core.late_binding import LateTaskBinder, MapTemplate
-from repro.core.mbe import MultiBlockEngine
 from repro.core.reduce_bias import ReducePlacer
 from repro.core.sizing import DynamicSizer, SizingConfig
 from repro.core.speed_monitor import SpeedMonitor
@@ -29,7 +30,6 @@ __all__ = [
     "DynamicSizer",
     "LateTaskBinder",
     "MapTemplate",
-    "MultiBlockEngine",
     "ReducePlacer",
     "SizingConfig",
     "SpeedMonitor",

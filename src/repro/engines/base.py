@@ -88,12 +88,8 @@ class TraceRecorder:
 
     def __init__(self, am: "ApplicationMaster") -> None:
         self.am = am
+        self.obs = am.obs
         self.trace = JobTrace(job_id=am.job.name)
-
-    @property
-    def obs(self) -> Observability | None:
-        """The AM's observability bundle (None when disabled)."""
-        return self.am.obs
 
     # -- record bookkeeping --------------------------------------------
     def add(self, record: "TaskRecord") -> None:
@@ -206,6 +202,15 @@ class TraceRecorder:
             )
 
     # -- fault tolerance ---------------------------------------------------
+    def map_requeued(self, assignment: MapAssignment) -> None:
+        """Record a lost map attempt's input returning to the pool."""
+        if self.obs is not None:
+            self.obs.metrics.counter("am.maps_requeued").inc()
+            self.obs.trace.emit(
+                "map_requeue", self.am.sim.now,
+                task=assignment.task_id, n_bus=assignment.split.num_bus,
+            )
+
     def node_failed(self, node) -> None:
         """Record a node crash and the attempts it took down."""
         am = self.am
@@ -436,23 +441,9 @@ class ReducePhaseDriver:
         am = self.am
         if not am._reduce_speculation_enabled():
             return False
-        done = [
-            r
-            for r in am.trace.records
-            if r.kind == "reduce" and not r.killed and r.runtime > 0
-        ]
-        fresh = (
-            sum(r.runtime for r in done) / len(done) if done else math.inf
+        candidates = am.speculation.stragglers(
+            self.running, "reduce", self.speculated_ids
         )
-        candidates = [
-            a
-            for a in self.running
-            if a.task_id not in self.speculated_ids
-            and not a.record.speculative
-            and a.elapsed() >= 30.0
-            and a.progress() < 0.9
-            and a.est_time_left() > fresh
-        ]
         if not candidates:
             return False
         victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
@@ -465,6 +456,10 @@ class ApplicationMaster:
     """Engine-agnostic job driver composing the three phase collaborators."""
 
     engine_name = "base"
+    #: Unprocessed-input :class:`~repro.hdfs.locality.LocalityIndex`, or
+    #: None before ``prepare_maps`` (and for engines without one).  The
+    #: speculator and ``repro.check`` read it to see the last map wave.
+    index = None
 
     def __init__(
         self,

@@ -120,7 +120,7 @@ def run_job(
         )
     am = spec.build(sim, cluster, rm, namenode, job, streams, config)
     if failures is not None:
-        failures.install(sim, cluster, am)
+        failures.install(sim, cluster, rm)
     trace = am.run_to_completion(max_events=max_events)
 
     return RunResult(

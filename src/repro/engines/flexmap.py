@@ -95,7 +95,7 @@ class FlexMapAM(ApplicationMaster):
 
     @property
     def index(self):
-        """Unprocessed-BU index (lets the speculator see the last wave)."""
+        """The binder's unprocessed-BU index (see ``ApplicationMaster.index``)."""
         return self.binder.index if self.binder is not None else None
 
     def select_map(self, container: Container) -> MapAssignment | None:
@@ -165,12 +165,7 @@ class FlexMapAM(ApplicationMaster):
         assert self.binder is not None
         self.binder.put_back(assignment.split)
         self.speculation.speculated_tasks.discard(assignment.task_id)
-        if self.obs is not None:
-            self.obs.metrics.counter("am.maps_requeued").inc()
-            self.obs.trace.emit(
-                "map_requeue", self.sim.now,
-                task=assignment.task_id, n_bus=assignment.split.num_bus,
-            )
+        self.recorder.map_requeued(assignment)
 
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
         self.speculation.on_map_complete(attempt, assignment)

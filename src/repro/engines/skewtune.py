@@ -160,13 +160,7 @@ class SkewTuneAM(StockHadoopAM):
         "replica" is the node that just died (found by ``repro fuzz``)."""
         if assignment.task_id.startswith("st"):
             self.mitigation_queue.append(assignment)
-            if self.obs is not None:
-                self.obs.metrics.counter("am.maps_requeued").inc()
-                self.obs.trace.emit(
-                    "map_requeue", self.sim.now,
-                    task=assignment.task_id,
-                    n_bus=len(assignment.split.blocks),
-                )
+            self.recorder.map_requeued(assignment)
             self.rm.request_offers()
             return
         super().requeue_map(assignment)

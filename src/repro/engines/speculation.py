@@ -1,4 +1,4 @@
-"""Speculative execution: Hadoop-default and LATE policies.
+"""Speculative execution: LATE backups for maps and reduces.
 
 LATE (Zaharia et al., OSDI'08 — the paper's [12], which YARN implements):
 when a container is free and no regular work remains, estimate each running
@@ -7,8 +7,11 @@ the *longest* estimated finish, provided its progress rate is below the
 SlowTaskThreshold percentile and the number of live speculative copies is
 under SpeculativeCap.
 
-Hadoop default: back up tasks whose progress lags the average by 20% after
-a minimum age.
+:meth:`SpeculationManager.stragglers` is the one straggler rule, shared by
+maps (:meth:`~SpeculationManager.select_speculative` adds the cap and the
+percentile pick) and reduces
+(:meth:`repro.engines.base.ReducePhaseDriver.maybe_speculate` backs up the
+candidate with the longest estimated time left).
 
 Whichever copy finishes first wins; the loser is killed and its record is
 marked ``killed`` (wasted work — one of the costs Fig. 8's "No Speculation"
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -37,12 +40,10 @@ class SpeculationConfig:
     """Speculation policy knobs (LATE defaults)."""
 
     enabled: bool = True
-    late: bool = True  # False = Hadoop-default lag rule
     speculative_cap_frac: float = 0.1  # of cluster slots
     slow_task_percentile: float = 25.0  # LATE SlowTaskThreshold
     min_age_s: float = 30.0  # don't judge brand-new tasks
     max_progress: float = 0.9  # nearly-done tasks aren't worth backing up
-    lag_threshold: float = 0.2  # Hadoop default: avg progress - 20%
 
 
 class SpeculationManager:
@@ -59,60 +60,59 @@ class SpeculationManager:
         """Speculative copies currently running."""
         return [a for a in self.am.maps.running if a.record.speculative]
 
-    def has_live_copies(self) -> bool:
-        """True while any backup copy is in flight."""
-        return bool(self.live_backups())
-
     def _cap(self) -> int:
         return max(1, int(self.config.speculative_cap_frac * self.am.cluster.total_slots))
 
-    def _fresh_copy_estimate_s(self) -> float:
-        """Expected runtime of a re-execution, from completed map attempts.
+    def _fresh_copy_estimate_s(self, kind: str) -> float:
+        """Expected runtime of a re-execution, from completed attempts of
+        ``kind`` ("map" or "reduce").
 
         Hadoop only backs up a task whose estimated remaining time exceeds
         what a fresh copy would need — re-running from scratch is otherwise
-        pure waste.  Falls back to infinity before any map has completed
-        (nothing to estimate from, and first-wave speculation is premature).
+        pure waste.  Falls back to infinity before any attempt of the kind
+        has completed (nothing to estimate from, and first-wave speculation
+        is premature).
         """
         done = [
             r
             for r in self.am.trace.records
-            if r.kind == "map" and not r.killed and r.runtime > 0
+            if r.kind == kind and not r.killed and r.runtime > 0
         ]
         if not done:
             return math.inf
         return sum(r.runtime for r in done) / len(done)
 
-    def _candidates(self) -> list[TaskAttempt]:
+    def stragglers(
+        self, running: Iterable[TaskAttempt], kind: str, speculated: set[str]
+    ) -> list[TaskAttempt]:
+        """Original copies among ``running`` worth backing up.
+
+        A straggler has run at least ``min_age_s``, is below
+        ``max_progress``, has no backup yet (its task id is not in
+        ``speculated``), and would take longer to finish than a fresh copy
+        of its ``kind``.
+        """
         cfg = self.config
-        fresh = self._fresh_copy_estimate_s()
-        out = []
-        for attempt in self.am.maps.running:
-            if attempt.record.speculative:
-                continue
-            if attempt.task_id in self.speculated_tasks:
-                continue
-            if attempt.elapsed() < cfg.min_age_s:
-                continue
-            if attempt.progress() >= cfg.max_progress:
-                continue
-            if attempt.est_time_left() <= fresh:
-                continue
-            out.append(attempt)
-        return out
+        fresh = self._fresh_copy_estimate_s(kind)
+        return [
+            a
+            for a in running
+            if not a.record.speculative
+            and a.task_id not in speculated
+            and a.elapsed() >= cfg.min_age_s
+            and a.progress() < cfg.max_progress
+            and a.est_time_left() > fresh
+        ]
 
     def select_speculative(self, container: Container) -> MapAssignment | None:
         """Pick a straggler to back up on the offered container."""
         cfg = self.config
         if not cfg.enabled or len(self.live_backups()) >= self._cap():
             return None
-        candidates = self._candidates()
+        candidates = self.stragglers(self.am.maps.running, "map", self.speculated_tasks)
         if not candidates:
             return None
-        if cfg.late:
-            victim = self._pick_late(candidates)
-        else:
-            victim = self._pick_default(candidates)
+        victim = self._pick_late(candidates)
         if victim is None:
             return None
         # Re-read the victim's blocks on the new node; locality recomputed.
@@ -135,16 +135,6 @@ class SpeculationManager:
             return None
         return max(slow, key=lambda a: (a.est_time_left(), a.task_id))
 
-    def _pick_default(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:
-        all_progress = [a.progress() for a in self.am.maps.running]
-        mean = float(np.mean(all_progress)) if all_progress else 0.0
-        laggards = [
-            a for a in candidates if a.progress() < mean - self.config.lag_threshold
-        ]
-        if not laggards:
-            return None
-        return min(laggards, key=lambda a: (a.progress(), a.task_id))
-
     # ------------------------------------------------------------------
     def _find_copies(self, task_id: str) -> list[TaskAttempt]:
         return [a for a in self.am.maps.running if a.task_id == task_id]
@@ -164,7 +154,7 @@ class SpeculationManager:
     def on_tick(self) -> None:
         """Keep the last wave alive: poke the RM so idle slots get offered
         for speculation even though no regular work remains."""
-        index = getattr(self.am, "index", None)
+        index = self.am.index
         if (
             self.config.enabled
             and not self.am.maps.done()

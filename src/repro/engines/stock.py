@@ -3,7 +3,7 @@
 One map task per fixed-size HDFS block (64 MB default, 128 MB industry
 recommended — the two settings of Fig. 5/6).  Containers prefer splits with
 a local replica; if none remain, any pending split runs with a remote read.
-Optional speculative execution (Hadoop default or LATE) re-runs stragglers.
+Optional LATE speculative execution re-runs stragglers.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class StockHadoopAM(ApplicationMaster):
         # this long before accepting remote work, hoping a local split frees
         # up (yarn node-locality-delay).
         self.locality_delay_s = locality_delay_s
-        self.index: LocalityIndex | None = None
         self._wave_counter: dict[str, int] = {}
         self._idle_since: dict[str, float] = {}
 
@@ -98,12 +97,7 @@ class StockHadoopAM(ApplicationMaster):
             self.index.put_back(block)
         # The task id may be re-run from scratch; allow fresh speculation.
         self.speculation.speculated_tasks.discard(assignment.task_id)
-        if self.obs is not None:
-            self.obs.metrics.counter("am.maps_requeued").inc()
-            self.obs.trace.emit(
-                "map_requeue", self.sim.now,
-                task=assignment.task_id, n_bus=len(assignment.split.blocks),
-            )
+        self.recorder.map_requeued(assignment)
 
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
         self.speculation.on_map_complete(attempt, assignment)

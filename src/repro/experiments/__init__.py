@@ -1,6 +1,9 @@
-"""Experiment harness: evaluation clusters, engine registry, figure drivers."""
+"""Experiment harness: evaluation clusters, seed sweeps, figure drivers.
 
-from repro.engines import ENGINES, EngineSpec, RunResult, run_job
+Jobs are driven by :func:`repro.engines.run_job`; the engine registry
+lives in :mod:`repro.engines`.
+"""
+
 from repro.experiments.clusters import (
     heterogeneous6_cluster,
     homogeneous_cluster,
@@ -13,10 +16,7 @@ from repro.experiments.iterative import IterativeResult, run_iterative_job
 from repro.experiments.stats import SweepResult, SweepStats, compare_sweep, seed_sweep
 
 __all__ = [
-    "ENGINES",
-    "EngineSpec",
     "IterativeResult",
-    "RunResult",
     "SweepResult",
     "SweepStats",
     "compare_sweep",
@@ -26,7 +26,6 @@ __all__ = [
     "homogeneous_cluster",
     "multitenant_cluster",
     "physical_cluster",
-    "run_job",
     "three_node_example",
     "virtual_cluster",
 ]

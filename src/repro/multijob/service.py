@@ -186,7 +186,7 @@ class ClusterService:
             check.arm(self.sim, cluster=self.cluster, rm=self.rm)
         self.failures = failures
         if failures is not None:
-            failures.install_service(self.sim, self.cluster, self.rm)
+            failures.install(self.sim, self.cluster, self.rm)
 
         self.outcomes: list[JobOutcome] = []
         self.utilization: list[tuple[float, float]] = []

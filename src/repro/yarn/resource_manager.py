@@ -92,17 +92,6 @@ class ResourceManager:
         self._apps.pop(id(am), None)
 
     @property
-    def am(self) -> "ApplicationMaster | None":
-        """The single registered AM (legacy single-job accessor).
-
-        Returns None when no AM is registered; with several AMs it returns
-        the earliest-registered one, matching the pre-multi-job field.
-        """
-        for record in self._apps.values():
-            return record.am
-        return None
-
-    @property
     def apps(self) -> list[AppRecord]:
         """Registered applications in registration order."""
         return list(self._apps.values())

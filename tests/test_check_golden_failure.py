@@ -1,15 +1,18 @@
 """Golden-trace regression for the failure and speculation code paths.
 
-``test_golden_trace.py`` pins the happy path; these goldens pin the two
+``test_golden_trace.py`` pins the happy path; these goldens pin the
 recovery paths the correctness harness exercises most: a FlexMap run that
-loses a node mid-map (re-enqueued BUs must be re-executed exactly once)
-and a stock-Hadoop run where a speculative backup rescues a straggling
-original.  Byte-identity means a refactor cannot silently reorder the
+loses a node mid-map (re-enqueued BUs must be re-executed exactly once),
+a stock-Hadoop run where a speculative backup rescues a straggling
+original, and hadoop-64 and skewtune-64 runs that back up straggling
+reducers.  Byte-identity means a refactor cannot silently reorder the
 failure-recovery or speculation event streams.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.cluster.failures import FailureSchedule
 from repro.engines import run_job
@@ -101,3 +104,33 @@ def test_speculation_backup_wins(tmp_path):
     # speculative copy finished in its place.
     assert backups & killed_originals
     assert abs(result.trace.data_processed_mb() - 768.0) < 1e-6
+
+
+#: Reduce-backup goldens: engine -> (golden file, seed).
+REDUCE_SPECULATION_GOLDENS = {
+    "hadoop-64": ("golden_reduce_speculation_hadoop64.jsonl", 2),
+    "skewtune-64": ("golden_reduce_speculation_skewtune64.jsonl", 3),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(REDUCE_SPECULATION_GOLDENS))
+def test_reduce_speculation_trace_matches_golden(tmp_path, engine):
+    golden_name, seed = REDUCE_SPECULATION_GOLDENS[engine]
+    fresh = tmp_path / golden_name
+    with Observability(trace=JsonlTraceEmitter(fresh)) as obs:
+        run_job(
+            lambda: make_cluster(speeds=(2.0, 2.0, 0.25), slots=2),
+            tiny_job(input_mb=512.0, reducers=4, shuffle=0.5),
+            engine,
+            seed=seed,
+            obs=obs,
+        )
+    golden = GOLDEN_DIR / golden_name
+    assert fresh.read_bytes() == golden.read_bytes(), (
+        f"{engine} reduce-speculation trace diverged from {golden_name}; "
+        "reduce backups must stay byte-identical"
+    )
+    backups = [
+        e for e in _events(golden) if e["ev"] == "reduce_launch" and e["speculative"]
+    ]
+    assert backups, f"{golden_name} holds no speculative reduce launch"

@@ -27,8 +27,29 @@ CASES = {
 }
 
 
+#: The same bugs in a two-job service run, which registers each AM before
+#: submit() builds its index; the mutation arms on the first AM.  Value:
+#: (scenario, a fragment of the expected diagnostic).
+MULTIJOB_CASES = {
+    "double-assign-bu": (
+        ScenarioConfig(n_jobs=2, mutation="double-assign-bu"),
+        "assigned twice",
+    ),
+    "leak-slot-on-failure": (
+        ScenarioConfig(
+            n_jobs=2, failures=((60.0, 1),), mutation="leak-slot-on-failure"
+        ),
+        "never released",
+    ),
+    "skip-heartbeat": (
+        ScenarioConfig(n_jobs=2, mutation="skip-heartbeat"),
+        "round jumped 2 -> 4",
+    ),
+}
+
+
 def test_every_mutation_has_a_case():
-    assert set(CASES) == set(MUTATIONS)
+    assert set(CASES) == set(MUTATIONS) == set(MULTIJOB_CASES)
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -38,6 +59,16 @@ def test_mutation_is_detected_with_precise_rule(mutation):
     assert failure is not None, f"checker missed mutation {mutation}"
     assert failure.kind == "invariant"
     assert failure.rule == expected_rule
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutation_is_detected_in_multijob_runs(mutation):
+    config, fragment = MULTIJOB_CASES[mutation]
+    failure = probe(config)
+    assert failure is not None, f"checker missed mutation {mutation} in a service run"
+    assert failure.kind == "invariant"
+    assert failure.rule == CASES[mutation][1]
+    assert fragment in failure.message
 
 
 def test_double_assign_diagnostic_names_the_bu():
@@ -63,6 +94,7 @@ def test_skip_heartbeat_diagnostic_names_the_gap():
 def test_unchecked_mutated_run_completes_quietly():
     """The bugs are real but silent: without the checker, each mutated run
     still 'finishes' — exactly the failure mode the harness exists for."""
+    from repro.check import apply_mutation
     from repro.check.harness import _run_single
     from repro.check.invariants import InvariantChecker
 
@@ -73,7 +105,9 @@ def test_unchecked_mutated_run_completes_quietly():
             return None
 
     for mutation, (config, _) in CASES.items():
-        jcts, _events = _run_single(config, _Disarmed(), max_events=5_000_000)
+        checker = _Disarmed()
+        apply_mutation(mutation, checker)
+        jcts, _events = _run_single(config, checker, max_events=5_000_000)
         assert jcts[0] > 0, f"mutation {mutation} should complete unchecked"
 
 
@@ -81,4 +115,4 @@ def test_unknown_mutation_rejected():
     from repro.check import apply_mutation
 
     with pytest.raises(ValueError, match="unknown mutation"):
-        apply_mutation("no-such-bug", rm=None)
+        apply_mutation("no-such-bug", checker=None)

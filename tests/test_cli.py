@@ -169,6 +169,28 @@ def test_serve_bad_input_is_a_usage_error(capsys, bad_args, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--input-gb", "0"],
+    ["run", "--input-gb", "-1"],
+    ["run", "--benchmark", "XX"],
+    ["compare", "--cluster", "nope"],
+    ["compare", "--benchmark", "XX"],
+    ["compare", "--seeds"],
+    ["compare", "--jobs", "0"],
+    ["figure", "fig5", "--scale", "0"],
+    ["serve", "--benchmarks", "XX"],
+    ["serve", "--policy", "fair", "--queues", "batch=3"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"repro {argv[0]}: error: ")
+
+
 def test_fuzz_small_campaign_clean(capsys):
     assert main(["fuzz", "--iterations", "3", "--seed", "0"]) == 0
     out = capsys.readouterr().out

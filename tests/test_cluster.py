@@ -110,13 +110,6 @@ def test_cluster_slots_and_speeds():
     assert c.fastest_speed() == 2.0
 
 
-def test_normalized_capacities_fastest_is_one():
-    c = make_cluster(speeds=(1.0, 4.0))
-    caps = c.normalized_capacities()
-    assert caps["t01"] == 1.0
-    assert caps["t00"] == 0.25
-
-
 def test_cluster_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
         Cluster([])

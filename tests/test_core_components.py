@@ -1,17 +1,15 @@
 """Unit tests for FlexMap's components: SpeedMonitor, sizing (Algorithm 1),
-MBE, LTB, DataProvision and the reduce-placement bias."""
+LTB, DataProvision and the reduce-placement bias."""
 
 import numpy as np
 import pytest
 
 from repro.core.data_provision import DataProvision
 from repro.core.late_binding import LateTaskBinder
-from repro.core.mbe import MultiBlockEngine
 from repro.core.reduce_bias import ReducePlacer
 from repro.core.sizing import DynamicSizer, NodeSizing, SizingConfig
 from repro.core.speed_monitor import SpeedMonitor
 from repro.hdfs.block import Block
-from repro.mapreduce.split import InputSplit
 
 
 def blocks_for(replicas_map, size=8.0):
@@ -238,37 +236,6 @@ def test_paper_constants():
     assert cfg.bu_mb == 8.0
     assert cfg.fast_limit == 0.8
     assert cfg.linear_limit == 0.9
-
-
-# ---------------------------------------------------------------------------
-# Multi-Block Execution
-# ---------------------------------------------------------------------------
-def test_mbe_aggregate_progress():
-    split = InputSplit(local_blocks=blocks_for([("a",), ("a",), ("a",)]))
-    eng = MultiBlockEngine(split)
-    assert eng.progress() == 0.0
-    eng.advance(12.0)
-    assert eng.progress() == pytest.approx(0.5)
-    assert eng.current_block().block_id == 1
-    eng.advance(100.0)  # clamps at the end
-    assert eng.progress() == 1.0
-    assert eng.current_block() is None
-
-
-def test_mbe_set_blocks_reclassifies():
-    split = InputSplit(local_blocks=blocks_for([("a",)]))
-    eng = MultiBlockEngine(split)
-    extra = blocks_for([("b",)])
-    extra[0].block_id = 99
-    eng.set_blocks(extra, node_id="a")
-    assert eng.split.num_bus == 2
-    assert eng.split.remote_mb == 8.0
-
-
-def test_mbe_rejects_negative_advance():
-    eng = MultiBlockEngine(InputSplit(local_blocks=blocks_for([("a",)])))
-    with pytest.raises(ValueError):
-        eng.advance(-1.0)
 
 
 # ---------------------------------------------------------------------------

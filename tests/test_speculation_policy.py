@@ -1,5 +1,5 @@
-"""Unit tests for the speculation policy logic (LATE and Hadoop-default)
-and stock Hadoop's delay scheduling."""
+"""Unit tests for the speculation policy logic (LATE, for maps and
+reduces) and stock Hadoop's delay scheduling."""
 
 import pytest
 
@@ -20,7 +20,7 @@ def run_with(config: SpeculationConfig, seed=5, **job_kw):
 
 
 def test_late_speculates_slowest_first():
-    r = run_with(SpeculationConfig(late=True))
+    r = run_with(SpeculationConfig())
     spec = [m for m in r.trace.records if m.kind == "map" and m.speculative]
     assert spec
     # Backups target work originally running on the slow node: the original
@@ -34,11 +34,6 @@ def test_late_speculates_slowest_first():
     assert all(m.node == "t02" for m in originals)
 
 
-def test_hadoop_default_policy_also_works():
-    r = run_with(SpeculationConfig(late=False))
-    assert r.trace.data_processed_mb() == pytest.approx(768.0)
-
-
 def test_min_age_blocks_young_tasks():
     r = run_with(SpeculationConfig(min_age_s=1e9))
     assert not any(m.speculative for m in r.trace.records)
@@ -49,15 +44,37 @@ def test_max_progress_blocks_nearly_done():
     assert not any(m.speculative for m in r.trace.records)
 
 
+@pytest.mark.parametrize(
+    "config, expect_backups",
+    [
+        (SpeculationConfig(), True),
+        (SpeculationConfig(min_age_s=1e9), False),
+        (SpeculationConfig(max_progress=0.0), False),
+    ],
+    ids=["default", "min-age", "max-progress"],
+)
+def test_reduce_backups_follow_the_straggler_rule(config, expect_backups):
+    """Reduce backups share the map straggler rule, knobs included."""
+    spec = EngineSpec("spec-test", 64.0, StockHadoopAM, {"speculation": config})
+    r = run_job(
+        lambda: make_cluster(speeds=(2.0, 2.0, 0.25), slots=2),
+        tiny_job(input_mb=512.0, reducers=4, shuffle=0.5),
+        spec,
+        seed=2,
+    )
+    backups = [m for m in r.trace.reduces(include_killed=True) if m.speculative]
+    assert bool(backups) == expect_backups
+
+
 def test_backup_loser_never_contributes_output():
-    r = run_with(SpeculationConfig(late=True))
+    r = run_with(SpeculationConfig())
     for m in r.trace.records:
         if m.killed:
             assert m.processed_mb == 0.0
 
 
 def test_speculation_counts_every_task_once():
-    r = run_with(SpeculationConfig(late=True))
+    r = run_with(SpeculationConfig())
     finished = [m for m in r.trace.maps() if not m.task_id.startswith("st")]
     assert len({m.task_id for m in finished}) == len(finished)
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.metrics.efficiency import job_efficiency, serial_runtime
 from repro.metrics.jct import jct, normalized_jct
-from repro.metrics.productivity import mean_productivity, productivity
 from repro.metrics.stats import (
     normalized_runtime_pdf,
     runtime_variance,
@@ -120,21 +119,6 @@ def make_trace(runtimes, phase=None, overhead=2.0):
     t.submit_time = 0.0
     t.finish_time = t.map_phase_end
     return t
-
-
-def test_productivity_eq1():
-    assert productivity(8.0, 10.0) == 0.8
-    assert productivity(12.0, 10.0) == 1.0  # clamped
-    with pytest.raises(ValueError):
-        productivity(1.0, 0.0)
-    with pytest.raises(ValueError):
-        productivity(-1.0, 1.0)
-
-
-def test_mean_productivity_ignores_killed():
-    t = make_trace([10.0, 20.0])
-    t.records[0].killed = True
-    assert mean_productivity(t.records) == pytest.approx(18.0 / 20.0)
 
 
 def test_efficiency_eq2_perfect_balance():
