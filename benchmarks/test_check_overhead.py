@@ -1,11 +1,14 @@
 """Correctness-harness overhead bound: checks disabled must cost < 2%.
 
-The checker installs itself by wrapping *instance* methods through the
-engine/RM hook points, so a run that never arms a checker executes the
-exact pre-harness code — the disabled path adds one ``check is not None``
-branch at setup and nothing per event.  This bench pins that claim
-end-to-end on a full single-job run, and reports the armed-checker cost
-for context (armed is allowed to be slower; it is a debugging mode).
+The checker replaces no method: it reads a run through hook attributes
+(``ResourceManager.audit``, each AM's ``TraceRecorder.check``) that stay
+None when no checker is armed, so the disabled path costs one
+``is not None`` test per hook call plus one branch at setup.  This bench
+times that path end-to-end on a full single-job run, and reports the
+armed-checker cost for context (armed is allowed to be slower; it is a
+debugging mode).  ``check=None`` is ``run_job``'s default, so the plain
+and disabled calls execute the same code: their gap is host timing noise,
+which is why the bench must run alone on an idle machine.
 """
 
 from __future__ import annotations

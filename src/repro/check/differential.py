@@ -27,9 +27,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from repro.check.harness import ScenarioConfig, build_cluster, build_job
+from repro.check.harness import ScenarioConfig, run_config
 from repro.cluster.failures import FailureSchedule, NodeFailure
-from repro.engines.driver import run_job
 from repro.obs import MemoryTraceEmitter, Observability
 
 #: Engines compared by the byte-parity check.
@@ -45,25 +44,14 @@ class DiffReport:
     detail: str
 
 
-def _run(config: ScenarioConfig, failures=None, obs=None):
-    return run_job(
-        lambda: build_cluster(config),
-        build_job(config),
-        config.engine,
-        seed=config.seed,
-        failures=failures,
-        obs=obs,
-    )
-
-
 # ----------------------------------------------------------------------
 def check_speed_scaling(
     config: ScenarioConfig, k: float = 2.0, rel_tol: float = 0.35
 ) -> DiffReport:
     """JCT(speeds * k) ~= JCT(speeds) / k, within ``rel_tol``."""
-    base = _run(config)
+    base = run_config(config)
     scaled_config = replace(config, speeds=tuple(s * k for s in config.speeds))
-    scaled = _run(scaled_config)
+    scaled = run_config(scaled_config)
     expected = base.jct / k
     error = abs(scaled.jct - expected) / expected
     ok = error <= rel_tol and scaled.jct < base.jct
@@ -81,7 +69,7 @@ def check_speed_scaling(
 def _trace_bytes(config: ScenarioConfig, failures: FailureSchedule | None) -> bytes:
     emitter = MemoryTraceEmitter()
     with Observability(trace=emitter) as obs:
-        _run(config, failures=failures, obs=obs)
+        run_config(config, failures=failures, obs=obs)
     return json.dumps(emitter.events, sort_keys=True).encode()
 
 
@@ -118,7 +106,7 @@ def check_byte_parity(
     """Every engine processes the full input; none fewer than another."""
     processed: dict[str, float] = {}
     for engine in engines:
-        result = _run(replace(config, engine=engine))
+        result = run_config(replace(config, engine=engine))
         processed[engine] = result.trace.data_processed_mb()
     expected = config.input_mb
     for engine, mb in processed.items():

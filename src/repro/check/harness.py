@@ -9,6 +9,8 @@ builds the run from scratch — a single job through
 :class:`InvariantChecker` on it, and returns the check report; the fuzzer
 (:mod:`repro.check.fuzz`) samples configs, and a failing config shrinks to
 a minimal JSON reproducer that ``from_json`` replays bit-identically.
+:func:`run_config` is the one place a config's single job becomes a
+``run_job`` call; the differential checks use it too.
 
 ``mutation`` names a deliberately seeded bug from
 :mod:`repro.check.mutations`; it exists only so the mutation self-tests can
@@ -29,7 +31,7 @@ from repro.cluster.interference import MultiTenantInterference
 from repro.cluster.network import NetworkModel
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
-from repro.engines.driver import run_job
+from repro.engines.driver import RunResult, run_job
 from repro.engines.registry import ENGINES
 from repro.mapreduce.job import JobSpec
 from repro.sim.random import RandomStreams
@@ -65,6 +67,8 @@ class ScenarioConfig:
     mutation: str | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"negative seed: {self.seed}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine: {self.engine}")
         if not self.speeds:
@@ -207,19 +211,36 @@ def build_failures(config: ScenarioConfig) -> FailureSchedule | None:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-def _run_single(
-    config: ScenarioConfig, checker: InvariantChecker, max_events: int
-) -> tuple[tuple[float, ...], int]:
-    """One job end-to-end through :func:`repro.engines.driver.run_job`."""
-    result = run_job(
+def run_config(
+    config: ScenarioConfig,
+    failures: FailureSchedule | None = None,
+    obs=None,
+    check: InvariantChecker | None = None,
+    max_events: int | None = None,
+) -> RunResult:
+    """The config's single job through :func:`repro.engines.driver.run_job`.
+
+    ``failures`` is passed as given (``config.failures`` is not read), so
+    callers choose the crash schedule.
+    """
+    return run_job(
         lambda: build_cluster(config),
         build_job(config),
         config.engine,
         seed=config.seed,
-        replication=min(3, len(config.speeds)),
-        failures=build_failures(config),
-        check=checker,
+        failures=failures,
+        obs=obs,
+        check=check,
         max_events=max_events,
+    )
+
+
+def _run_single(
+    config: ScenarioConfig, checker: InvariantChecker, max_events: int
+) -> tuple[tuple[float, ...], int]:
+    """One checked job with the config's crash schedule."""
+    result = run_config(
+        config, failures=build_failures(config), check=checker, max_events=max_events
     )
     return (result.jct,), result.am.sim.events_processed
 
@@ -244,7 +265,6 @@ def _run_service(
         arrivals=arrivals,
         policy=config.policy,
         seed=config.seed,
-        replication=min(3, len(config.speeds)),
         failures=build_failures(config),
         check=checker,
     )

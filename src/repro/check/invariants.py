@@ -1,12 +1,19 @@
 """Runtime invariant checker for the discrete-event simulation stack.
 
-The checker arms conservation laws on a live run by *wrapping* instance
-methods through the official hook points
-(:meth:`repro.sim.engine.Simulator.install_step_interceptor`,
-:meth:`repro.yarn.resource_manager.ResourceManager.install_audit`, the
-heartbeat subscriber list) plus white-box wraps of the ApplicationMaster's
-job lifecycle methods and its map driver's attempt lifecycle methods.  A run without a checker executes the exact unhooked
-code, so disabled checks cost nothing — the same contract as
+The checker reads a live run through three plain hook points, none of
+which replaces a method:
+
+* :meth:`repro.sim.engine.Simulator.install_step_interceptor` — called
+  after every processed event;
+* the ResourceManager's ``audit`` attribute — registrations and slot
+  occupy/release transitions;
+* each AM's :class:`~repro.engines.base.TraceRecorder`, whose ``check``
+  attribute holds the AM's ledger (map launches, completions, SkewTune's
+  partial commits, failure requeues, job end), plus the AM's heartbeat
+  subscriber list.
+
+Each hook is None (or absent) in a run without a checker, so disabled
+checks cost one ``is not None`` test per call — the same contract as
 :mod:`repro.obs`.
 
 Invariant catalogue (rule names appear in every diagnostic):
@@ -23,10 +30,11 @@ Invariant catalogue (rule names appear in every diagnostic):
     Heartbeat rounds reach each AM strictly in sequence (1, 2, 3, ...)
     at non-decreasing times.
 ``bu-conservation``
-    Block units are taken from the locality index at most once while in
-    flight, completed at most once, and returned only during failure
-    re-enqueue.  (Speculative copies share their original's claim; the
-    losing copy is killed, so completion stays unique.)
+    A map launch claims its split's block units; a BU is claimed at most
+    once while in flight, never again once processed, completed at most
+    once, and returned to the pool only by a failure requeue of the
+    attempt holding it.  (Speculative copies share their original's claim;
+    the losing copy is killed, so completion stays unique.)
 ``byte-conservation``
     At job end the successful map attempts processed exactly the job's
     input bytes — no data lost to failures, none processed twice.
@@ -86,28 +94,76 @@ class CheckReport:
         )
 
 
-class _AMState:
-    """Per-application ledger held by the checker."""
+class _AMLedger:
+    """Per-application ledger, fed by the AM's ``TraceRecorder``."""
 
-    __slots__ = (
-        "am",
-        "last_round",
-        "last_round_time",
-        "blocks",
-        "in_requeue",
-        "maps_launched",
-        "terminal_checked",
-    )
+    __slots__ = ("checker", "am", "last_round", "last_round_time", "blocks")
 
-    def __init__(self, am: "ApplicationMaster") -> None:
+    def __init__(self, checker: "InvariantChecker", am: "ApplicationMaster") -> None:
+        self.checker = checker
         self.am = am
         self.last_round = 0
         self.last_round_time = -math.inf
         # block_id -> "inflight" | "done"; absent = assignable.
         self.blocks: dict[int, str] = {}
-        self.in_requeue = False
-        self.maps_launched = 0
-        self.terminal_checked = False
+
+    # -- TraceRecorder milestones ---------------------------------------
+    def map_launched(self, assignment) -> None:
+        """Claim the split's BUs; a backup copy shares its original's."""
+        if assignment.speculative:
+            return
+        checker = self.checker
+        for block in assignment.split.blocks:
+            checker._count("bu-conservation")
+            held = self.blocks.get(block.block_id)
+            if held == "inflight":
+                checker._violate(
+                    "bu-conservation",
+                    f"BU {block.block_id} assigned twice: taken while an "
+                    "attempt still holds it",
+                )
+            elif held == "done":
+                checker._violate(
+                    "bu-conservation",
+                    f"BU {block.block_id} taken again after its data was "
+                    "processed",
+                )
+            self.blocks[block.block_id] = "inflight"
+
+    def map_completed(self, assignment) -> None:
+        self._mark_done(assignment, completed_twice_ok=False)
+
+    def map_stopped(self, assignment) -> None:
+        # Partial commit (SkewTune): the split's BUs count as consumed;
+        # the remainder re-enters as mitigator chunks with fresh BUs.
+        self._mark_done(assignment, completed_twice_ok=True)
+
+    def map_requeued(self, assignment) -> None:
+        """A failure requeue returns the killed attempt's BUs to the pool."""
+        checker = self.checker
+        for block in assignment.split.blocks:
+            checker._count("bu-conservation")
+            if self.blocks.get(block.block_id) != "inflight":
+                checker._violate(
+                    "bu-conservation",
+                    f"BU {block.block_id} returned but no attempt held it",
+                )
+            self.blocks.pop(block.block_id, None)
+
+    def job_finished(self) -> None:
+        self.checker._check_terminal(self)
+
+    def _mark_done(self, assignment, completed_twice_ok: bool) -> None:
+        checker = self.checker
+        for block in assignment.split.blocks:
+            checker._count("bu-conservation")
+            if self.blocks.get(block.block_id) == "done" and not completed_twice_ok:
+                checker._violate(
+                    "bu-conservation",
+                    f"BU {block.block_id} completed twice "
+                    f"(task {assignment.task_id})",
+                )
+            self.blocks[block.block_id] = "done"
 
 
 class InvariantChecker:
@@ -130,11 +186,12 @@ class InvariantChecker:
         self.violations: list[InvariantViolation] = []
         self.checks: dict[str, int] = {}
         self.events_checked = 0
-        self._uninstallers: list = []
+        self._unhook_step = None
         self._sim: "Simulator | None" = None
         self._cluster: "Cluster | None" = None
+        self._rm: "ResourceManager | None" = None
         self._last_now = -math.inf
-        self._am_states: dict[int, _AMState] = {}
+        self._ledgers: dict[int, _AMLedger] = {}
         # container_id -> "occupied" | "released"
         self._containers: dict[int, str] = {}
         self._container_nodes: dict[int, str] = {}
@@ -164,30 +221,29 @@ class InvariantChecker:
     ) -> "InvariantChecker":
         """Attach to a run's engine, cluster and ResourceManager.
 
-        AMs are attached automatically as they register with the RM; every
-        simulated event is then checked for clock monotonicity and slot
-        bounds, and every occupy/release transition is cross-checked
-        against the checker's own container ledger.
+        AMs are attached automatically as they register with the RM (as
+        its ``audit``); every simulated event is then checked for clock
+        monotonicity and slot bounds, and every occupy/release transition
+        is cross-checked against the checker's own container ledger.
         """
         self._sim = sim
         self._cluster = cluster
         self._last_now = sim.now
-        self._uninstallers.append(sim.install_step_interceptor(self._after_event))
+        self._unhook_step = sim.install_step_interceptor(self._after_event)
         if rm is not None:
-            self._uninstallers.append(
-                rm.install_audit(
-                    on_register=self.attach_am,
-                    on_occupy=self._on_occupy,
-                    on_release=self._on_release,
-                )
-            )
+            self._rm = rm
+            rm.audit = self
         return self
 
     def detach(self) -> None:
         """Remove every installed hook (the run continues unchecked)."""
-        for uninstall in reversed(self._uninstallers):
-            uninstall()
-        self._uninstallers.clear()
+        if self._unhook_step is not None:
+            self._unhook_step()
+            self._unhook_step = None
+        if self._rm is not None:
+            self._rm.audit = None
+        for ledger in self._ledgers.values():
+            ledger.am.recorder.check = None
 
     # ------------------------------------------------------------------
     # engine: clock + slot bounds, checked after every event
@@ -214,7 +270,8 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # ResourceManager: container lifecycle + slot ledger
     # ------------------------------------------------------------------
-    def _on_occupy(self, container) -> None:
+    def on_occupy(self, container) -> None:
+        """The RM is about to occupy ``container``'s slot."""
         self._count("container-lifecycle")
         cid = container.container_id
         node = container.node
@@ -235,7 +292,8 @@ class InvariantChecker:
         )
         self._check_node_ledger(node, extra=1)
 
-    def _on_release(self, container) -> None:
+    def on_release(self, container) -> None:
+        """The RM is about to release ``container`` for the first time."""
         self._count("container-lifecycle")
         cid = container.container_id
         node = container.node
@@ -269,164 +327,41 @@ class InvariantChecker:
     # ApplicationMaster attachment
     # ------------------------------------------------------------------
     def attach_am(self, am: "ApplicationMaster") -> None:
-        """Arm per-AM ledgers; idempotent, safe before or after submit."""
-        if id(am) in self._am_states:
+        """Arm the per-AM ledger; idempotent, safe before or after submit."""
+        if id(am) in self._ledgers:
             return
-        state = _AMState(am)
-        self._am_states[id(am)] = state
-
-        am.heartbeat.subscribe(lambda round_no: self._on_round(state, round_no))
-
-        if am.index is not None:
-            self._wrap_index(state, am.index)
-        else:
-            # Multi-job services register an AM before submit() builds it.
-            inner_prepare = am.prepare_maps
-
-            def prepare_maps() -> None:
-                inner_prepare()
-                if am.index is not None:
-                    self._wrap_index(state, am.index)
-
-            am.prepare_maps = prepare_maps  # type: ignore[method-assign]
-
-        inner_requeue = am.requeue_map
-
-        def requeue_map(assignment) -> None:
-            state.in_requeue = True
-            try:
-                inner_requeue(assignment)
-            finally:
-                state.in_requeue = False
-
-        am.requeue_map = requeue_map  # type: ignore[method-assign]
-
-        maps = am.maps
-        inner_launch = maps.launch
-
-        def launch(container, assignment) -> None:
-            state.maps_launched += 1
-            inner_launch(container, assignment)
-
-        maps.launch = launch  # type: ignore[method-assign]
-
-        inner_finished = maps.finished
-
-        def finished(attempt, container) -> None:
-            assignment = maps.running.get(attempt)
-            if assignment is not None:
-                self._mark_done(state, assignment)
-            inner_finished(attempt, container)
-
-        maps.finished = finished  # type: ignore[method-assign]
-
-        inner_stopped = maps.finalize_stopped
-
-        def finalize_stopped(attempt, container) -> None:
-            # Partial commit (SkewTune): the split's BUs count as consumed;
-            # the remainder re-enters as synthetic mitigator chunks.
-            assignment = maps.running.get(attempt)
-            if assignment is not None:
-                self._mark_done(state, assignment, completed_twice_ok=True)
-            inner_stopped(attempt, container)
-
-        maps.finalize_stopped = finalize_stopped  # type: ignore[method-assign]
-
-        inner_finish = am._finish_job
-
-        def _finish_job() -> None:
-            was_done = am.job_done
-            inner_finish()
-            if not was_done and not state.terminal_checked:
-                state.terminal_checked = True
-                self._check_terminal(state)
-
-        am._finish_job = _finish_job  # type: ignore[method-assign]
-
-    def _wrap_index(self, state: _AMState, index) -> None:
-        inner_take = index.take
-        inner_put_back = index.put_back
-
-        def take(block_id: int):
-            self._count("bu-conservation")
-            held = state.blocks.get(block_id)
-            if held == "inflight":
-                self._violate(
-                    "bu-conservation",
-                    f"BU {block_id} assigned twice: taken while an attempt "
-                    "still holds it",
-                )
-            elif held == "done":
-                self._violate(
-                    "bu-conservation",
-                    f"BU {block_id} taken again after its data was processed",
-                )
-            block = inner_take(block_id)
-            state.blocks[block_id] = "inflight"
-            return block
-
-        def put_back(block) -> None:
-            self._count("bu-conservation")
-            if not state.in_requeue:
-                self._violate(
-                    "bu-conservation",
-                    f"BU {block.block_id} returned to the pool outside a "
-                    "failure re-enqueue",
-                )
-            if state.blocks.get(block.block_id) != "inflight":
-                self._violate(
-                    "bu-conservation",
-                    f"BU {block.block_id} returned but no attempt held it",
-                )
-            inner_put_back(block)
-            state.blocks.pop(block.block_id, None)
-
-        index.take = take
-        index.put_back = put_back
-
-    def _mark_done(
-        self, state: _AMState, assignment, completed_twice_ok: bool = False
-    ) -> None:
-        for block in assignment.split.blocks:
-            self._count("bu-conservation")
-            if (
-                state.blocks.get(block.block_id) == "done"
-                and not completed_twice_ok
-            ):
-                self._violate(
-                    "bu-conservation",
-                    f"BU {block.block_id} completed twice "
-                    f"(task {assignment.task_id})",
-                )
-            state.blocks[block.block_id] = "done"
+        ledger = _AMLedger(self, am)
+        self._ledgers[id(am)] = ledger
+        am.recorder.check = ledger
+        am.heartbeat.subscribe(lambda round_no: self._on_round(ledger, round_no))
 
     # ------------------------------------------------------------------
     # heartbeats
     # ------------------------------------------------------------------
-    def _on_round(self, state: _AMState, round_no: int) -> None:
+    def _on_round(self, ledger: _AMLedger, round_no: int) -> None:
         self._count("heartbeat-order")
         assert self._sim is not None
         now = self._sim.now
-        if round_no != state.last_round + 1:
+        if round_no != ledger.last_round + 1:
             self._violate(
                 "heartbeat-order",
-                f"{state.am.job.name}: heartbeat round jumped "
-                f"{state.last_round} -> {round_no} at t={now:.3f}",
+                f"{ledger.am.job.name}: heartbeat round jumped "
+                f"{ledger.last_round} -> {round_no} at t={now:.3f}",
             )
-        if now < state.last_round_time:
+        if now < ledger.last_round_time:
             self._violate(
                 "heartbeat-order",
-                f"{state.am.job.name}: heartbeat at t={now:.3f} before "
-                f"previous round's t={state.last_round_time:.3f}",
+                f"{ledger.am.job.name}: heartbeat at t={now:.3f} before "
+                f"previous round's t={ledger.last_round_time:.3f}",
             )
-        state.last_round = round_no
-        state.last_round_time = now
+        ledger.last_round = round_no
+        ledger.last_round_time = now
 
     # ------------------------------------------------------------------
     # terminal checks
     # ------------------------------------------------------------------
-    def _check_terminal(self, state: _AMState) -> None:
-        am = state.am
+    def _check_terminal(self, ledger: _AMLedger) -> None:
+        am = ledger.am
         job = am.job.name
         self._count("terminal-state")
         if am.maps.running:
@@ -454,7 +389,7 @@ class InvariantChecker:
                 f"{job}: finished with {index.unprocessed} unprocessed BU(s)",
             )
         orphans = sorted(
-            bid for bid, held in state.blocks.items() if held == "inflight"
+            bid for bid, held in ledger.blocks.items() if held == "inflight"
         )
         if orphans:
             self._violate(
@@ -491,12 +426,12 @@ class InvariantChecker:
         if not self._finalized:
             self._finalized = True
             if expect_complete:
-                for state in self._am_states.values():
+                for ledger in self._ledgers.values():
                     self._count("terminal-state")
-                    if not state.am.job_done:
+                    if not ledger.am.job_done:
                         self._violate(
                             "terminal-state",
-                            f"{state.am.job.name}: run ended before the job "
+                            f"{ledger.am.job.name}: run ended before the job "
                             "completed",
                         )
                 leaked = sorted(
@@ -526,5 +461,5 @@ class InvariantChecker:
             checks=dict(self.checks),
             violations=list(self.violations),
             events_checked=self.events_checked,
-            ams_attached=len(self._am_states),
+            ams_attached=len(self._ledgers),
         )

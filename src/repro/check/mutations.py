@@ -12,7 +12,7 @@ The three mutations:
     After the first map task launches, its first block unit is re-inserted
     into the locality index behind the AM's back (a bookkeeping bug that
     makes an in-flight BU assignable again).  Caught by ``bu-conservation``
-    when a later container takes the BU a second time.
+    when a later task launches with the BU a second time.
 ``leak-slot-on-failure``
     On the first node failure, the first container release for the dead
     node is silently dropped (the container is marked released but the
@@ -48,8 +48,9 @@ def apply_mutation(name: str, checker: "InvariantChecker") -> None:
     """Arm the named bug on the first AM registering with the RM that
     ``checker`` is armed on.
 
-    The bug's ``rm.register`` wrap goes on right after the checker's own
-    hooks, so it sits outside them however the run is driven.
+    The bug's ``rm.register`` wrap goes on right after the checker arms,
+    so the checker (the RM's ``audit``) attaches each AM before the bug is
+    installed on it, however the run is driven.
     """
     if name not in MUTATIONS:
         raise ValueError(f"unknown mutation: {name!r} (have {MUTATIONS})")

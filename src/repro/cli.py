@@ -44,17 +44,23 @@ BENCHMARKS = [w.abbrev for w in PUMA_BENCHMARKS]
 FIGURES = ("fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "overhead", "ablation")
 
 
-def _positive(kind):
-    """argparse ``type=`` for a positive ``kind`` (int or float)."""
+def _positive(kind, zero_ok: bool = False):
+    """argparse ``type=`` for a positive ``kind`` (int or float), or a
+    non-negative one with ``zero_ok``."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        if not (value >= 0 if zero_ok else value > 0):
+            bound = "non-negative" if zero_ok else "positive"
+            raise argparse.ArgumentTypeError(f"must be {bound}: {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in parse errors
     return parse
+
+
+#: Seeds feed numpy's SeedSequence, which rejects negative values.
+_seed = _positive(int, zero_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +286,13 @@ def cmd_fuzz(args) -> int:
     from repro.check.harness import ScenarioConfig, run_scenario
 
     if args.replay:
-        with open(args.replay, encoding="utf-8") as fh:
-            config = ScenarioConfig.from_json(fh.read())
+        try:
+            with open(args.replay, encoding="utf-8") as fh:
+                config = ScenarioConfig.from_json(fh.read())
+        except OSError as exc:
+            args.usage_error(f"cannot read reproducer: {exc}")
+        except (ValueError, TypeError) as exc:
+            args.usage_error(f"{args.replay} is not a valid reproducer: {exc}")
         print(f"replaying reproducer: {config.describe()}")
         result = run_scenario(config, strict=True, max_events=args.max_events)
         print(f"replay clean: {result.report.summary()}")
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", default="flexmap", choices=engine_names())
     p_run.add_argument("--benchmark", default="WC", type=str.upper,
                        choices=BENCHMARKS)
-    p_run.add_argument("--seed", type=int, default=1)
+    p_run.add_argument("--seed", type=_seed, default=1)
     p_run.add_argument("--input-gb", type=_positive(float), default=None)
     p_run.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write typed JSONL trace events to FILE")
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--benchmark", default="WC", type=str.upper,
                        choices=BENCHMARKS)
     p_cmp.add_argument("--engines", nargs="*", choices=engine_names())
-    p_cmp.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    p_cmp.add_argument("--seeds", nargs="+", type=_seed, default=[1, 2])
     p_cmp.add_argument("--input-gb", type=_positive(float), default=None)
     p_cmp.add_argument("--jobs", type=_positive(int), default=1, metavar="N",
                        help="run seeds in N worker processes (1 = serial, "
@@ -422,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("name", choices=FIGURES)
     p_fig.add_argument("--cluster", default="physical",
                        choices=["physical", "virtual"])
-    p_fig.add_argument("--seed", type=int, default=1)
+    p_fig.add_argument("--seed", type=_seed, default=1)
     p_fig.add_argument("--scale", type=_positive(float), default=0.25)
 
     p_srv = sub.add_parser(
@@ -453,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=["WC", "GR", "HR", "HM"])
     p_srv.add_argument("--scale", type=float, default=0.125,
                        help="input scale vs. Table II small sizes")
-    p_srv.add_argument("--seed", type=int, default=1)
+    p_srv.add_argument("--seed", type=_seed, default=1)
     p_srv.add_argument("--util-period", type=float, default=5.0,
                        help="utilization sampling period (sim seconds)")
     p_srv.add_argument("--no-slowdown", action="store_true",
@@ -469,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz", help="fuzz the simulator with runtime invariants armed"
     )
-    p_fuzz.add_argument("--iterations", type=int, default=25,
+    p_fuzz.add_argument("--iterations", type=_positive(int), default=25,
                         help="number of sampled scenarios to run")
-    p_fuzz.add_argument("--seed", type=int, default=0,
+    p_fuzz.add_argument("--seed", type=_seed, default=0,
                         help="sampler seed (same seed = same scenarios)")
-    p_fuzz.add_argument("--max-events", type=int, default=5_000_000,
+    p_fuzz.add_argument("--max-events", type=_positive(int), default=5_000_000,
                         help="per-scenario simulated event budget")
     p_fuzz.add_argument("--out", default=None, metavar="FILE",
                         help="write the shrunk JSON reproducer to FILE on failure")
@@ -483,12 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report the raw failing config without shrinking")
     p_fuzz.add_argument("--verbose", action="store_true",
                         help="print a line per scenario")
+    p_fuzz.set_defaults(usage_error=p_fuzz.error)
 
     p_diff = sub.add_parser(
         "diff", help="run cross-engine differential (metamorphic) checks"
     )
     p_diff.add_argument("--engine", default="flexmap", choices=engine_names())
-    p_diff.add_argument("--seed", type=int, default=0)
+    p_diff.add_argument("--seed", type=_seed, default=0)
 
     p_trace = sub.add_parser("trace", help="inspect a recorded JSONL trace")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
@@ -496,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize", help="render the per-node sizing timeline"
     )
     p_sum.add_argument("file", help="JSONL trace from `repro run --trace-out`")
-    p_sum.add_argument("--width", type=int, default=48,
+    p_sum.add_argument("--width", type=_positive(int), default=48,
                        help="sparkline width in characters")
 
     return parser

@@ -16,12 +16,14 @@ strategy hooks (``prepare_maps``, ``select_map``, ``on_tick``, ...); the
 AM reaches its collaborators as ``am.maps``, ``am.reduces`` and
 ``am.recorder``.
 
-Hook points for ``repro.check``: the map attempt lifecycle lives on the
-map driver (``am.maps.launch``, ``am.maps.finished``,
-``am.maps.finalize_stopped``) and the job lifecycle on the AM
-(``_finish_job``, ``on_node_failure``, ``prepare_maps``, ``requeue_map``).
-Every internal call site goes through the instance attribute, so checkers
-and mutation self-tests can wrap these methods on one instance.
+Each attempt end has one call site: ``MapPhaseDriver.finished`` (commit),
+``MapPhaseDriver.finalize_stopped`` (SkewTune's partial commit),
+``MapPhaseDriver.kill`` and ``ReducePhaseDriver.kill`` (output discarded),
+and :meth:`ApplicationMaster.on_node_failure` is the one place lost map
+input is requeued.  Every milestone reaches the :class:`TraceRecorder`,
+which also feeds ``repro.check``: when ``recorder.check`` holds an
+:class:`~repro.check.InvariantChecker` ledger, the recorder forwards map
+launches, completions, stops and requeues plus the job end to it.
 
 Reducers are launched after the map phase completes (slowstart = 1.0, the
 conservative Hadoop setting; the paper's analysis treats the phases as
@@ -86,6 +88,10 @@ class TraceRecorder:
     nothing and that refactors cannot reorder the event stream.
     """
 
+    #: Per-AM ledger of a :class:`repro.check.InvariantChecker`, set while
+    #: one is armed on the run; it receives the map and job milestones.
+    check = None
+
     def __init__(self, am: "ApplicationMaster") -> None:
         self.am = am
         self.obs = am.obs
@@ -118,6 +124,8 @@ class TraceRecorder:
                 maps=len(self.trace.maps()),
                 reduces=len(self.trace.reduces()),
             )
+        if self.check is not None:
+            self.check.job_finished()
 
     def heartbeat(self, round_no: int) -> None:
         """Per-round heartbeat counter + trace event."""
@@ -159,10 +167,14 @@ class TraceRecorder:
             )
         if math.isnan(self.trace.map_phase_start):
             self.trace.map_phase_start = am.sim.now
+        if self.check is not None:
+            self.check.map_launched(assignment)
 
-    def map_completed(self, attempt: TaskAttempt) -> None:
+    def map_completed(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
         """Record a successful map completion."""
         am = self.am
+        if self.check is not None:
+            self.check.map_completed(assignment)
         if self.obs is not None:
             self.obs.metrics.counter("am.maps_completed").inc()
             self.obs.trace.emit(
@@ -172,6 +184,11 @@ class TraceRecorder:
                 size_mb=round(attempt.record.size_mb, 3),
                 productivity=round(attempt.record.productivity, 4),
             )
+
+    def map_stopped(self, assignment: MapAssignment) -> None:
+        """An attempt stopped early committed its partial output."""
+        if self.check is not None:
+            self.check.map_stopped(assignment)
 
     def close_map_phase(self) -> None:
         """Stamp the map-phase end from the recorded map attempts."""
@@ -210,6 +227,8 @@ class TraceRecorder:
                 "map_requeue", self.am.sim.now,
                 task=assignment.task_id, n_bus=assignment.split.num_bus,
             )
+        if self.check is not None:
+            self.check.map_requeued(assignment)
 
     def node_failed(self, node) -> None:
         """Record a node crash and the attempts it took down."""
@@ -228,9 +247,9 @@ class TraceRecorder:
 class MapPhaseDriver:
     """Map-phase collaborator: offer routing plus attempt lifecycle.
 
-    Owns the running-attempt tables and the task-id sequence.  Launch and
-    completion go through ``self.launch``/``self.finished``, so the
-    correctness harness can wrap them on the driver instance.
+    Owns the running-attempt tables and the task-id sequence.  An attempt
+    ends in exactly one of :meth:`finished`, :meth:`finalize_stopped` or
+    :meth:`kill`.
     """
 
     def __init__(self, am: "ApplicationMaster") -> None:
@@ -296,7 +315,7 @@ class MapPhaseDriver:
             attempt.node.node_id,
             attempt.record.processed_mb * am.job.shuffle_ratio,
         )
-        am.recorder.map_completed(attempt)
+        am.recorder.map_completed(attempt, assignment)
         am.on_map_complete(attempt, assignment)
         am.rm.release(container)
         self.check_phase_end()
@@ -304,8 +323,10 @@ class MapPhaseDriver:
     def finalize_stopped(self, attempt: TaskAttempt, container: Container) -> None:
         """Bookkeeping for an attempt stopped early with committed output."""
         am = self.am
-        self.running.pop(attempt, None)
+        assignment = self.running.pop(attempt, None)
         self.containers.pop(attempt, None)
+        if assignment is not None:
+            am.recorder.map_stopped(assignment)
         am.recorder.add(attempt.record)
         am.store.add(
             attempt.node.node_id,
@@ -313,21 +334,16 @@ class MapPhaseDriver:
         )
         am.rm.release(container)
 
-    def finalize_killed(
-        self, attempt: TaskAttempt, container: Container | None
-    ) -> None:
-        """Bookkeeping for an attempt killed with output discarded.
+    def kill(self, attempt: TaskAttempt) -> MapAssignment:
+        """Kill a running attempt, discard its output, free its container.
 
-        ``container`` may be None for attempts whose container record was
-        already dropped (defensive: a crash arriving mid-teardown must not
-        turn into an AttributeError).
+        Returns the attempt's assignment, whose input the caller may requeue.
         """
-        am = self.am
-        self.running.pop(attempt, None)
-        self.containers.pop(attempt, None)
-        am.recorder.add(attempt.record)
-        if container is not None:
-            am.rm.release(container)
+        attempt.kill()
+        assignment = self.running.pop(attempt)
+        self.am.recorder.add(attempt.record)
+        self.am.rm.release(self.containers.pop(attempt))
+        return assignment
 
     def done(self) -> bool:
         """True once no map work is pending and nothing is running."""
@@ -350,8 +366,8 @@ class MapPhaseDriver:
 class ReducePhaseDriver:
     """Reduce-phase collaborator: slowstart, placement, speculation race.
 
-    Owns the pending/running reducer tables.  Launch and completion go
-    through ``self.launch``/``self.finished``, as on the map side.
+    Owns the pending/running reducer tables.  An attempt ends in
+    :meth:`finished` or :meth:`kill`, as on the map side.
     """
 
     def __init__(self, am: "ApplicationMaster") -> None:
@@ -425,15 +441,18 @@ class ReducePhaseDriver:
         am.recorder.reduce_completed(attempt)
         self.done_ids.add(attempt.task_id)
         # First copy home wins: kill the loser of a speculation race.
-        for copy, copy_container in list(self.running.items()):
-            if copy.task_id == attempt.task_id:
-                copy.kill()
-                self.running.pop(copy, None)
-                am.recorder.add(copy.record)
-                am.rm.release(copy_container)
+        for copy in [a for a in self.running if a.task_id == attempt.task_id]:
+            self.kill(copy)
         am.rm.release(container)
         if self.pending == 0 and not self.running:
             am._finish_job()
+
+    def kill(self, attempt: TaskAttempt) -> None:
+        """Kill a running reducer, discard its output, free its container."""
+        attempt.kill()
+        container = self.running.pop(attempt)
+        self.am.recorder.add(attempt.record)
+        self.am.rm.release(container)
 
     # -- speculation -----------------------------------------------------------
     def maybe_speculate(self, container: Container) -> bool:
@@ -460,6 +479,9 @@ class ApplicationMaster:
     #: None before ``prepare_maps`` (and for engines without one).  The
     #: speculator and ``repro.check`` read it to see the last map wave.
     index = None
+    #: The engine's :class:`~repro.engines.speculation.SpeculationManager`,
+    #: or None for engines without one.
+    speculation = None
 
     def __init__(
         self,
@@ -562,8 +584,7 @@ class ApplicationMaster:
     def _reduce_speculation_enabled(self) -> bool:
         """Reduce backups run whenever the engine's speculator is enabled —
         YARN speculates reduces exactly as it does maps."""
-        manager = getattr(self, "speculation", None)
-        return manager is not None and manager.config.enabled
+        return self.speculation is not None and self.speculation.config.enabled
 
     # ------------------------------------------------------------------
     # fault tolerance
@@ -571,16 +592,12 @@ class ApplicationMaster:
     def requeue_map(self, assignment: MapAssignment) -> None:
         """Return a lost attempt's input to the unprocessed pool.
 
-        Engines override with their own bookkeeping (locality index,
-        BU binder).  The base implementation refuses rather than silently
-        lose data.
+        Engines override this to put the input back where they take it
+        from (locality index, BU binder, mitigation queue); the rest of the
+        requeue bookkeeping is :meth:`on_node_failure`'s.  The base
+        implementation refuses rather than silently lose data.
         """
         raise NotImplementedError(f"{type(self).__name__} cannot requeue maps")
-
-    def _has_live_copy(self, task_id: str, other_than: TaskAttempt) -> bool:
-        return any(
-            a.task_id == task_id and a is not other_than for a in self.maps.running
-        )
 
     def on_node_failure(self, node) -> None:
         """Crash handling: kill the node's attempts and re-enqueue the work.
@@ -592,8 +609,8 @@ class ApplicationMaster:
         a simplification noted in DESIGN.md.
 
         Safe against the two untestable-in-production edges: a crash of an
-        already-dead node finds no running attempts (kill/requeue are
-        skipped per-attempt, so nothing is re-enqueued twice), and a crash
+        already-dead node finds no running attempts (the first crash killed
+        and removed them, so nothing is re-enqueued twice), and a crash
         arriving after job completion only marks the node dead — the AM has
         released every container and must not resurrect bookkeeping.
         """
@@ -601,29 +618,23 @@ class ApplicationMaster:
         if self.job_done:
             return
         self.recorder.node_failed(node)
-        for attempt, assignment in list(self.maps.running.items()):
-            if attempt.node is not node:
-                continue
-            if attempt.killed or attempt.finished:
-                continue  # already terminated; never requeue twice
-            container = self.maps.containers.get(attempt)
-            attempt.kill()
-            if not self._has_live_copy(attempt.task_id, other_than=attempt):
-                self.requeue_map(assignment)
-            self.maps.finalize_killed(attempt, container)
-        for attempt, container in list(self.reduces.running.items()):
-            if attempt.node is not node:
-                continue
-            attempt.kill()
-            self.reduces.running.pop(attempt, None)
-            self.recorder.add(attempt.record)
+        for attempt in [a for a in self.maps.running if a.node is node]:
+            assignment = self.maps.kill(attempt)
+            if any(a.task_id == attempt.task_id for a in self.maps.running):
+                continue  # a copy elsewhere still holds the input
+            self.requeue_map(assignment)
+            # The task may be re-run from scratch; allow fresh speculation.
+            if self.speculation is not None:
+                self.speculation.speculated_tasks.discard(attempt.task_id)
+            self.recorder.map_requeued(assignment)
+        for attempt in [a for a in self.reduces.running if a.node is node]:
+            self.reduces.kill(attempt)
             self.reduces.speculated_ids.discard(attempt.task_id)
             still_running = any(
                 a.task_id == attempt.task_id for a in self.reduces.running
             )
             if attempt.task_id not in self.reduces.done_ids and not still_running:
                 self.reduces.pending += 1
-            self.rm.release(container)
         self.rm.request_offers()
 
     # ------------------------------------------------------------------

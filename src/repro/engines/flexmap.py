@@ -164,8 +164,6 @@ class FlexMapAM(ApplicationMaster):
         re-provisioning on surviving nodes."""
         assert self.binder is not None
         self.binder.put_back(assignment.split)
-        self.speculation.speculated_tasks.discard(assignment.task_id)
-        self.recorder.map_requeued(assignment)
 
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
         self.speculation.on_map_complete(attempt, assignment)

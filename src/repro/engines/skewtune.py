@@ -160,10 +160,8 @@ class SkewTuneAM(StockHadoopAM):
         "replica" is the node that just died (found by ``repro fuzz``)."""
         if assignment.task_id.startswith("st"):
             self.mitigation_queue.append(assignment)
-            self.recorder.map_requeued(assignment)
-            self.rm.request_offers()
-            return
-        super().requeue_map(assignment)
+        else:
+            super().requeue_map(assignment)
 
     def _reduce_speculation_enabled(self) -> bool:
         """SkewTune mitigates reduce-side stragglers too; we approximate its

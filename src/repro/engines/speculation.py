@@ -136,20 +136,13 @@ class SpeculationManager:
         return max(slow, key=lambda a: (a.est_time_left(), a.task_id))
 
     # ------------------------------------------------------------------
-    def _find_copies(self, task_id: str) -> list[TaskAttempt]:
-        return [a for a in self.am.maps.running if a.task_id == task_id]
-
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
         """First copy home wins: kill the remaining copies of the task."""
         if attempt.task_id not in self.speculated_tasks:
             return
-        for copy in self._find_copies(attempt.task_id):
-            if copy is attempt or copy.finished or copy.killed:
-                continue
-            container = self.am.maps.containers.get(copy)
-            copy.kill()
-            if container is not None:
-                self.am.maps.finalize_killed(copy, container)
+        maps = self.am.maps
+        for copy in [a for a in maps.running if a.task_id == attempt.task_id]:
+            maps.kill(copy)
 
     def on_tick(self) -> None:
         """Keep the last wave alive: poke the RM so idle slots get offered

@@ -95,9 +95,6 @@ class StockHadoopAM(ApplicationMaster):
         assert self.index is not None
         for block in assignment.split.blocks:
             self.index.put_back(block)
-        # The task id may be re-run from scratch; allow fresh speculation.
-        self.speculation.speculated_tasks.discard(assignment.task_id)
-        self.recorder.map_requeued(assignment)
 
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
         self.speculation.on_map_complete(attempt, assignment)

@@ -17,11 +17,15 @@ pre-multi-job RM.
 
 Offer rounds are triggered at start, whenever an AM signals new pending
 work, and whenever a slot is released.
+
+:class:`repro.check.InvariantChecker` observes registrations and slot
+transitions through the plain ``audit`` attribute; an RM without one pays
+one ``is not None`` test per call.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.cluster.topology import Cluster
 from repro.sim.engine import Simulator
@@ -48,6 +52,12 @@ class AppRecord:
 
 class ResourceManager:
     """Container allocator over a cluster, shared by one or many AMs."""
+
+    #: A :class:`repro.check.InvariantChecker` observing this RM, or None.
+    #: When set, it hears of every new registration (``attach_am``), each
+    #: slot acquisition before it happens (``on_occupy``) and each real
+    #: release before it happens (``on_release``).
+    audit = None
 
     def __init__(
         self,
@@ -85,6 +95,8 @@ class ResourceManager:
             return
         self._apps[id(am)] = AppRecord(am, self._next_app_index, queue, weight)
         self._next_app_index += 1
+        if self.audit is not None:
+            self.audit.attach_am(am)
 
     def unregister(self, am: "ApplicationMaster") -> None:
         """Detach a finished AM; its held slots (if any) stay accounted to
@@ -171,60 +183,10 @@ class ResourceManager:
                     break
 
     # ------------------------------------------------------------------
-    # correctness hooks (zero-cost unless installed)
-    # ------------------------------------------------------------------
-    def install_audit(
-        self,
-        on_register: "Callable[[ApplicationMaster], None] | None" = None,
-        on_occupy: Callable[[Container], None] | None = None,
-        on_release: Callable[[Container], None] | None = None,
-    ) -> Callable[[], None]:
-        """Observe application registration and slot transitions.
-
-        Installed by wrapping the instance methods, so an RM without an
-        audit pays nothing (the :mod:`repro.obs` disabled-cost contract).
-        ``on_register`` fires for every *new* AM attachment, ``on_occupy``
-        before each slot acquisition, and ``on_release`` before each real
-        release (idempotent re-releases are not reported).  Returns an
-        uninstall callable.  Used by :class:`repro.check.InvariantChecker`.
-        """
-        inner_register = self.register
-        inner_occupy = self.occupy
-        inner_release = self.release
-
-        def register(am, queue: str = "default", weight: float = 1.0) -> None:
-            fresh = id(am) not in self._apps
-            inner_register(am, queue=queue, weight=weight)
-            if fresh and on_register is not None:
-                on_register(am)
-
-        def occupy(container: Container) -> None:
-            if on_occupy is not None:
-                on_occupy(container)
-            inner_occupy(container)
-
-        def release(container: Container) -> None:
-            if on_release is not None and not container.released:
-                on_release(container)
-            inner_release(container)
-
-        if on_register is not None:
-            self.register = register  # type: ignore[method-assign]
-        if on_occupy is not None:
-            self.occupy = occupy  # type: ignore[method-assign]
-        if on_release is not None:
-            self.release = release  # type: ignore[method-assign]
-
-        def uninstall() -> None:
-            self.register = inner_register  # type: ignore[method-assign]
-            self.occupy = inner_occupy  # type: ignore[method-assign]
-            self.release = inner_release  # type: ignore[method-assign]
-
-        return uninstall
-
-    # ------------------------------------------------------------------
     def occupy(self, container: Container) -> None:
         """Mark the container's slot busy (AM accepted the offer)."""
+        if self.audit is not None:
+            self.audit.on_occupy(container)
         container.node.acquire_slot()
         record = self._apps.get(id(container.am)) if container.am is not None else None
         if record is not None:
@@ -234,6 +196,8 @@ class ResourceManager:
         """Return the slot and trigger a new offer round."""
         if container.released:
             return
+        if self.audit is not None:
+            self.audit.on_release(container)
         container.released = True
         container.node.release_slot()
         record = self._apps.get(id(container.am)) if container.am is not None else None

@@ -99,6 +99,8 @@ def test_from_dict_rejects_unknown_fields():
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown engine"):
         ScenarioConfig(engine="mapreduce-9000")
+    with pytest.raises(ValueError, match="negative seed"):
+        ScenarioConfig(seed=-1)
     with pytest.raises(ValueError, match="length mismatch"):
         ScenarioConfig(speeds=(1.0, 1.0), slots=(2,))
     with pytest.raises(ValueError, match="unknown node index"):

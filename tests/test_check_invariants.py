@@ -1,12 +1,13 @@
 """Invariant checker: clean runs pass, arming does not perturb behaviour.
 
-The checker installs itself through the engine/RM hook points
-(``Simulator.install_step_interceptor``, ``ResourceManager.install_audit``)
-and per-AM instance-method wraps, so a checked run must execute the exact
-same schedule as an unchecked one — these tests pin both directions: every
-healthy scenario (all engines, failures, speculation, interference,
-multi-job service) produces a clean report, and arming the checker leaves
-the JCT bit-identical.
+The checker reads a run through plain hook points
+(``Simulator.install_step_interceptor``, ``ResourceManager.audit``, each
+AM's ``TraceRecorder.check`` ledger and heartbeat subscribers) and swaps
+no method, so a checked run must execute the exact same schedule as an
+unchecked one — these tests pin both directions: every healthy scenario
+(all engines, failures, speculation, interference, multi-job service)
+produces a clean report, and arming the checker leaves the JCT
+bit-identical.
 """
 
 import pytest
@@ -14,9 +15,11 @@ import pytest
 from repro.check import (
     CheckReport,
     InvariantChecker,
+    InvariantViolation,
     ScenarioConfig,
     run_scenario,
 )
+from repro.check.harness import build_failures, run_config
 from repro.engines import ENGINES, run_job
 from repro.experiments.clusters import heterogeneous6_cluster
 from repro.workloads.puma import puma
@@ -114,9 +117,60 @@ def test_non_strict_collects_instead_of_raising():
 
 
 def test_strict_mode_raises_at_first_violation():
-    from repro.check import InvariantViolation
-
     config = ScenarioConfig(mutation="double-assign-bu")
     with pytest.raises(InvariantViolation) as excinfo:
         run_scenario(config, strict=True)
     assert excinfo.value.rule == "bu-conservation"
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_checker_swaps_no_method_and_finalize_unhooks(engine):
+    config = ScenarioConfig(
+        engine=engine,
+        speeds=(1.0, 1.0, 1.0, 2.0),
+        slots=(2, 2, 2, 2),
+        failures=((30.0, 1),),
+    )
+    checker = InvariantChecker()
+    am = run_config(config, failures=build_failures(config), check=checker).am
+    assert am.recorder.check is not None
+    assert am.rm.audit is checker
+    for obj in (am, am.maps, am.index, am.rm):
+        shadowed = [
+            name for name in vars(obj) if callable(getattr(type(obj), name, None))
+        ]
+        assert shadowed == [], f"{type(obj).__name__} methods replaced: {shadowed}"
+    assert checker.finalize().ok
+    assert am.recorder.check is None
+    assert am.rm.audit is None
+
+
+class _PutBackOnFirstLaunch(InvariantChecker):
+    """Returns the first launched task's first BU to the locality index
+    through ``index.put_back`` while the task still runs — a put_back
+    outside any failure requeue."""
+
+    def attach_am(self, am) -> None:
+        super().attach_am(am)
+        inner_launch = am.maps.launch
+        self.returned = None
+
+        def launch(container, assignment) -> None:
+            inner_launch(container, assignment)
+            if self.returned is None:
+                self.returned = assignment.split.blocks[0]
+                am.index.put_back(self.returned)
+
+        am.maps.launch = launch
+
+
+@pytest.mark.parametrize("engine", ["hadoop-64", "flexmap"])
+def test_put_back_outside_requeue_is_caught_at_relaunch(engine):
+    checker = _PutBackOnFirstLaunch()
+    with pytest.raises(InvariantViolation) as excinfo:
+        run_config(ScenarioConfig(engine=engine), check=checker)
+    assert excinfo.value.rule == "bu-conservation"
+    # Caught at the second launch, not later at the second completion.
+    assert (
+        f"BU {checker.returned.block_id} assigned twice" in excinfo.value.message
+    )

@@ -1,5 +1,7 @@
 """CLI tests: every subcommand parses and runs."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -180,6 +182,17 @@ def test_serve_bad_input_is_a_usage_error(capsys, bad_args, message):
     ["figure", "fig5", "--scale", "0"],
     ["serve", "--benchmarks", "XX"],
     ["serve", "--policy", "fair", "--queues", "batch=3"],
+    ["run", "--seed", "-1"],
+    ["compare", "--seeds", "1", "-1"],
+    ["figure", "fig1", "--seed", "-1"],
+    ["fuzz", "--seed", "-1"],
+    ["diff", "--seed", "-1"],
+    ["fuzz", "--iterations", "0"],
+    ["fuzz", "--iterations", "-1"],
+    ["fuzz", "--max-events", "0"],
+    ["fuzz", "--replay", "no-such-reproducer.json"],
+    ["fuzz", "--replay", os.devnull],
+    ["trace", "summarize", "trace.jsonl", "--width", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -188,7 +201,9 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].startswith(f"repro {argv[0]}: error: ")
+    # The error names the (sub)command whose parser rejected the input.
+    command = "trace summarize" if argv[0] == "trace" else argv[0]
+    assert len(errors) == 1 and errors[0].startswith(f"repro {command}: error: ")
 
 
 def test_fuzz_small_campaign_clean(capsys):

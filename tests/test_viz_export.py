@@ -1,11 +1,6 @@
-"""Tests for ASCII visualization and trace export."""
+"""Tests for ASCII visualization."""
 
-import math
-
-import pytest
-
-from repro.sim.export import read_json, trace_to_dicts, write_csv, write_json
-from repro.sim.trace import JobTrace, TaskRecord
+from repro.sim.trace import JobTrace
 from repro.viz.ascii import gantt, histogram, sparkline
 from tests.conftest import quick_run
 
@@ -55,31 +50,3 @@ def test_gantt_renders_real_trace():
 
 def test_gantt_empty_trace():
     assert gantt(JobTrace()) == "(no tasks)"
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-def test_trace_to_dicts_roundtrip_fields():
-    r = quick_run("hadoop-64", input_mb=256.0)
-    rows = trace_to_dicts(r.trace)
-    assert len(rows) == len(r.trace.records)
-    assert rows[0]["task_id"] and rows[0]["kind"] in ("map", "reduce")
-
-
-def test_csv_export(tmp_path):
-    r = quick_run("hadoop-64", input_mb=256.0)
-    path = write_csv(r.trace, tmp_path / "trace.csv")
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(r.trace.records) + 1  # header
-    assert lines[0].startswith("task_id,")
-
-
-def test_json_roundtrip(tmp_path):
-    r = quick_run("flexmap", input_mb=256.0)
-    path = write_json(r.trace, tmp_path / "trace.json")
-    back = read_json(path)
-    assert back.jct == pytest.approx(r.trace.jct)
-    assert len(back.records) == len(r.trace.records)
-    assert back.records[0].task_id == r.trace.records[0].task_id
-    assert back.data_processed_mb() == pytest.approx(r.trace.data_processed_mb())
