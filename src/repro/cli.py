@@ -25,7 +25,7 @@ from repro.experiments.clusters import (
     physical_cluster,
     virtual_cluster,
 )
-from repro.engines.driver import compare_engines, run_job
+from repro.engines.driver import run_job
 from repro.engines.registry import engine_names
 from repro.experiments.report import render_series, render_table
 from repro.workloads.puma import FIGURE_ORDER, PUMA_BENCHMARKS, puma
@@ -141,22 +141,20 @@ def cmd_trace(args) -> int:
 
 def cmd_compare(args) -> int:
     """Run several engines over shared seeds and tabulate."""
-    from repro.experiments.stats import seed_sweep
+    from repro.experiments.stats import compare_sweep
 
     engines = args.engines or engine_names()
-    rows = []
-    for engine in engines:
-        sweep = seed_sweep(
-            CLUSTERS[args.cluster], puma(args.benchmark), engine,
-            seeds=list(args.seeds), jobs=args.jobs,
-            input_mb=args.input_gb * 1024.0 if args.input_gb else None,
-        )
-        rows.append([engine, sweep.jct.mean, sweep.jct.std, sweep.efficiency.mean])
-    base = next(r[1] for r in rows if r[0] == "hadoop-64") if any(
-        r[0] == "hadoop-64" for r in rows
-    ) else rows[0][1]
-    for r in rows:
-        r.append(r[1] / base)
+    stats = compare_sweep(
+        CLUSTERS[args.cluster], puma(args.benchmark), engines,
+        seeds=list(args.seeds),
+        baseline="hadoop-64" if "hadoop-64" in engines else None,
+        jobs=args.jobs,
+        input_mb=args.input_gb * 1024.0 if args.input_gb else None,
+    )
+    rows = [
+        [e, s["jct_mean"], s["jct_std"], s["efficiency_mean"], s["jct_normalized"]]
+        for e, s in stats.items()
+    ]
     print(render_table(
         f"{args.benchmark} on {args.cluster} (seeds {args.seeds})",
         ["engine", "jct_s", "std", "efficiency", "normalized"],
@@ -187,9 +185,6 @@ def _parse_queues(text: str | None) -> dict[str, float] | None:
 
 def cmd_serve(args) -> int:
     """Run a multi-job arrival stream and print the cluster SLO report."""
-    import json
-    import time
-
     from repro.multijob.arrivals import (
         ClosedLoopArrivals,
         PoissonArrivals,
@@ -246,9 +241,7 @@ def cmd_serve(args) -> int:
         if obs is not None:
             obs.close()
         args.usage_error(str(exc))
-    wall_start = time.perf_counter()
     result = service.run(compute_slowdown=not args.no_slowdown)
-    wall = time.perf_counter() - wall_start
     print(result.report.render())
     if obs is not None:
         obs.close()
@@ -257,26 +250,6 @@ def cmd_serve(args) -> int:
         with open(args.report_out, "w", encoding="utf-8") as fh:
             fh.write(result.report.to_json())
         print(f"report written to {args.report_out}")
-    if args.bench_out:
-        bench = {
-            "scenario": {
-                "cluster": args.cluster,
-                "arrivals": args.arrivals,
-                "policy": args.policy,
-                "n_jobs": arrivals.total_jobs,
-                "seed": args.seed,
-                "scale": args.scale,
-            },
-            "events": result.events_processed,
-            "wall_time_s": round(wall, 3),
-            "events_per_sec": round(result.events_processed / wall, 1) if wall > 0 else None,
-            "makespan_s": round(result.report.makespan, 3),
-            "jct_p99_s": round(result.report.jct.p99, 3),
-        }
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"benchmark record written to {args.bench_out}")
     return 0
 
 
@@ -471,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the isolated baseline runs (faster)")
     p_srv.add_argument("--report-out", default=None, metavar="FILE",
                        help="write the SLO report as JSON to FILE")
-    p_srv.add_argument("--bench-out", default=None, metavar="FILE",
-                       help="write engine events/sec + wall time JSON to FILE")
     p_srv.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write the service's typed JSONL trace to FILE")
     p_srv.set_defaults(usage_error=p_srv.error)

@@ -1,10 +1,13 @@
-"""Job driver: one simulated job on one cluster under one engine.
+"""The run substrate and the single-job driver.
 
-Home of :func:`run_job` — the single-job entry point used by the CLI, the
-experiment runner, the correctness harness, and the multi-job service's
-isolated baselines.  Lives in :mod:`repro.engines` (not
-``repro.experiments``) so every layer above the engines can drive a job
-without importing the experiment layer.
+:class:`Testbed` is the paper's evaluation substrate: a heterogeneous
+cluster, HDFS with 3-way replication and a YARN ResourceManager on one
+Simulator and one seeded stream family.  Three drivers build on it:
+:func:`run_job` (single jobs), :class:`repro.multijob.ClusterService`
+(many tenants; a subclass) and
+:func:`repro.experiments.iterative.run_iterative_job` (Spark-style
+iterations).  It lives in :mod:`repro.engines` so every layer above the
+engines can drive a job without importing the experiment layer.
 
 Runs with the same seed are bit-identical; engines under the same seed see
 the same cluster, interference schedule, and record skew.
@@ -13,10 +16,9 @@ the same cluster, interference schedule, and record skew.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from repro.cluster.failures import FailureSchedule
 from repro.cluster.topology import Cluster
@@ -32,6 +34,87 @@ from repro.sim.random import RandomStreams
 from repro.sim.trace import JobTrace
 from repro.workloads.spec import WorkloadSpec
 from repro.yarn.resource_manager import ResourceManager
+
+
+class Testbed:
+    """One simulated cluster: Simulator, streams, cluster, HDFS and YARN.
+
+    The cluster's interference process is installed on construction; the
+    NameNode places replicas from the ``placement`` stream and the
+    ResourceManager shuffles each offer round from the ``rm-offers``
+    stream, under the optional cluster ``scheduler`` policy.  ``check``
+    arms a :class:`repro.check.InvariantChecker` and ``failures`` installs
+    a crash schedule (each crash fans out to every AM registered at crash
+    time); both are off by default and cost nothing when absent.
+    """
+
+    def __init__(
+        self,
+        cluster_factory: Callable[[], Cluster],
+        seed: int = 0,
+        replication: int = 3,
+        placement: PlacementPolicy | None = None,
+        scheduler=None,
+        obs: Observability | None = None,
+        failures: FailureSchedule | None = None,
+        check=None,
+    ) -> None:
+        self.seed = seed
+        self.obs = obs
+        self.sim = Simulator(obs=obs)
+        self.streams = RandomStreams(seed)
+        self.cluster = cluster_factory()
+        self.cluster.install(self.sim, self.streams)
+        self.namenode = NameNode(
+            [n.node_id for n in self.cluster.nodes],
+            replication=replication,
+            policy=placement or RandomPlacement(),
+            rng=self.streams.stream("placement"),
+        )
+        self.rm = ResourceManager(
+            self.sim,
+            self.cluster,
+            rng=self.streams.stream("rm-offers"),
+            scheduler=scheduler,
+        )
+        if check is not None:
+            check.arm(self.sim, cluster=self.cluster, rm=self.rm)
+        # No AM constructor schedules an event, so crashes installed before
+        # any AM is built keep their heap order.
+        if failures is not None:
+            failures.install(self.sim, self.cluster, self.rm)
+
+    def stage(
+        self,
+        job: JobSpec,
+        block_size_mb: float,
+        workload: WorkloadSpec | JobSpec,
+        streams: RandomStreams | None = None,
+    ) -> None:
+        """Create ``job``'s input file in HDFS.
+
+        A :class:`WorkloadSpec` gives each block a skew cost factor drawn
+        from the ``skew`` stream of ``streams`` (default: the testbed's
+        own); a bare :class:`JobSpec` has uniform blocks.
+        """
+        factors = None
+        if isinstance(workload, WorkloadSpec):
+            num_blocks = int(math.ceil(job.input_mb / block_size_mb))
+            skew = (streams or self.streams).stream("skew")
+            factors = workload.cost_factors(num_blocks, skew)
+        self.namenode.create_file(
+            job.input_file, job.input_mb, block_size_mb, cost_factors=factors
+        )
+
+
+def as_job(
+    workload: WorkloadSpec | JobSpec, input_mb: float | None = None, small: bool = True
+) -> JobSpec:
+    """The JobSpec of ``workload`` at ``input_mb`` (default: its own size;
+    Table II's small or large input for a :class:`WorkloadSpec`)."""
+    if isinstance(workload, WorkloadSpec):
+        return workload.job(input_mb=input_mb, small=small)
+    return workload if input_mb is None else workload.scaled(input_mb)
 
 
 @dataclass
@@ -82,55 +165,31 @@ def run_job(
     finalizes it); like ``obs``, a run without one pays nothing.
     """
     spec = resolve_engine(engine)
-    sim = Simulator(obs=obs)
-    streams = RandomStreams(seed)
-    cluster = cluster_factory()
-    cluster.install(sim, streams)
-
-    if isinstance(workload, WorkloadSpec):
-        job = workload.job(input_mb=input_mb, small=small)
-    else:
-        job = workload if input_mb is None else workload.scaled(input_mb)
-
-    namenode = NameNode(
-        [n.node_id for n in cluster.nodes],
-        replication=replication,
-        policy=placement or RandomPlacement(),
-        rng=streams.stream("placement"),
+    bed = Testbed(
+        cluster_factory, seed=seed, replication=replication, placement=placement,
+        obs=obs, failures=failures, check=check,
     )
-    num_blocks = int(np.ceil(job.input_mb / spec.block_size_mb))
-    if isinstance(workload, WorkloadSpec):
-        factors = workload.cost_factors(num_blocks, streams.stream("skew"))
-    else:
-        factors = None
-    namenode.create_file(
-        job.input_file, job.input_mb, spec.block_size_mb, cost_factors=factors
-    )
-
-    rm = ResourceManager(sim, cluster, rng=streams.stream("rm-offers"))
-    if check is not None:
-        check.arm(sim, cluster=cluster, rm=rm)
+    job = as_job(workload, input_mb, small)
+    bed.stage(job, spec.block_size_mb, workload)
     config = am_config or AMConfig(block_size_mb=spec.block_size_mb)
     if obs is not None and config.obs is None:
         config = dataclasses.replace(config, obs=obs)
     if obs is not None:
         obs.trace.emit(
-            "run_meta", sim.now,
-            engine=spec.name, cluster=cluster.name, job=job.name, seed=seed,
+            "run_meta", bed.sim.now,
+            engine=spec.name, cluster=bed.cluster.name, job=job.name, seed=seed,
         )
-    am = spec.build(sim, cluster, rm, namenode, job, streams, config)
-    if failures is not None:
-        failures.install(sim, cluster, rm)
+    am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams, config)
     trace = am.run_to_completion(max_events=max_events)
 
     return RunResult(
         engine=spec.name,
-        cluster_name=cluster.name,
+        cluster_name=bed.cluster.name,
         job=job,
         trace=trace,
         am=am,
         jct=trace.jct,
-        efficiency=job_efficiency(trace, cluster.total_slots),
+        efficiency=job_efficiency(trace, bed.cluster.total_slots),
         seed=seed,
         metrics=obs.metrics.snapshot() if obs is not None else {},
     )

@@ -28,7 +28,7 @@ from repro.core.reduce_bias import ReducePlacer
 from repro.core.sizing import DynamicSizer, SizingConfig
 from repro.core.speed_monitor import SpeedMonitor
 from repro.engines.base import ApplicationMaster, MapAssignment
-from repro.engines.registry import register_engine
+from repro.engines.registry import EngineSpec, register_engine
 from repro.engines.speculation import SpeculationConfig, SpeculationManager
 from repro.mapreduce.attempt import TaskAttempt
 from repro.yarn.container import Container
@@ -234,3 +234,10 @@ class FlexMapAM(ApplicationMaster):
             return 1.0
         fastest = max(speeds.values())
         return max(1e-6, min(1.0, speeds[node_id] / fastest))
+
+
+def is_flexmap(spec: EngineSpec) -> bool:
+    """Whether ``spec`` builds a FlexMap AM (any subclass included): the
+    engines that take shared sizing state (``monitor``, ``sizer``) through
+    ``spec.build(extra=...)``."""
+    return isinstance(spec.factory, type) and issubclass(spec.factory, FlexMapAM)

@@ -10,13 +10,11 @@ EXPERIMENTS.md for paper-vs-measured records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from repro.cluster.topology import Cluster
 from repro.core.sizing import SizingConfig
-from repro.engines import ENGINES, EngineSpec, RunResult, run_job
+from repro.engines import EngineSpec, run_job
 from repro.engines.flexmap import FlexMapAM
 from repro.engines.stock import StockHadoopAM
 from repro.experiments.clusters import (
@@ -27,7 +25,8 @@ from repro.experiments.clusters import (
     three_node_example,
     virtual_cluster,
 )
-from repro.metrics.stats import normalized_runtime_pdf, straggler_ratio
+from repro.experiments.stats import compare_sweep, seed_sweep
+from repro.metrics.stats import normalized_runtime_pdf
 from repro.workloads.puma import FIGURE_ORDER, puma
 
 #: Engines compared in Figs. 5/6 (small clusters).
@@ -44,10 +43,6 @@ class FigureData:
     xs: list = field(default_factory=list)
     series: dict[str, list[float]] = field(default_factory=dict)
     notes: str = ""
-
-
-def _mean_over_seeds(fn: Callable[[int], float], seeds: list[int]) -> float:
-    return float(np.mean([fn(s) for s in seeds]))
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +120,12 @@ def fig3bcd_task_size_sweep(
     jcts, prods, effs = [], [], []
     for size in TASK_SIZES_MB:
         spec = EngineSpec(f"hadoop-{int(size)}", size, StockHadoopAM)
-
-        def one(seed: int, spec=spec) -> RunResult:
-            return run_job(factory, puma("WC"), spec, seed=seed, input_mb=input_mb)
-
-        runs = [one(s) for s in seeds]
-        jcts.append(float(np.mean([r.jct for r in runs])))
+        sweep = seed_sweep(factory, puma("WC"), spec, seeds, input_mb=input_mb)
+        jcts.append(sweep.jct.mean)
         prods.append(float(np.mean([
-            np.mean([m.productivity for m in r.trace.maps()]) for r in runs
+            np.mean([m.productivity for m in r.trace.maps()]) for r in sweep.runs
         ])))
-        effs.append(float(np.mean([r.efficiency for r in runs])))
+        effs.append(sweep.efficiency.mean)
     data.series = {"jct_s": jcts, "productivity": prods, "efficiency": effs}
     data.notes = f"{cluster} cluster; productivity rises with size, JCT is U-shaped under heterogeneity"
     return data
@@ -156,26 +147,19 @@ def fig5_fig6_benchmarks(
     """
     seeds = seeds or [1, 2]
     factory = physical_cluster if cluster == "physical" else virtual_cluster
-    jct_data = FigureData(figure=f"fig5-{cluster}", xs=list(benchmarks))
-    eff_data = FigureData(figure=f"fig6-{cluster}", xs=list(benchmarks))
-    for engine in FIG5_ENGINES:
-        jct_data.series[engine] = []
-        eff_data.series[engine] = []
+    jct_data = FigureData(figure=f"fig5-{cluster}", xs=list(benchmarks),
+                          series={e: [] for e in FIG5_ENGINES})
+    eff_data = FigureData(figure=f"fig6-{cluster}", xs=list(benchmarks),
+                          series={e: [] for e in FIG5_ENGINES})
     for ab in benchmarks:
         wl = puma(ab)
-        input_mb = wl.small_gb * 1024.0 * scale
-        per_engine_jct = {}
-        per_engine_eff = {}
-        for engine in FIG5_ENGINES:
-            runs = [
-                run_job(factory, wl, engine, seed=s, input_mb=input_mb) for s in seeds
-            ]
-            per_engine_jct[engine] = float(np.mean([r.jct for r in runs]))
-            per_engine_eff[engine] = float(np.mean([r.efficiency for r in runs]))
-        base = per_engine_jct["hadoop-64"]
-        for engine in FIG5_ENGINES:
-            jct_data.series[engine].append(per_engine_jct[engine] / base)
-            eff_data.series[engine].append(per_engine_eff[engine])
+        stats = compare_sweep(
+            factory, wl, FIG5_ENGINES, seeds, baseline="hadoop-64",
+            input_mb=wl.small_gb * 1024.0 * scale,
+        )
+        for engine, row in stats.items():
+            jct_data.series[engine].append(row["jct_normalized"])
+            eff_data.series[engine].append(row["efficiency_mean"])
     jct_data.notes = "normalized to Hadoop-64m (paper normalizes the same way)"
     return jct_data, eff_data
 
@@ -234,11 +218,9 @@ def overhead_homogeneous(
     seeds = seeds or [1, 2, 3]
 
     def mean_jct(engine) -> float:
-        return _mean_over_seeds(
-            lambda s: run_job(homogeneous_cluster, puma("WC"), engine, seed=s,
-                              input_mb=input_mb).jct,
-            seeds,
-        )
+        return seed_sweep(
+            homogeneous_cluster, puma("WC"), engine, seeds, input_mb=input_mb
+        ).jct.mean
 
     flex = mean_jct("flexmap")
     stock64 = mean_jct("hadoop-64")
@@ -268,24 +250,16 @@ def fig8_multitenant(
     seeds = seeds or [1, 2]
     out = {}
     for frac in slow_fractions:
-        data = FigureData(figure=f"fig8-{int(frac * 100)}pct", xs=list(benchmarks))
-        for engine in FIG8_ENGINES:
-            data.series[engine] = []
+        data = FigureData(figure=f"fig8-{int(frac * 100)}pct", xs=list(benchmarks),
+                          series={e: [] for e in FIG8_ENGINES})
         for ab in benchmarks:
             wl = puma(ab)
-            input_mb = wl.large_gb * 1024.0 * scale
-            per_engine = {}
-            for engine in FIG8_ENGINES:
-                per_engine[engine] = _mean_over_seeds(
-                    lambda s, e=engine: run_job(
-                        lambda: multitenant_cluster(frac), wl, e, seed=s,
-                        input_mb=input_mb,
-                    ).jct,
-                    seeds,
-                )
-            base = per_engine["hadoop-64"]
-            for engine in FIG8_ENGINES:
-                data.series[engine].append(per_engine[engine] / base)
+            stats = compare_sweep(
+                lambda: multitenant_cluster(frac), wl, FIG8_ENGINES, seeds,
+                baseline="hadoop-64", input_mb=wl.large_gb * 1024.0 * scale,
+            )
+            for engine, row in stats.items():
+                data.series[engine].append(row["jct_normalized"])
         out[frac] = data
     return out
 
@@ -309,9 +283,7 @@ def ablation_study(
     out = {}
     for name, kwargs in ABLATIONS.items():
         spec = EngineSpec(name, SizingConfig().bu_mb, FlexMapAM, dict(kwargs))
-        out[name] = _mean_over_seeds(
-            lambda s: run_job(physical_cluster, puma(benchmark), spec, seed=s,
-                              input_mb=input_mb).jct,
-            seeds,
-        )
+        out[name] = seed_sweep(
+            physical_cluster, puma(benchmark), spec, seeds, input_mb=input_mb
+        ).jct.mean
     return out

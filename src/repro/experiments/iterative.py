@@ -8,26 +8,28 @@ paper argues stragglers are *exacerbated* across iterations for stock
 engines, while FlexMap's elastic sizing applies directly — and, because the
 SpeedMonitor/DynamicSizer state can be carried over, later iterations skip
 the sizing ramp entirely (warm start).
+
+The run is one :class:`~repro.engines.driver.Testbed` with a fresh
+ResourceManager per iteration; every RM draws from the testbed's one
+``rm-offers`` stream, so a finished iteration's trailing offer round still
+consumes its shuffle on the old RM.  Any FlexMap engine (a
+:class:`~repro.engines.flexmap.FlexMapAM` subclass included) gets the warm
+start through ``spec.build(extra=...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from repro.cluster.topology import Cluster
-from repro.core.sizing import DynamicSizer, SizingConfig
-from repro.core.speed_monitor import SpeedMonitor
 from repro.engines.base import AMConfig
-from repro.engines.flexmap import FlexMapAM
+from repro.engines.driver import Testbed, as_job
+from repro.engines.flexmap import is_flexmap
 from repro.engines.registry import EngineSpec, resolve_engine
-from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import RandomPlacement
 from repro.mapreduce.job import JobSpec
-from repro.sim.engine import Simulator
-from repro.sim.random import RandomStreams
 from repro.sim.trace import JobTrace
 from repro.workloads.spec import WorkloadSpec
 from repro.yarn.resource_manager import ResourceManager
@@ -73,55 +75,31 @@ def run_iterative_job(
     if iterations < 1:
         raise ValueError(f"need at least one iteration: {iterations}")
     spec = resolve_engine(engine)
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    cluster = cluster_factory()
-    cluster.install(sim, streams)
-
-    if isinstance(workload, WorkloadSpec):
-        base_job = workload.job(input_mb=input_mb)
-    else:
-        base_job = workload if input_mb is None else workload.scaled(input_mb)
+    bed = Testbed(cluster_factory, seed=seed, replication=replication)
+    base_job = as_job(workload, input_mb)
     # Iterations are map-dominated: per-iteration shuffle is tiny (§IV-G).
-    job = JobSpec(
+    job = replace(
+        base_job,
         name=f"{base_job.name}-iter",
-        input_mb=base_job.input_mb,
-        map_cost_s_per_mb=base_job.map_cost_s_per_mb,
         shuffle_ratio=min(base_job.shuffle_ratio, 0.05),
-        reduce_cost_s_per_mb=base_job.reduce_cost_s_per_mb,
         num_reducers=min(base_job.num_reducers, 4),
-        input_file=base_job.input_file,
     )
-
-    namenode = NameNode(
-        [n.node_id for n in cluster.nodes],
-        replication=replication,
-        policy=RandomPlacement(),
-        rng=streams.stream("placement"),
-    )
-    num_blocks = int(np.ceil(job.input_mb / spec.block_size_mb))
-    factors = (
-        workload.cost_factors(num_blocks, streams.stream("skew"))
-        if isinstance(workload, WorkloadSpec)
-        else None
-    )
-    namenode.create_file(job.input_file, job.input_mb, spec.block_size_mb, factors)
+    bed.stage(job, spec.block_size_mb, workload)
 
     config = AMConfig(block_size_mb=spec.block_size_mb)
     result = IterativeResult(engine=spec.name)
-    carried_monitor: SpeedMonitor | None = None
-    carried_sizer: DynamicSizer | None = None
-    for _ in range(iterations):
-        rm = ResourceManager(sim, cluster, rng=streams.stream("rm-offers"))
-        kwargs = dict(spec.kwargs)
-        if warm_start and spec.factory is FlexMapAM and carried_monitor is not None:
-            kwargs["monitor"] = carried_monitor
-            kwargs["sizer"] = carried_sizer
-        am = spec.factory(sim, cluster, rm, namenode, job, streams, config, **kwargs)
+    carry = warm_start and is_flexmap(spec)
+    extra: dict | None = None
+    rm = bed.rm
+    for i in range(iterations):
+        if i:
+            rm = ResourceManager(bed.sim, bed.cluster, rng=bed.streams.stream("rm-offers"))
+        am = spec.build(
+            bed.sim, bed.cluster, rm, bed.namenode, job, bed.streams, config, extra=extra
+        )
         trace = am.run_to_completion()
         result.iteration_jcts.append(trace.jct)
         result.traces.append(trace)
-        if isinstance(am, FlexMapAM):
-            carried_monitor = am.monitor
-            carried_sizer = am.sizer
+        if carry:
+            extra = {"monitor": am.monitor, "sizer": am.sizer}
     return result

@@ -66,39 +66,64 @@ class ArrivalProcess:
         return None
 
 
-def _round_robin(
-    index: int, benchmarks: tuple[WorkloadSpec, ...], engines: tuple[str, ...]
-) -> tuple[WorkloadSpec, str]:
-    """Deterministic benchmark/engine mix.
+class _MixArrivals(ArrivalProcess):
+    """``n_jobs`` submissions drawn from round-robin benchmark/engine mixes.
 
     The engine cycle advances every job and the benchmark cycle advances
     every ``len(engines)`` jobs, so each benchmark is submitted under every
     engine before moving on — engine comparisons in the SLO report are over
-    the same job mix, not disjoint benchmark sets.
+    the same job mix, not disjoint benchmark sets.  ``checks`` are a
+    subclass's own ``(bad, message)`` settings checks, fired after the
+    ``n_jobs`` check.
     """
-    return (
-        benchmarks[(index // len(engines)) % len(benchmarks)],
-        engines[index % len(engines)],
-    )
+
+    def __init__(
+        self,
+        n_jobs: int,
+        benchmarks: tuple[str, ...],
+        engines: tuple[str, ...],
+        input_mb: float | None,
+        input_scale: float,
+        checks: tuple[tuple[bool, str], ...] = (),
+    ) -> None:
+        if n_jobs < 1:
+            raise ValueError(f"need at least one job: {n_jobs}")
+        for bad, message in checks:
+            if bad:
+                raise ValueError(message)
+        if not engines:
+            raise ValueError("need at least one engine")
+        if input_scale <= 0:
+            raise ValueError(f"non-positive input scale: {input_scale}")
+        if not benchmarks:
+            raise ValueError("need at least one benchmark")
+        self.n_jobs = n_jobs
+        self.benchmarks = tuple(puma(b) for b in benchmarks)
+        self.engines = tuple(engines)
+        self.input_mb = input_mb
+        self.input_scale = input_scale
+
+    @property
+    def total_jobs(self) -> int:
+        return self.n_jobs
+
+    def _request(self, index: int, submit_time: float) -> JobRequest:
+        """The ``index``-th submission of the mix.  Its input is the
+        explicit ``input_mb``, else the workload's Table II small input
+        times ``input_scale``."""
+        workload = self.benchmarks[(index // len(self.engines)) % len(self.benchmarks)]
+        input_mb = self.input_mb
+        if input_mb is None:
+            input_mb = workload.small_gb * 1024.0 * self.input_scale
+        return JobRequest(
+            submit_time=submit_time,
+            workload=workload,
+            engine=self.engines[index % len(self.engines)],
+            input_mb=input_mb,
+        )
 
 
-def _request_input_mb(
-    workload: WorkloadSpec, input_mb: float | None, input_scale: float
-) -> float:
-    """Input size for one submission: explicit MB wins, else the
-    workload's Table II small input times ``input_scale``."""
-    if input_mb is not None:
-        return input_mb
-    return workload.small_gb * 1024.0 * input_scale
-
-
-def _resolve_benchmarks(benchmarks: tuple[str, ...]) -> tuple[WorkloadSpec, ...]:
-    if not benchmarks:
-        raise ValueError("need at least one benchmark")
-    return tuple(puma(b) for b in benchmarks)
-
-
-class PoissonArrivals(ArrivalProcess):
+class PoissonArrivals(_MixArrivals):
     """Open-loop Poisson stream of ``n_jobs`` submissions."""
 
     kind = "poisson"
@@ -115,43 +140,18 @@ class PoissonArrivals(ArrivalProcess):
     ) -> None:
         if rate <= 0:
             raise ValueError(f"non-positive arrival rate: {rate}")
-        if n_jobs < 1:
-            raise ValueError(f"need at least one job: {n_jobs}")
-        if not engines:
-            raise ValueError("need at least one engine")
-        if input_scale <= 0:
-            raise ValueError(f"non-positive input scale: {input_scale}")
+        super().__init__(n_jobs, benchmarks, engines, input_mb, input_scale)
         self.rate = rate
-        self.n_jobs = n_jobs
-        self.benchmarks = _resolve_benchmarks(benchmarks)
-        self.engines = tuple(engines)
-        self.input_mb = input_mb
-        self.input_scale = input_scale
         # Draw the whole arrival pattern up front so the stream is fixed by
         # the generator state, independent of simulation interleaving.
         gaps = rng.exponential(1.0 / rate, size=n_jobs)
         self._times = np.cumsum(gaps)
 
-    @property
-    def total_jobs(self) -> int:
-        return self.n_jobs
-
     def initial(self) -> list[JobRequest]:
-        requests = []
-        for i, t in enumerate(self._times):
-            workload, engine = _round_robin(i, self.benchmarks, self.engines)
-            requests.append(
-                JobRequest(
-                    submit_time=float(t),
-                    workload=workload,
-                    engine=engine,
-                    input_mb=_request_input_mb(workload, self.input_mb, self.input_scale),
-                )
-            )
-        return requests
+        return [self._request(i, float(t)) for i, t in enumerate(self._times)]
 
 
-class ClosedLoopArrivals(ArrivalProcess):
+class ClosedLoopArrivals(_MixArrivals):
     """Fixed multiprogramming level: admit a job per completion."""
 
     kind = "closed"
@@ -166,37 +166,16 @@ class ClosedLoopArrivals(ArrivalProcess):
         input_mb: float | None = None,
         input_scale: float = 1.0,
     ) -> None:
-        if n_jobs < 1:
-            raise ValueError(f"need at least one job: {n_jobs}")
-        if width < 1:
-            raise ValueError(f"non-positive width: {width}")
-        if think_time_s < 0:
-            raise ValueError(f"negative think time: {think_time_s}")
-        if not engines:
-            raise ValueError("need at least one engine")
-        if input_scale <= 0:
-            raise ValueError(f"non-positive input scale: {input_scale}")
-        self.n_jobs = n_jobs
+        super().__init__(
+            n_jobs, benchmarks, engines, input_mb, input_scale,
+            checks=(
+                (width < 1, f"non-positive width: {width}"),
+                (think_time_s < 0, f"negative think time: {think_time_s}"),
+            ),
+        )
         self.width = min(width, n_jobs)
         self.think_time_s = think_time_s
-        self.benchmarks = _resolve_benchmarks(benchmarks)
-        self.engines = tuple(engines)
-        self.input_mb = input_mb
-        self.input_scale = input_scale
         self._issued = 0
-
-    @property
-    def total_jobs(self) -> int:
-        return self.n_jobs
-
-    def _request(self, index: int, submit_time: float) -> JobRequest:
-        workload, engine = _round_robin(index, self.benchmarks, self.engines)
-        return JobRequest(
-            submit_time=submit_time,
-            workload=workload,
-            engine=engine,
-            input_mb=_request_input_mb(workload, self.input_mb, self.input_scale),
-        )
 
     def initial(self) -> list[JobRequest]:
         first = [self._request(i, 0.0) for i in range(self.width)]

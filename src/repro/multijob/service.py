@@ -1,11 +1,11 @@
 """The multi-job service driver: many concurrent AMs, one shared cluster.
 
-One :class:`ClusterService` owns a single Simulator, Cluster, NameNode and
-ResourceManager.  Jobs from an arrival process are submitted at their
-arrival times; each gets its own ApplicationMaster (any engine from the
-single-job registry — FlexMap jobs co-run with stock-Hadoop jobs), while
-the RM routes container offers through the configured cluster scheduling
-policy with per-job slot accounting.
+A :class:`ClusterService` is a :class:`~repro.engines.driver.Testbed` (one
+Simulator, Cluster, NameNode and ResourceManager) whose RM routes
+container offers through the configured cluster scheduling policy with
+per-job slot accounting.  Jobs from an arrival process are submitted at
+their arrival times; each gets its own ApplicationMaster (any engine from
+the single-job registry — FlexMap jobs co-run with stock-Hadoop jobs).
 
 FlexMap AMs share **one** SpeedMonitor: IPS knowledge about a node learned
 by one job's containers immediately informs every other job's task sizing,
@@ -15,56 +15,28 @@ rounds are numbered per AM lifetime, so the shared monitor is a
 sequence (the monitor's staleness check is round-scoped).
 
 Every job draws its stochastic inputs (skew, overhead jitter, exec noise)
-from streams namespaced by its job id, so adding a job to the mix never
-perturbs the draws other jobs see, and a fixed seed replays the whole
-service run bit-identically.
+from a :meth:`~repro.sim.random.RandomStreams.child` view namespaced by
+its job id, so adding a job to the mix never perturbs the draws other jobs
+see, and a fixed seed replays the whole service run bit-identically.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.speed_monitor import SpeedMonitor
 from repro.engines.base import AMConfig, ApplicationMaster
-from repro.engines.driver import run_job
-from repro.engines.flexmap import FlexMapAM
+from repro.engines.driver import Testbed, run_job
+from repro.engines.flexmap import is_flexmap
 from repro.engines.registry import resolve_engine
-from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import RandomPlacement
 from repro.mapreduce.job import JobSpec
 from repro.multijob.arrivals import ArrivalProcess, JobRequest
 from repro.multijob.policies import ClusterSchedulerPolicy, make_policy
 from repro.multijob.slo import SLOReport, compute_slo
 from repro.obs import Observability
-from repro.sim.engine import Simulator
-from repro.sim.random import RandomStreams
 from repro.sim.trace import JobTrace
-from repro.yarn.resource_manager import ResourceManager
-
-
-class NamespacedStreams:
-    """A per-job view of a RandomStreams family.
-
-    Stream names are prefixed with the job id, so two jobs asking for
-    ``"overhead"`` advance independent generators and job count/order never
-    perturbs another job's draws.
-    """
-
-    def __init__(self, base: RandomStreams, prefix: str) -> None:
-        self._base = base
-        self._prefix = prefix
-        self.seed = base.seed
-
-    def stream(self, name: str):
-        """The job-prefixed persistent stream for ``name``."""
-        return self._base.stream(f"{self._prefix}/{name}")
-
-    def fresh(self, name: str):
-        """A job-prefixed fresh (unshared) generator for ``name``."""
-        return self._base.fresh(f"{self._prefix}/{name}")
 
 
 class SharedSpeedMonitor(SpeedMonitor):
@@ -129,7 +101,7 @@ class ServiceResult:
     report: SLOReport | None = None
 
 
-class ClusterService:
+class ClusterService(Testbed):
     """Drives an arrival stream of jobs over one shared simulated cluster."""
 
     def __init__(
@@ -147,46 +119,16 @@ class ClusterService:
     ) -> None:
         if utilization_period_s <= 0:
             raise ValueError(f"non-positive sampling period: {utilization_period_s}")
-        self.seed = seed
-        self.obs = obs
+        self.policy = make_policy(policy, queues) if isinstance(policy, str) else policy
+        super().__init__(
+            cluster_factory, seed=seed, replication=replication,
+            scheduler=self.policy, obs=obs, failures=failures, check=check,
+        )
         self.arrivals = arrivals
         self.cluster_factory = cluster_factory
         self.replication = replication
         self.utilization_period_s = utilization_period_s
-
-        self.sim = Simulator(obs=obs)
-        self.streams = RandomStreams(seed)
-        self.cluster = cluster_factory()
-        self.cluster.install(self.sim, self.streams)
-        self.policy = (
-            make_policy(policy, queues)
-            if isinstance(policy, str)
-            else policy
-        )
-        self.rm = ResourceManager(
-            self.sim,
-            self.cluster,
-            rng=self.streams.stream("rm-offers"),
-            scheduler=self.policy,
-        )
-        self.namenode = NameNode(
-            [n.node_id for n in self.cluster.nodes],
-            replication=replication,
-            policy=RandomPlacement(),
-            rng=self.streams.stream("placement"),
-        )
-        self.monitor = SharedSpeedMonitor(
-            window=5, obs=obs, clock=lambda: self.sim.now
-        )
-        # Correctness hooks (see repro.check): both are off by default and
-        # cost nothing when absent, like ``obs``.  The checker attaches to
-        # each AM as it registers; the failure schedule fans each crash out
-        # to every AM registered at crash time.
-        if check is not None:
-            check.arm(self.sim, cluster=self.cluster, rm=self.rm)
-        self.failures = failures
-        if failures is not None:
-            failures.install(self.sim, self.cluster, self.rm)
+        self.monitor = SharedSpeedMonitor(window=5, obs=obs, clock=lambda: self.sim.now)
 
         self.outcomes: list[JobOutcome] = []
         self.utilization: list[tuple[float, float]] = []
@@ -239,21 +181,12 @@ class ClusterService:
             name=f"{job_id}-{base_job.name}",
             input_file=f"{job_id}-{base_job.input_file}",
         )
-        streams = NamespacedStreams(self.streams, job_id)
-        num_blocks = int(math.ceil(job.input_mb / spec.block_size_mb))
-        factors = request.workload.cost_factors(num_blocks, streams.stream("skew"))
-        self.namenode.create_file(
-            job.input_file, job.input_mb, spec.block_size_mb, cost_factors=factors
-        )
+        streams = self.streams.child(job_id)
+        self.stage(job, spec.block_size_mb, request.workload, streams)
         config = AMConfig(block_size_mb=spec.block_size_mb, obs=self.obs)
-        # FlexMap engines share the service-wide SpeedMonitor; fixed-size
-        # engines have no sizing state to share.
-        extra: dict = {}
-        if isinstance(spec.factory, type) and issubclass(spec.factory, FlexMapAM):
-            extra["monitor"] = self.monitor
         am = spec.build(
             self.sim, self.cluster, self.rm, self.namenode, job, streams, config,
-            extra=extra,
+            extra={"monitor": self.monitor} if is_flexmap(spec) else None,
         )
         # Register before submit() so queue/weight stick (submit()'s own
         # register call is an idempotent no-op).

@@ -192,3 +192,69 @@ def test_engines_and_multijob_never_import_experiments():
     assert "experiments" not in edges.get("engines", set())
     assert "experiments" not in edges.get("multijob", set())
     assert "experiments" not in edges.get("check", set())
+
+
+# ---------------------------------------------------------------------------
+# unused imports: a module-level import nothing in the module reads is dead
+# code.  Package ``__init__`` re-exports and ``TYPE_CHECKING`` imports are
+# exempt; names a module lists in ``__all__`` count as used.
+# ---------------------------------------------------------------------------
+def _module_level_imports(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of each module-level import outside TYPE_CHECKING."""
+    bound: dict[str, int] = {}
+
+    def visit(nodes) -> None:
+        for node in nodes:
+            if isinstance(node, ast.If):
+                if "TYPE_CHECKING" not in ast.unparse(node.test):
+                    visit(node.body)
+                visit(node.orelse)
+            elif isinstance(node, ast.Try):
+                visit(node.body)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+
+    visit(tree.body)
+    return bound
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name the module reads, string annotations and ``__all__`` included."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            annotation = node.annotation
+        else:
+            annotation = None
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names |= _names_read(ast.parse(sub.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+    return names
+
+
+def test_no_unused_module_level_imports():
+    unused = []
+    for py in sorted(SRC_ROOT.rglob("*.py")):
+        if py.name == "__init__.py":
+            continue
+        tree = ast.parse(py.read_text(), filename=str(py))
+        read = _names_read(tree)
+        for name, line in sorted(_module_level_imports(tree).items()):
+            if name not in read:
+                unused.append(f"{py.relative_to(SRC_ROOT)}:{line} {name}")
+    assert not unused, f"unused module-level imports: {unused}"

@@ -97,12 +97,11 @@ def test_list_shows_policies_and_workloads(capsys):
 
 def test_serve_poisson_small(capsys, tmp_path):
     report_file = tmp_path / "slo.json"
-    bench_file = tmp_path / "bench.json"
     rc = main([
         "serve", "--cluster", "heterogeneous6", "--arrivals", "poisson",
         "--rate", "0.05", "--n-jobs", "4", "--policy", "fair",
         "--seed", "1", "--scale", "0.125", "--no-slowdown",
-        "--report-out", str(report_file), "--bench-out", str(bench_file),
+        "--report-out", str(report_file),
     ])
     assert rc == 0
     out = capsys.readouterr().out
@@ -114,10 +113,6 @@ def test_serve_poisson_small(capsys, tmp_path):
     report = json.loads(report_file.read_text())
     assert report["n_jobs"] == 4
     assert report["policy"] == "fair"
-    bench = json.loads(bench_file.read_text())
-    assert bench["events"] > 0
-    assert bench["events_per_sec"] > 0
-    assert bench["scenario"]["cluster"] == "heterogeneous6"
 
 
 def test_serve_same_seed_same_report(capsys):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.sizing import SizingConfig
+from repro.engines import EngineSpec, FlexMapAM
 from repro.experiments.clusters import heterogeneous6_cluster
 from repro.experiments.iterative import IterativeResult, run_iterative_job
 from repro.workloads.puma import puma
@@ -37,6 +39,24 @@ def test_warm_start_skips_ramp():
     # ...but warm later iterations are faster on average.
     assert sum(warm.iteration_jcts[1:]) < sum(cold.iteration_jcts[1:])
     assert warm.ramp_ratio() > 1.0
+
+
+def test_flexmap_subclass_engine_gets_the_warm_start():
+    monitors = []
+
+    class TracedFlexMapAM(FlexMapAM):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            monitors.append(self.monitor)
+
+    spec = EngineSpec("flexmap-traced", SizingConfig().bu_mb, TracedFlexMapAM)
+    run_iterative_job(het, tiny_job(input_mb=1024.0), spec, iterations=3, seed=2)
+    assert len(monitors) == 3
+    assert len({id(m) for m in monitors}) == 1
+    monitors.clear()
+    run_iterative_job(het, tiny_job(input_mb=1024.0), spec, iterations=3, seed=2,
+                      warm_start=False)
+    assert len({id(m) for m in monitors}) == 3
 
 
 def test_warm_flexmap_beats_stock_total():

@@ -19,7 +19,7 @@ from repro.multijob.policies import (
     FifoPolicy,
     make_policy,
 )
-from repro.multijob.service import ClusterService, NamespacedStreams, SharedSpeedMonitor
+from repro.multijob.service import ClusterService, SharedSpeedMonitor
 from repro.multijob.slo import DistStats, compute_slo
 from repro.sim.random import RandomStreams
 from repro.workloads.puma import puma
@@ -191,13 +191,13 @@ def test_load_arrival_trace_rejects_malformed(tmp_path):
 # ---------------------------------------------------------------------------
 def test_namespaced_streams_isolate_jobs():
     base = RandomStreams(9)
-    a = NamespacedStreams(base, "j000")
-    b = NamespacedStreams(base, "j001")
+    a = base.child("j000")
+    b = base.child("j001")
     draws_a = a.stream("skew").random(4)
     draws_b = b.stream("skew").random(4)
     assert not np.allclose(draws_a, draws_b)
     # Replaying the same (seed, job id, name) reproduces the draws exactly.
-    replay = NamespacedStreams(RandomStreams(9), "j000").stream("skew").random(4)
+    replay = RandomStreams(9).child("j000").stream("skew").random(4)
     assert np.allclose(draws_a, replay)
 
 

@@ -56,6 +56,21 @@ def test_fresh_resets_position():
     assert a == b
 
 
+@pytest.mark.parametrize("name", ["skew", "overhead", "exec-noise"])
+def test_child_stream_is_the_prefixed_stream(name):
+    a = RandomStreams(7).child("j000").stream(name).random(5).tolist()
+    b = RandomStreams(7).stream("j000/" + name).random(5).tolist()
+    assert a == b
+    assert RandomStreams(7).child("j000").fresh(name).random() == b[0]
+
+
+def test_child_shares_the_family_generators():
+    rs = RandomStreams(7)
+    assert rs.child("j000").stream("skew") is rs.stream("j000/skew")
+    assert rs.child("a").child("b").stream("x") is rs.stream("a/b/x")
+    assert rs.child("j000").seed == rs.seed
+
+
 # ---------------------------------------------------------------------------
 # TaskRecord / JobTrace
 # ---------------------------------------------------------------------------
