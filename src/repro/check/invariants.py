@@ -10,7 +10,9 @@ which replaces a method:
 * each AM's :class:`~repro.engines.base.TraceRecorder`, whose ``check``
   attribute holds the AM's ledger (map launches, completions, SkewTune's
   partial commits, failure requeues, job end), plus the AM's heartbeat
-  subscriber list.
+  subscriber list;
+* a FlexMap AM's :class:`~repro.core.speed_monitor.SpeedMonitor`, whose
+  ``check`` attribute holds the checker while it is armed.
 
 Each hook is None (or absent) in a run without a checker, so disabled
 checks cost one ``is not None`` test per call — the same contract as
@@ -44,6 +46,12 @@ Invariant catalogue (rule names appear in every diagnostic):
 ``slot-leak``
     Run-end postconditions: every occupied container was released and
     every node's ``busy_slots`` drained back to zero.
+``incremental-state``
+    Reference mode for the offer path's cached state: every attempt start
+    and end moves the AM's ``state_epoch``; a memoised straggler-scan
+    decline is rescanned in full and must decline again; the speculator's
+    fresh-copy estimate equals a scan of the whole trace; and every cached
+    node speed equals the mean of the node's sample window.
 """
 
 from __future__ import annotations
@@ -97,7 +105,9 @@ class CheckReport:
 class _AMLedger:
     """Per-application ledger, fed by the AM's ``TraceRecorder``."""
 
-    __slots__ = ("checker", "am", "last_round", "last_round_time", "blocks")
+    __slots__ = (
+        "checker", "am", "last_round", "last_round_time", "blocks", "last_epoch"
+    )
 
     def __init__(self, checker: "InvariantChecker", am: "ApplicationMaster") -> None:
         self.checker = checker
@@ -106,6 +116,37 @@ class _AMLedger:
         self.last_round_time = -math.inf
         # block_id -> "inflight" | "done"; absent = assignable.
         self.blocks: dict[int, str] = {}
+        self.last_epoch = am.state_epoch
+
+    # -- incremental state ------------------------------------------------
+    def attempt_event(self) -> None:
+        """An attempt started or ended: the AM's state epoch must have
+        moved since the previous one, or memoised declines go stale."""
+        checker = self.checker
+        checker._count("incremental-state")
+        epoch = self.am.state_epoch
+        if epoch == self.last_epoch:
+            checker._violate(
+                "incremental-state",
+                f"{self.am.job.name}: an attempt started or ended at "
+                f"t={self.am.sim.now:.3f} without a state-epoch bump",
+            )
+        self.last_epoch = epoch
+
+    def memoised_decline(self, scan: str, victim) -> None:
+        """A scan declined from its memo; the full rescan found ``victim``."""
+        checker = self.checker
+        checker._count("incremental-state")
+        if victim is not None:
+            checker._violate(
+                "incremental-state",
+                f"{self.am.job.name}: {scan} declined from its memo at "
+                f"t={self.am.sim.now:.3f}, but a full scan picks "
+                f"{victim.task_id}",
+            )
+
+    def incremental_state(self, what: str, cached, reference) -> None:
+        self.checker.incremental_state(f"{self.am.job.name}: {what}", cached, reference)
 
     # -- TraceRecorder milestones ---------------------------------------
     def map_launched(self, assignment) -> None:
@@ -210,6 +251,16 @@ class InvariantChecker:
     def _count(self, rule: str, n: int = 1) -> None:
         self.checks[rule] = self.checks.get(rule, 0) + n
 
+    def incremental_state(self, what: str, cached, reference) -> None:
+        """A cached value read on the offer path must equal its from-scratch
+        recomputation exactly."""
+        self._count("incremental-state")
+        if cached != reference:
+            self._violate(
+                "incremental-state",
+                f"{what}: cached {cached!r} != recomputed {reference!r}",
+            )
+
     # ------------------------------------------------------------------
     # arming
     # ------------------------------------------------------------------
@@ -244,6 +295,9 @@ class InvariantChecker:
             self._rm.audit = None
         for ledger in self._ledgers.values():
             ledger.am.recorder.check = None
+            monitor = getattr(ledger.am, "monitor", None)
+            if monitor is not None:
+                monitor.check = None
 
     # ------------------------------------------------------------------
     # engine: clock + slot bounds, checked after every event
@@ -333,6 +387,9 @@ class InvariantChecker:
         ledger = _AMLedger(self, am)
         self._ledgers[id(am)] = ledger
         am.recorder.check = ledger
+        monitor = getattr(am, "monitor", None)
+        if monitor is not None:
+            monitor.check = self
         am.heartbeat.subscribe(lambda round_no: self._on_round(ledger, round_no))
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ claims to catch has a corresponding *mutation* here — a test-only fault
 injected into a live run — and ``tests/test_check_mutations.py`` asserts
 the checker reports it with a precise diagnostic.
 
-The three mutations:
+The four mutations:
 
 ``double-assign-bu``
     After the first map task launches, its first block unit is re-inserted
@@ -21,6 +21,11 @@ The three mutations:
 ``skip-heartbeat``
     The AM's heartbeat ticker skips a round number (reports 1, 2, 4, ...),
     as a buggy restart/renumbering would.  Caught by ``heartbeat-order``.
+``stale-decline-memo``
+    A map completion leaves the AM's ``state_epoch`` where it was, so a
+    straggler scan that declined earlier at the same instant would answer
+    from its memo although the running set and completed runtimes changed.
+    Caught by ``incremental-state`` when the completion is recorded.
 
 ``apply_mutation(name, checker)`` wraps the checker's ``arm``: once the
 checker is armed on a run, the mutation wraps that run's ``rm.register``,
@@ -41,6 +46,7 @@ MUTATIONS: tuple[str, ...] = (
     "double-assign-bu",
     "leak-slot-on-failure",
     "skip-heartbeat",
+    "stale-decline-memo",
 )
 
 
@@ -58,6 +64,7 @@ def apply_mutation(name: str, checker: "InvariantChecker") -> None:
         "double-assign-bu": _install_double_assign,
         "leak-slot-on-failure": _install_leak_slot,
         "skip-heartbeat": _install_skip_heartbeat,
+        "stale-decline-memo": _install_stale_decline_memo,
     }[name]
     inner_arm = checker.arm
 
@@ -145,3 +152,15 @@ def _install_skip_heartbeat(am: "ApplicationMaster") -> None:
         inner_tick()
 
     heartbeat._tick = _tick  # type: ignore[method-assign]
+
+
+def _install_stale_decline_memo(am: "ApplicationMaster") -> None:
+    """Swallow the state-epoch bump of every successful map completion."""
+    maps = am.maps
+    inner_finished = maps.finished
+
+    def finished(attempt, container) -> None:
+        am.state_epoch -= 1  # cancels the bump ``finished`` makes
+        inner_finished(attempt, container)
+
+    maps.finished = finished  # type: ignore[method-assign]

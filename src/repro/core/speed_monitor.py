@@ -18,6 +18,15 @@ restarted numbering is not mistaken for stale rounds.
 ``getSpeed`` exposes the smoothed per-node estimate; ``relative_speed``
 normalizes to the slowest known node, the quantity Algorithm 1's horizontal
 scaling consumes.
+
+Reads are cheap because the offer path makes them on every container
+offer: each new sample stores the node's smoothed speed (the window mean,
+``sum(bucket) / len(bucket)``) and the slowest one, and bumps
+:attr:`SpeedMonitor.version`, so ``get_speed`` and ``slowest_speed`` are
+plain reads and callers may cache anything derived from the speeds per
+version.  While a :class:`repro.check.InvariantChecker` is armed
+(:attr:`SpeedMonitor.check`), every cached read is compared with the
+window means recomputed from scratch.
 """
 
 from __future__ import annotations
@@ -32,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class SpeedMonitor:
     """Sliding-window IPS estimates per node."""
 
+    #: A :class:`repro.check.InvariantChecker` set while one is armed on a
+    #: run using this monitor; it checks each cached speed read.
+    check = None
+
     def __init__(
         self,
         window: int = 5,
@@ -42,6 +55,12 @@ class SpeedMonitor:
             raise ValueError(f"window must be >= 1: {window}")
         self.window = window
         self._samples: dict[str, deque[float]] = {}
+        # Smoothed speed per node and their minimum, refreshed on every
+        # sample.
+        self._speeds: dict[str, float] = {}
+        self._slowest: float | None = None
+        #: Bumped on every new sample; speed-derived caches key on it.
+        self.version = 0
         self._last_round: dict[str, int] = {}
         self.stale_reports = 0
         self.obs = obs
@@ -106,6 +125,9 @@ class SpeedMonitor:
     ) -> None:
         bucket = self._samples.setdefault(node_id, deque(maxlen=self.window))
         bucket.append(value)
+        self._speeds[node_id] = sum(bucket) / len(bucket)
+        self._slowest = min(self._speeds.values())
+        self.version += 1
         if self.obs is not None:
             self.obs.metrics.counter("monitor.samples").inc()
             self.obs.trace.emit(
@@ -115,7 +137,7 @@ class SpeedMonitor:
                 source=source,
                 round=round_no,
                 sample=round(value, 4),
-                smoothed=round(sum(bucket) / len(bucket), 4),
+                smoothed=round(self._speeds[node_id], 4),
             )
 
     # ------------------------------------------------------------------
@@ -127,16 +149,26 @@ class SpeedMonitor:
 
     def get_speed(self, node_id: str) -> float | None:
         """Smoothed IPS for the node, or None before any feedback."""
-        bucket = self._samples.get(node_id)
-        if not bucket:
-            return None
-        return sum(bucket) / len(bucket)
+        speed = self._speeds.get(node_id)
+        if self.check is not None and speed is not None:
+            self.check.incremental_state(
+                f"speed of {node_id}", speed, self._window_mean(node_id)
+            )
+        return speed
 
     def slowest_speed(self) -> float | None:
         """Smallest smoothed IPS across known nodes, or None."""
-        speeds = [self.get_speed(n) for n in self._samples]
-        speeds = [s for s in speeds if s is not None]
-        return min(speeds) if speeds else None
+        if self.check is not None:
+            means = [self._window_mean(n) for n in self._samples]
+            self.check.incremental_state(
+                "slowest speed", self._slowest, min(means) if means else None
+            )
+        return self._slowest
+
+    def _window_mean(self, node_id: str) -> float:
+        """The node's smoothed speed recomputed from its sample window."""
+        bucket = self._samples[node_id]
+        return sum(bucket) / len(bucket)
 
     def relative_speed(self, node_id: str) -> float:
         """Node speed over the slowest known node's speed (>= 1 ideally).

@@ -25,6 +25,14 @@ which also feeds ``repro.check``: when ``recorder.check`` holds an
 :class:`~repro.check.InvariantChecker` ledger, the recorder forwards map
 launches, completions, stops and requeues plus the job end to it.
 
+Every attempt start and end also bumps ``ApplicationMaster.state_epoch``
+at that one call site (``MapPhaseDriver.launch/finished/finalize_stopped/
+kill``, ``ReducePhaseDriver.launch/finished/kill``).  The straggler scans
+(LATE's map and reduce backups, SkewTune's mitigation) run through a
+:class:`DeclineMemo`, which remembers a decline under ``(sim.now,
+state_epoch)`` and answers a repeat offer with the same key without
+rescanning.
+
 Reducers are launched after the map phase completes (slowstart = 1.0, the
 conservative Hadoop setting; the paper's analysis treats the phases as
 sequential).
@@ -77,6 +85,40 @@ class MapAssignment:
     alg1_bus: int = 0  # FlexMap: Algorithm 1's size before the tail cap
 
 
+class DeclineMemo:
+    """A straggler scan that remembers its last decline.
+
+    ``scan()`` returns the attempt to act on, or None to decline.  Calling
+    the memo runs the scan, except that a decline is remembered under
+    ``(sim.now, am.state_epoch)`` and a repeat call with that key declines
+    without scanning.  This is exact: the AM bumps ``state_epoch`` at every
+    attempt start and end, and at one instant a straggler scan depends only
+    on the running set, the speculated ids, the completed runtimes and each
+    attempt's progress.  While a checker is armed (``recorder.check``), a
+    remembered decline is rescanned and the rescan must decline too.
+    """
+
+    __slots__ = ("am", "name", "scan", "_key")
+
+    def __init__(self, am: "ApplicationMaster", name: str, scan) -> None:
+        self.am = am
+        self.name = name
+        self.scan = scan
+        self._key: tuple[float, int] | None = None
+
+    def __call__(self) -> TaskAttempt | None:
+        am = self.am
+        key = (am.sim.now, am.state_epoch)
+        if key == self._key:
+            if am.recorder.check is not None:
+                am.recorder.check.memoised_decline(self.name, self.scan())
+            return None
+        victim = self.scan()
+        if victim is None:
+            self._key = key
+        return victim
+
+
 class TraceRecorder:
     """Owns the job trace and every structured observability emission.
 
@@ -86,6 +128,11 @@ class TraceRecorder:
     attached) the typed JSONL trace events and metric counters.  Keeping
     all emission in one object guarantees a run without ``obs`` pays
     nothing and that refactors cannot reorder the event stream.
+
+    It also keeps :attr:`completed_runtimes`, the runtimes of the non-killed
+    attempts of each kind with a positive runtime, in trace order, from
+    which the speculator takes its fresh-copy estimate without rescanning
+    the trace.  Records are final when they are added.
     """
 
     #: Per-AM ledger of a :class:`repro.check.InvariantChecker`, set while
@@ -96,11 +143,16 @@ class TraceRecorder:
         self.am = am
         self.obs = am.obs
         self.trace = JobTrace(job_id=am.job.name)
+        self.completed_runtimes: dict[str, list[float]] = {"map": [], "reduce": []}
 
     # -- record bookkeeping --------------------------------------------
     def add(self, record: "TaskRecord") -> None:
         """Append a finished/killed attempt record to the job trace."""
         self.trace.add(record)
+        if not record.killed and record.runtime > 0:
+            self.completed_runtimes[record.kind].append(record.runtime)
+        if self.check is not None:
+            self.check.attempt_event()
 
     # -- job lifecycle --------------------------------------------------
     def job_submitted(self) -> None:
@@ -168,6 +220,7 @@ class TraceRecorder:
         if math.isnan(self.trace.map_phase_start):
             self.trace.map_phase_start = am.sim.now
         if self.check is not None:
+            self.check.attempt_event()
             self.check.map_launched(assignment)
 
     def map_completed(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
@@ -200,6 +253,8 @@ class TraceRecorder:
     # -- reduce phase ------------------------------------------------------
     def reduce_launched(self, task_id: str, node, share: float, speculative: bool) -> None:
         """Record a reducer launch."""
+        if self.check is not None:
+            self.check.attempt_event()
         if self.obs is not None:
             self.obs.metrics.counter("am.reduces_launched").inc()
             self.obs.trace.emit(
@@ -276,6 +331,7 @@ class MapPhaseDriver:
     def launch(self, container: Container, assignment: MapAssignment) -> None:
         """Occupy the container and start the map attempt's three phases."""
         am = self.am
+        am.state_epoch += 1
         am.rm.occupy(container)
         node = container.node
         split = assignment.split
@@ -308,6 +364,7 @@ class MapPhaseDriver:
     def finished(self, attempt: TaskAttempt, container: Container) -> None:
         """Successful completion: commit output, release, check phase end."""
         am = self.am
+        am.state_epoch += 1
         assignment = self.running.pop(attempt)
         self.containers.pop(attempt, None)
         am.recorder.add(attempt.record)
@@ -323,6 +380,7 @@ class MapPhaseDriver:
     def finalize_stopped(self, attempt: TaskAttempt, container: Container) -> None:
         """Bookkeeping for an attempt stopped early with committed output."""
         am = self.am
+        am.state_epoch += 1
         assignment = self.running.pop(attempt, None)
         self.containers.pop(attempt, None)
         if assignment is not None:
@@ -339,6 +397,7 @@ class MapPhaseDriver:
 
         Returns the attempt's assignment, whose input the caller may requeue.
         """
+        self.am.state_epoch += 1
         attempt.kill()
         assignment = self.running.pop(attempt)
         self.am.recorder.add(attempt.record)
@@ -378,6 +437,7 @@ class ReducePhaseDriver:
         self.seq = 0
         self.speculated_ids: set[str] = set()
         self.done_ids: set[str] = set()
+        self._declines = DeclineMemo(am, "reduce speculation", self._victim)
 
     # -- phase transition --------------------------------------------------
     def begin(self) -> None:
@@ -406,6 +466,7 @@ class ReducePhaseDriver:
     ) -> None:
         """Occupy the container and start a reduce attempt."""
         am = self.am
+        am.state_epoch += 1
         am.rm.occupy(container)
         if not speculative:
             self.pending -= 1
@@ -436,6 +497,7 @@ class ReducePhaseDriver:
     def finished(self, attempt: TaskAttempt, container: Container) -> None:
         """Reducer completion; the first copy home wins a speculation race."""
         am = self.am
+        am.state_epoch += 1
         self.running.pop(attempt, None)
         am.recorder.add(attempt.record)
         am.recorder.reduce_completed(attempt)
@@ -449,6 +511,7 @@ class ReducePhaseDriver:
 
     def kill(self, attempt: TaskAttempt) -> None:
         """Kill a running reducer, discard its output, free its container."""
+        self.am.state_epoch += 1
         attempt.kill()
         container = self.running.pop(attempt)
         self.am.recorder.add(attempt.record)
@@ -457,18 +520,24 @@ class ReducePhaseDriver:
     # -- speculation -----------------------------------------------------------
     def maybe_speculate(self, container: Container) -> bool:
         """Back up the worst reduce straggler on an idle container (LATE)."""
+        victim = self._declines()
+        if victim is None:
+            return False
+        self.speculated_ids.add(victim.task_id)
+        self.launch(container, task_id=victim.task_id, speculative=True)
+        return True
+
+    def _victim(self) -> TaskAttempt | None:
+        """The reduce straggler with the longest estimated time left, or None."""
         am = self.am
         if not am._reduce_speculation_enabled():
-            return False
+            return None
         candidates = am.speculation.stragglers(
             self.running, "reduce", self.speculated_ids
         )
         if not candidates:
-            return False
-        victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
-        self.speculated_ids.add(victim.task_id)
-        self.launch(container, task_id=victim.task_id, speculative=True)
-        return True
+            return None
+        return max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
 
 
 class ApplicationMaster:
@@ -504,6 +573,9 @@ class ApplicationMaster:
         self.store = IntermediateStore()
         self.heartbeat = HeartbeatService(sim, self.config.heartbeat_period_s)
         self.recorder = TraceRecorder(self)
+        #: Bumped at every attempt start and end; memoised scan declines
+        #: key on ``(sim.now, state_epoch)``.
+        self.state_epoch = 0
         self.maps = MapPhaseDriver(self)
         self.reduces = ReducePhaseDriver(self)
         self.job_done = False

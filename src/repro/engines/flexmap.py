@@ -11,6 +11,11 @@ Workflow, numbered as in the paper:
 5. dispatch the elastic map task;
 6. containers report IPS through 5 s heartbeats.
 
+Step 4 runs on every offer, so it reads cached state: the speculative
+backup path is taken directly once no BU is left to bind, and the tail
+cap's per-node speeds and capacity sum are rebuilt only when the
+SpeedMonitor's ``version`` moves.
+
 Reducers are dispatched with the capacity-squared bias of Section III-F.
 FlexMap is implemented on top of YARN (Section III-G), whose LATE
 speculator keeps running underneath: elastic sizing removes most stragglers
@@ -78,6 +83,8 @@ class FlexMapAM(ApplicationMaster):
         self._completions: dict[str, int] = {}
         self._wave_productivity: dict[str, list[float]] = {}
         self._wave_adjusted: dict[str, int] = {}
+        # (monitor version, per-node speeds, slot-weighted capacity sum)
+        self._capacity: tuple[int, dict[str, float], float] | None = None
         # (sim time, node, assigned BUs, Algorithm-1 BUs before the tail
         # cap, productivity) — the Fig. 7 timeline.
         self.sizing_log: list[tuple[float, str, int, int, float]] = []
@@ -100,6 +107,9 @@ class FlexMapAM(ApplicationMaster):
 
     def select_map(self, container: Container) -> MapAssignment | None:
         assert self.binder is not None
+        if self.binder.unprocessed_bus == 0:
+            # No BUs left: the idle container may still back up a straggler.
+            return self.speculation.select_speculative(container)
         node_id = container.node_id
         n_bus = self.dp.task_size_bus(node_id) if self.horizontal_scaling else (
             self.sizer.task_size_bus(node_id, 1.0)
@@ -107,9 +117,7 @@ class FlexMapAM(ApplicationMaster):
         alg1 = n_bus
         n_bus = min(n_bus, self._tail_cap(node_id))
         split = self.binder.bind(node_id, n_bus)
-        if split is None:
-            # No BUs left: the idle container may still back up a straggler.
-            return self.speculation.select_speculative(container)
+        assert split is not None  # BUs remain, so bind takes at least one
         wave = self._completions.get(node_id, 0) // max(1, container.node.slots)
         assignment = MapAssignment(
             task_id=self.maps.next_task_id(),
@@ -150,11 +158,16 @@ class FlexMapAM(ApplicationMaster):
         """
         assert self.binder is not None
         remaining = self.binder.unprocessed_bus
-        speeds = {
-            n.node_id: self.monitor.get_speed(n.node_id) or 1.0
-            for n in self.cluster.nodes
-        }
-        total_capacity = sum(speeds[n.node_id] * n.slots for n in self.cluster.nodes)
+        version = self.monitor.version
+        if self._capacity is None or self._capacity[0] != version:
+            speeds = {
+                n.node_id: self.monitor.get_speed(n.node_id) or 1.0
+                for n in self.cluster.nodes
+            }
+            capacity = sum(speeds[n.node_id] * n.slots for n in self.cluster.nodes)
+            self._capacity = (version, speeds, capacity)
+        _, speeds, total_capacity = self._capacity
+        # The app count changes without a monitor sample: divide per call.
         total_capacity /= getattr(self.rm, "num_active_apps", 1)
         share = speeds[node_id] / total_capacity if total_capacity > 0 else 1.0
         return max(1, int(math.ceil(remaining * share)))

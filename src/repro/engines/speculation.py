@@ -16,6 +16,26 @@ candidate with the longest estimated time left).
 Whichever copy finishes first wins; the loser is killed and its record is
 marked ``killed`` (wasted work — one of the costs Fig. 8's "No Speculation"
 variant avoids).
+
+The scans run on every idle-container offer, so they cost in proportion to
+what changed:
+
+* the fresh-copy estimate is the mean of the completed runtimes the
+  :class:`~repro.engines.base.TraceRecorder` keeps per kind, recomputed
+  only when a runtime was added;
+* both scans run through a :class:`~repro.engines.base.DeclineMemo`: a
+  decline is remembered under ``(sim.now, am.state_epoch)``, and a repeat
+  offer with that key declines without rescanning.  The AM bumps
+  ``state_epoch`` at every attempt start and end; at one instant the
+  decision depends only on the running set, the speculated ids, the
+  completed runtimes and each attempt's progress, and progress at ``t``
+  does not move when a node's rate changes at ``t``.  The memo is
+  therefore exact.
+
+While a :class:`repro.check.InvariantChecker` is armed (the AM's
+``recorder.check``), each memoised decline reruns the full scan, which
+must decline too, and the fresh-copy estimate is compared with a scan of
+the whole trace.
 """
 
 from __future__ import annotations
@@ -26,13 +46,14 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.engines.base import MapAssignment
+from repro.engines.base import DeclineMemo, MapAssignment
 from repro.mapreduce.attempt import TaskAttempt
 from repro.mapreduce.split import InputSplit
 from repro.yarn.container import Container
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engines.base import ApplicationMaster
+    from repro.sim.trace import TaskRecord
 
 
 @dataclass(frozen=True)
@@ -54,14 +75,16 @@ class SpeculationManager:
         self.config = config
         self.speculated_tasks: set[str] = set()
         self.launched = 0
+        # Live-backup cap: node slot counts never change.
+        self._cap = max(1, int(config.speculative_cap_frac * am.cluster.total_slots))
+        # kind -> (completed runtimes averaged, their mean)
+        self._fresh: dict[str, tuple[int, float]] = {}
+        self._declines = DeclineMemo(am, "map speculation", self._victim)
 
     # ------------------------------------------------------------------
     def live_backups(self) -> list[TaskAttempt]:
         """Speculative copies currently running."""
         return [a for a in self.am.maps.running if a.record.speculative]
-
-    def _cap(self) -> int:
-        return max(1, int(self.config.speculative_cap_frac * self.am.cluster.total_slots))
 
     def _fresh_copy_estimate_s(self, kind: str) -> float:
         """Expected runtime of a re-execution, from completed attempts of
@@ -73,14 +96,19 @@ class SpeculationManager:
         has completed (nothing to estimate from, and first-wave speculation
         is premature).
         """
-        done = [
-            r
-            for r in self.am.trace.records
-            if r.kind == kind and not r.killed and r.runtime > 0
-        ]
-        if not done:
-            return math.inf
-        return sum(r.runtime for r in done) / len(done)
+        recorder = self.am.recorder
+        runtimes = recorder.completed_runtimes[kind]
+        cached = self._fresh.get(kind)
+        if cached is None or cached[0] != len(runtimes):
+            mean = sum(runtimes) / len(runtimes) if runtimes else math.inf
+            cached = self._fresh[kind] = (len(runtimes), mean)
+        if recorder.check is not None:
+            recorder.check.incremental_state(
+                f"{kind} fresh-copy estimate",
+                cached[1],
+                fresh_copy_estimate_from_records(recorder.trace.records, kind),
+            )
+        return cached[1]
 
     def stragglers(
         self, running: Iterable[TaskAttempt], kind: str, speculated: set[str]
@@ -106,13 +134,7 @@ class SpeculationManager:
 
     def select_speculative(self, container: Container) -> MapAssignment | None:
         """Pick a straggler to back up on the offered container."""
-        cfg = self.config
-        if not cfg.enabled or len(self.live_backups()) >= self._cap():
-            return None
-        candidates = self.stragglers(self.am.maps.running, "map", self.speculated_tasks)
-        if not candidates:
-            return None
-        victim = self._pick_late(candidates)
+        victim = self._declines()
         if victim is None:
             return None
         # Re-read the victim's blocks on the new node; locality recomputed.
@@ -126,6 +148,15 @@ class SpeculationManager:
         self.speculated_tasks.add(victim.task_id)
         self.launched += 1
         return assignment
+
+    def _victim(self) -> TaskAttempt | None:
+        """The map straggler LATE would back up now, or None."""
+        if not self.config.enabled or len(self.live_backups()) >= self._cap:
+            return None
+        candidates = self.stragglers(self.am.maps.running, "map", self.speculated_tasks)
+        if not candidates:
+            return None
+        return self._pick_late(candidates)
 
     def _pick_late(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:
         rates = np.array([a.progress_rate() for a in candidates])
@@ -157,3 +188,13 @@ class SpeculationManager:
             # Last wave: keep poking the RM so free slots get offered for
             # speculation even though no regular work remains.
             self.am.rm.request_offers()
+
+
+def fresh_copy_estimate_from_records(records: Iterable["TaskRecord"], kind: str) -> float:
+    """The fresh-copy estimate recomputed by scanning a whole trace: the
+    mean runtime of the non-killed ``kind`` attempts with positive runtime,
+    or infinity before there is one."""
+    done = [r for r in records if r.kind == kind and not r.killed and r.runtime > 0]
+    if not done:
+        return math.inf
+    return sum(r.runtime for r in done) / len(done)

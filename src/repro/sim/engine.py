@@ -88,7 +88,7 @@ class Simulator:
         """Schedule ``callback`` to fire at absolute simulation ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        handle = EventHandle(time, callback, sim=self)
+        handle = EventHandle(time, callback, self)
         heapq.heappush(self._heap, _Entry(time, self._seq, handle))
         self._seq += 1
         return handle

@@ -2,8 +2,9 @@
 
 Each mutation in :mod:`repro.check.mutations` breaks one invariant the
 checker claims to enforce — BU conservation, container/slot accounting,
-heartbeat ordering.  If any of these tests fails, the checker has a blind
-spot: it would wave through a scheduler bug of that class.
+heartbeat ordering, the offer path's incremental state.  If any of these
+tests fails, the checker has a blind spot: it would wave through a
+scheduler bug of that class.
 """
 
 import pytest
@@ -24,6 +25,10 @@ CASES = {
         "slot-leak",
     ),
     "skip-heartbeat": (ScenarioConfig(mutation="skip-heartbeat"), "heartbeat-order"),
+    "stale-decline-memo": (
+        ScenarioConfig(mutation="stale-decline-memo"),
+        "incremental-state",
+    ),
 }
 
 
@@ -44,6 +49,10 @@ MULTIJOB_CASES = {
     "skip-heartbeat": (
         ScenarioConfig(n_jobs=2, mutation="skip-heartbeat"),
         "round jumped 2 -> 4",
+    ),
+    "stale-decline-memo": (
+        ScenarioConfig(n_jobs=2, mutation="stale-decline-memo"),
+        "without a state-epoch bump",
     ),
 }
 
