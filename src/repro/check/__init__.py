@@ -17,7 +17,7 @@ disabled (the :mod:`repro.obs` contract):
   properties across engines and configs (speed scaling, failure-free
   golden equivalence, cross-engine byte conservation).
 
-:mod:`repro.check.mutations` holds three deliberately seeded bugs used by
+:mod:`repro.check.mutations` holds four deliberately seeded bugs used by
 the mutation-style self-test to prove the checker actually catches the
 failure classes it claims to.
 """

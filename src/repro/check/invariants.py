@@ -1,6 +1,6 @@
 """Runtime invariant checker for the discrete-event simulation stack.
 
-The checker reads a live run through three plain hook points, none of
+The checker reads a live run through four plain hook points, none of
 which replaces a method:
 
 * :meth:`repro.sim.engine.Simulator.install_step_interceptor` — called
@@ -474,45 +474,44 @@ class InvariantChecker:
             )
 
     # ------------------------------------------------------------------
-    def finalize(self, expect_complete: bool = True) -> CheckReport:
+    def finalize(self) -> CheckReport:
         """Run-end postconditions; returns the accumulated report.
 
-        Idempotent.  ``expect_complete=False`` skips the job-completion and
-        drained-slot requirements (for deliberately truncated runs).
+        Idempotent.  Every run is expected to have completed its jobs and
+        drained every slot.
         """
         if not self._finalized:
             self._finalized = True
-            if expect_complete:
-                for ledger in self._ledgers.values():
-                    self._count("terminal-state")
-                    if not ledger.am.job_done:
-                        self._violate(
-                            "terminal-state",
-                            f"{ledger.am.job.name}: run ended before the job "
-                            "completed",
-                        )
-                leaked = sorted(
-                    (cid, self._container_nodes.get(cid, "?"))
-                    for cid, held in self._containers.items()
-                    if held == "occupied"
-                )
-                self._count("slot-leak")
-                if leaked:
-                    cid, node = leaked[0]
+            for ledger in self._ledgers.values():
+                self._count("terminal-state")
+                if not ledger.am.job_done:
                     self._violate(
-                        "slot-leak",
-                        f"{len(leaked)} container(s) never released "
-                        f"(first: #{cid} on node {node})",
+                        "terminal-state",
+                        f"{ledger.am.job.name}: run ended before the job "
+                        "completed",
                     )
-                if self._cluster is not None:
-                    for node in self._cluster.nodes:
-                        self._count("slot-leak")
-                        if node.busy_slots != 0:
-                            self._violate(
-                                "slot-leak",
-                                f"node {node.node_id} still holds "
-                                f"{node.busy_slots} busy slot(s) at run end",
-                            )
+            leaked = sorted(
+                (cid, self._container_nodes.get(cid, "?"))
+                for cid, held in self._containers.items()
+                if held == "occupied"
+            )
+            self._count("slot-leak")
+            if leaked:
+                cid, node = leaked[0]
+                self._violate(
+                    "slot-leak",
+                    f"{len(leaked)} container(s) never released "
+                    f"(first: #{cid} on node {node})",
+                )
+            if self._cluster is not None:
+                for node in self._cluster.nodes:
+                    self._count("slot-leak")
+                    if node.busy_slots != 0:
+                        self._violate(
+                            "slot-leak",
+                            f"node {node.node_id} still holds "
+                            f"{node.busy_slots} busy slot(s) at run end",
+                        )
             self.detach()
         return CheckReport(
             checks=dict(self.checks),

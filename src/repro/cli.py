@@ -124,18 +124,14 @@ def cmd_run(args) -> int:
 def cmd_trace(args) -> int:
     """Inspect a recorded JSONL trace."""
     if args.trace_command == "summarize":
-        import json
-
         from repro.obs.summarize import summarize_trace
 
         try:
             print(summarize_trace(args.file, width=args.width))
-        except FileNotFoundError:
-            print(f"error: no such trace file: {args.file}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.file} is not valid JSONL: {exc}", file=sys.stderr)
-            return 2
+        except OSError as exc:
+            args.usage_error(f"cannot read trace file: {exc}")
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            args.usage_error(f"{args.file} is not a JSONL trace: {exc}")
     return 0
 
 
@@ -174,12 +170,12 @@ def _parse_queues(text: str | None) -> dict[str, float] | None:
         if not part:
             continue
         if "=" not in part:
-            raise SystemExit(f"bad queue spec {part!r}; expected name=weight")
+            raise ValueError(f"bad queue spec {part!r}; expected name=weight")
         name, _, weight = part.partition("=")
         try:
             queues[name.strip()] = float(weight)
         except ValueError:
-            raise SystemExit(f"bad queue weight in {part!r}") from None
+            raise ValueError(f"bad queue weight in {part!r}") from None
     return queues or None
 
 
@@ -190,23 +186,19 @@ def cmd_serve(args) -> int:
         PoissonArrivals,
         load_arrival_trace,
     )
+    from repro.multijob.policies import make_policy
     from repro.multijob.service import ClusterService
     from repro.sim.random import RandomStreams
 
     if args.queues and args.policy != "capacity":
         args.usage_error("--queues applies only to --policy capacity")
-    obs = None
-    if args.trace_out:
-        from repro.obs import Observability
-
-        obs = Observability.for_files(trace_path=args.trace_out)
-
+    if args.arrivals == "trace" and not args.trace_file:
+        args.usage_error("--arrivals trace requires --trace-file")
     engines = tuple(args.engines)
     benchmarks = tuple(args.benchmarks)
-    if args.arrivals == "trace" and not args.trace_file:
-        raise SystemExit("--arrivals trace requires --trace-file")
-    # The arrival processes and the service validate their settings; a bad
-    # value is a usage error, reported like any other argparse error.
+    # The arrival processes and the policy validate their settings; a bad
+    # value or an unreadable trace file is a usage error, reported like any
+    # other argparse error before the trace sink is opened.
     try:
         if args.arrivals == "poisson":
             arrivals = PoissonArrivals(
@@ -228,19 +220,24 @@ def cmd_serve(args) -> int:
             )
         else:  # trace
             arrivals = load_arrival_trace(args.trace_file)
-        service = ClusterService(
-            CLUSTERS[args.cluster],
-            arrivals,
-            policy=args.policy,
-            seed=args.seed,
-            queues=_parse_queues(args.queues),
-            utilization_period_s=args.util_period,
-            obs=obs,
-        )
+        policy = make_policy(args.policy, _parse_queues(args.queues))
+    except OSError as exc:
+        args.usage_error(f"cannot read trace file: {exc}")
     except ValueError as exc:
-        if obs is not None:
-            obs.close()
         args.usage_error(str(exc))
+    obs = None
+    if args.trace_out:
+        from repro.obs import Observability
+
+        obs = Observability.for_files(trace_path=args.trace_out)
+    service = ClusterService(
+        CLUSTERS[args.cluster],
+        arrivals,
+        policy=policy,
+        seed=args.seed,
+        utilization_period_s=args.util_period,
+        obs=obs,
+    )
     result = service.run(compute_slowdown=not args.no_slowdown)
     print(result.report.render())
     if obs is not None:
@@ -438,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--scale", type=float, default=0.125,
                        help="input scale vs. Table II small sizes")
     p_srv.add_argument("--seed", type=_seed, default=1)
-    p_srv.add_argument("--util-period", type=float, default=5.0,
+    p_srv.add_argument("--util-period", type=_positive(float), default=5.0,
                        help="utilization sampling period (sim seconds)")
     p_srv.add_argument("--no-slowdown", action="store_true",
                        help="skip the isolated baseline runs (faster)")
@@ -481,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("file", help="JSONL trace from `repro run --trace-out`")
     p_sum.add_argument("--width", type=_positive(int), default=48,
                        help="sparkline width in characters")
+    p_sum.set_defaults(usage_error=p_sum.error)
 
     return parser
 

@@ -69,7 +69,6 @@ class AMConfig:
 
     block_size_mb: float = 64.0  # split size for fixed-size engines
     overhead: OverheadModel = field(default_factory=OverheadModel)
-    heartbeat_period_s: float = 5.0
     obs: Observability | None = None  # structured tracing/metrics (off = None)
 
 
@@ -571,7 +570,7 @@ class ApplicationMaster:
         self.config = config or AMConfig()
         self.obs = self.config.obs
         self.store = IntermediateStore()
-        self.heartbeat = HeartbeatService(sim, self.config.heartbeat_period_s)
+        self.heartbeat = HeartbeatService(sim)
         self.recorder = TraceRecorder(self)
         #: Bumped at every attempt start and end; memoised scan declines
         #: key on ``(sim.now, state_epoch)``.

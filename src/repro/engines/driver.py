@@ -25,7 +25,7 @@ from repro.cluster.topology import Cluster
 from repro.engines.base import AMConfig, ApplicationMaster
 from repro.engines.registry import EngineSpec, resolve_engine
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import PlacementPolicy, RandomPlacement
+from repro.hdfs.placement import RandomPlacement
 from repro.mapreduce.job import JobSpec
 from repro.metrics.efficiency import job_efficiency
 from repro.obs import Observability
@@ -40,7 +40,7 @@ class Testbed:
     """One simulated cluster: Simulator, streams, cluster, HDFS and YARN.
 
     The cluster's interference process is installed on construction; the
-    NameNode places replicas from the ``placement`` stream and the
+    NameNode places replicas at random from the ``placement`` stream and the
     ResourceManager shuffles each offer round from the ``rm-offers``
     stream, under the optional cluster ``scheduler`` policy.  ``check``
     arms a :class:`repro.check.InvariantChecker` and ``failures`` installs
@@ -53,7 +53,6 @@ class Testbed:
         cluster_factory: Callable[[], Cluster],
         seed: int = 0,
         replication: int = 3,
-        placement: PlacementPolicy | None = None,
         scheduler=None,
         obs: Observability | None = None,
         failures: FailureSchedule | None = None,
@@ -68,7 +67,7 @@ class Testbed:
         self.namenode = NameNode(
             [n.node_id for n in self.cluster.nodes],
             replication=replication,
-            policy=placement or RandomPlacement(),
+            policy=RandomPlacement(),
             rng=self.streams.stream("placement"),
         )
         self.rm = ResourceManager(
@@ -107,13 +106,11 @@ class Testbed:
         )
 
 
-def as_job(
-    workload: WorkloadSpec | JobSpec, input_mb: float | None = None, small: bool = True
-) -> JobSpec:
+def as_job(workload: WorkloadSpec | JobSpec, input_mb: float | None = None) -> JobSpec:
     """The JobSpec of ``workload`` at ``input_mb`` (default: its own size;
-    Table II's small or large input for a :class:`WorkloadSpec`)."""
+    Table II's small input for a :class:`WorkloadSpec`)."""
     if isinstance(workload, WorkloadSpec):
-        return workload.job(input_mb=input_mb, small=small)
+        return workload.job(input_mb=input_mb)
     return workload if input_mb is None else workload.scaled(input_mb)
 
 
@@ -145,9 +142,7 @@ def run_job(
     engine: str | EngineSpec,
     seed: int = 0,
     input_mb: float | None = None,
-    small: bool = True,
     replication: int = 3,
-    placement: PlacementPolicy | None = None,
     am_config: AMConfig | None = None,
     max_events: int | None = None,
     failures: "FailureSchedule | None" = None,
@@ -166,10 +161,10 @@ def run_job(
     """
     spec = resolve_engine(engine)
     bed = Testbed(
-        cluster_factory, seed=seed, replication=replication, placement=placement,
+        cluster_factory, seed=seed, replication=replication,
         obs=obs, failures=failures, check=check,
     )
-    job = as_job(workload, input_mb, small)
+    job = as_job(workload, input_mb)
     bed.stage(job, spec.block_size_mb, workload)
     config = am_config or AMConfig(block_size_mb=spec.block_size_mb)
     if obs is not None and config.obs is None:

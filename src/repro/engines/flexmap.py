@@ -39,7 +39,7 @@ from repro.mapreduce.attempt import TaskAttempt
 from repro.yarn.container import Container
 
 
-@register_engine("flexmap", block_size=lambda: SizingConfig().bu_mb)
+@register_engine("flexmap", block_size_mb=SizingConfig().bu_mb)
 class FlexMapAM(ApplicationMaster):
     """Elastic map tasks sized to machine capacity."""
 
@@ -49,7 +49,6 @@ class FlexMapAM(ApplicationMaster):
         self,
         *args,
         sizing: SizingConfig | None = None,
-        monitor_window: int = 5,
         horizontal_scaling: bool = True,
         vertical_scaling: bool = True,
         reduce_bias: bool = True,
@@ -64,7 +63,7 @@ class FlexMapAM(ApplicationMaster):
         # Pre-warmed monitor/sizer state can be injected so iterative
         # (Spark-style, §IV-G) workloads skip the sizing ramp after the
         # first iteration.
-        self.monitor = monitor or SpeedMonitor(window=monitor_window)
+        self.monitor = monitor or SpeedMonitor()
         # Heartbeat rounds are numbered per AM lifetime: a carried-over
         # monitor must not mistake the restarted numbering for stale rounds.
         self.monitor.new_epoch()

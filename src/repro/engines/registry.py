@@ -66,18 +66,12 @@ ENGINES: dict[str, EngineSpec] = {}
 
 
 def register_engine(
-    name: str,
-    block_size_mb: float | None = None,
-    *,
-    block_size: Callable[[], float] | None = None,
-    **kwargs,
+    name: str, block_size_mb: float, **kwargs
 ) -> Callable[[AMFactory], AMFactory]:
     """Class decorator registering an engine under ``name``.
 
-    ``block_size_mb`` is the engine's split/BU granularity; alternatively
-    pass ``block_size=`` a zero-argument callable evaluated at decoration
-    time (used by FlexMap, whose BU size lives in ``SizingConfig``).  Extra
-    keyword arguments become the spec's constructor kwargs.  The decorator
+    ``block_size_mb`` is the engine's split/BU granularity.  Extra keyword
+    arguments become the spec's constructor kwargs.  The decorator
     may be stacked to register one class under several names::
 
         @register_engine("hadoop-64", block_size_mb=64.0)
@@ -87,9 +81,6 @@ def register_engine(
     Re-registering an existing name raises ``ValueError`` — engines are
     global, and a silent overwrite would change what every consumer runs.
     """
-    if (block_size_mb is None) == (block_size is None):
-        raise ValueError("pass exactly one of block_size_mb or block_size")
-    size = block_size() if block_size is not None else block_size_mb
     # Fail at the call site already, not only when the decorator is applied.
     if name in ENGINES:
         raise ValueError(f"engine {name!r} already registered")
@@ -97,7 +88,7 @@ def register_engine(
     def decorator(factory: AMFactory) -> AMFactory:
         if name in ENGINES:
             raise ValueError(f"engine {name!r} already registered")
-        ENGINES[name] = EngineSpec(name, size, factory, kwargs)
+        ENGINES[name] = EngineSpec(name, block_size_mb, factory, kwargs)
         return factory
 
     return decorator

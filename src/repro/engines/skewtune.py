@@ -30,6 +30,11 @@ from repro.mapreduce.attempt import TaskAttempt
 from repro.mapreduce.split import InputSplit
 from repro.yarn.container import Container
 
+#: Mitigator tasks running or queued at once.
+MAX_OUTSTANDING_MITIGATIONS = 1
+#: Fixed cost to plan and scan a straggler's remainder, charged per chunk.
+REPARTITION_SCAN_S = 5.0
+
 
 @dataclass(frozen=True)
 class SkewTuneConfig:
@@ -39,8 +44,6 @@ class SkewTuneConfig:
     # twice the repartitioning overhead (SkewTune's w heuristic).
     min_remaining_s: float = 30.0
     min_age_s: float = 30.0
-    max_outstanding_mitigations: int = 1
-    repartition_scan_s: float = 5.0  # fixed cost to plan/scan the remainder
 
 
 @register_engine("skewtune-64", block_size_mb=64.0)
@@ -92,7 +95,7 @@ class SkewTuneAM(StockHadoopAM):
     def _mitigation_victim(self) -> TaskAttempt | None:
         """The straggler SkewTune would repartition now, or None."""
         cfg = self.st_config
-        if self.outstanding_mitigators() >= cfg.max_outstanding_mitigations:
+        if self.outstanding_mitigators() >= MAX_OUTSTANDING_MITIGATIONS:
             return None
         candidates = [
             a
@@ -152,7 +155,7 @@ class SkewTuneAM(StockHadoopAM):
                     task_id=f"st{self._mitigator_seq:04d}",
                     split=InputSplit(local_blocks=[chunk]),
                     speculative=False,
-                    extra_transfer_s=self.st_config.repartition_scan_s,
+                    extra_transfer_s=REPARTITION_SCAN_S,
                 )
             )
         if self.obs is not None:

@@ -56,13 +56,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import TaskRecord
 
 
+#: LATE's SlowTaskThreshold: only tasks whose progress rate is at or
+#: below this percentile of the candidates' rates are backed up.
+SLOW_TASK_PERCENTILE = 25.0
+
+
 @dataclass(frozen=True)
 class SpeculationConfig:
     """Speculation policy knobs (LATE defaults)."""
 
     enabled: bool = True
     speculative_cap_frac: float = 0.1  # of cluster slots
-    slow_task_percentile: float = 25.0  # LATE SlowTaskThreshold
     min_age_s: float = 30.0  # don't judge brand-new tasks
     max_progress: float = 0.9  # nearly-done tasks aren't worth backing up
 
@@ -160,7 +164,7 @@ class SpeculationManager:
 
     def _pick_late(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:
         rates = np.array([a.progress_rate() for a in candidates])
-        threshold = np.percentile(rates, self.config.slow_task_percentile)
+        threshold = np.percentile(rates, SLOW_TASK_PERCENTILE)
         slow = [a for a, r in zip(candidates, rates) if r <= threshold]
         if not slow:
             return None

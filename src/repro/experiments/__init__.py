@@ -13,12 +13,11 @@ from repro.experiments.clusters import (
     virtual_cluster,
 )
 from repro.experiments.iterative import IterativeResult, run_iterative_job
-from repro.experiments.stats import SweepResult, SweepStats, compare_sweep, seed_sweep
+from repro.experiments.stats import SweepResult, compare_sweep, seed_sweep
 
 __all__ = [
     "IterativeResult",
     "SweepResult",
-    "SweepStats",
     "compare_sweep",
     "run_iterative_job",
     "seed_sweep",

@@ -3,8 +3,9 @@
 Single runs of a stochastic cluster are noisy (pressure episodes and
 interference schedules are heavy-tailed), so quantitative claims should be
 made over seed sweeps.  ``seed_sweep`` runs one configuration across seeds
-and returns summary statistics; ``compare_sweep`` does it for several
-engines and reports normalized means with spread.
+and summarises its JCT and efficiency (:class:`repro.metrics.stats.Summary`);
+``compare_sweep`` does it for several engines and reports normalized means
+with spread.
 """
 
 from __future__ import annotations
@@ -13,42 +14,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.cluster.topology import Cluster
 from repro.engines import EngineSpec, RunResult, run_job
 from repro.mapreduce.job import JobSpec
+from repro.metrics.stats import Summary
 from repro.workloads.spec import WorkloadSpec
-
-
-@dataclass(frozen=True)
-class SweepStats:
-    """Summary of one metric over a seed sweep."""
-
-    mean: float
-    std: float
-    lo: float  # min observed
-    hi: float  # max observed
-    n: int
-
-    @classmethod
-    def of(cls, values: list[float]) -> "SweepStats":
-        if not values:
-            raise ValueError("no values")
-        arr = np.asarray(values, dtype=float)
-        return cls(
-            mean=float(arr.mean()),
-            std=float(arr.std()),
-            lo=float(arr.min()),
-            hi=float(arr.max()),
-            n=len(values),
-        )
-
-    def ci95_halfwidth(self) -> float:
-        """Normal-approximation 95% confidence half-width of the mean."""
-        if self.n < 2:
-            return float("inf")
-        return 1.96 * self.std / np.sqrt(self.n)
 
 
 @dataclass
@@ -57,8 +27,8 @@ class SweepResult:
 
     engine: str
     runs: list[RunResult]
-    jct: SweepStats
-    efficiency: SweepStats
+    jct: Summary
+    efficiency: Summary
 
 
 def _sweep_worker(payload: tuple) -> RunResult:
@@ -109,8 +79,8 @@ def seed_sweep(
     return SweepResult(
         engine=runs[0].engine,
         runs=runs,
-        jct=SweepStats.of([r.jct for r in runs]),
-        efficiency=SweepStats.of([r.efficiency for r in runs]),
+        jct=Summary.of([r.jct for r in runs]),
+        efficiency=Summary.of([r.efficiency for r in runs]),
     )
 
 

@@ -53,19 +53,13 @@ class ElasticSplitter:
     prevents one worker from swallowing the remainder.
     """
 
-    def __init__(self, sizing: SizingConfig | None = None, monitor_window: int = 5) -> None:
-        self.sizing_config = sizing or SizingConfig()
-        self.monitor_window = monitor_window
-        self.monitor = SpeedMonitor(window=monitor_window)
-        self.sizer = DynamicSizer(self.sizing_config)
-        self._next = 0
-        self._total = 0
-        self._workers: list[WorkerSpec] = []
+    def __init__(self) -> None:
+        self.reset(0, [])
 
     def reset(self, num_bus: int, workers: list[WorkerSpec]) -> None:
         """Start a new job over ``num_bus`` block units."""
-        self.monitor = SpeedMonitor(window=self.monitor_window)
-        self.sizer = DynamicSizer(self.sizing_config)
+        self.monitor = SpeedMonitor()
+        self.sizer = DynamicSizer(SizingConfig())
         self._next = 0
         self._total = num_bus
         self._workers = list(workers)

@@ -5,13 +5,13 @@ Productivity (eq. 1) is per attempt: :attr:`repro.sim.trace.TaskRecord.productiv
 
 from repro.metrics.efficiency import job_efficiency, serial_runtime
 from repro.metrics.jct import jct, normalized_jct
-from repro.metrics.stats import normalized_runtime_pdf, runtime_variance
+from repro.metrics.stats import Summary, normalized_runtime_pdf
 
 __all__ = [
+    "Summary",
     "jct",
     "job_efficiency",
     "normalized_jct",
     "normalized_runtime_pdf",
-    "runtime_variance",
     "serial_runtime",
 ]

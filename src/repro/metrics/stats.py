@@ -1,15 +1,53 @@
-"""Distributional statistics for map runtimes (Figs. 1 and 3a)."""
+"""Distributional statistics: the one sample summary, and map-runtime
+shapes (Figs. 1 and 3a)."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 
-def runtime_variance(runtimes: list[float]) -> float:
-    """Variance of map runtimes — the paper's load-imbalance proxy (§II-C)."""
-    if not runtimes:
-        raise ValueError("no runtimes")
-    return float(np.var(runtimes))
+@dataclass(frozen=True)
+class Summary:
+    """Summary of one sample: seed sweeps, SLO distributions, histograms.
+
+    ``std`` is the population standard deviation; percentiles use numpy's
+    linear-interpolation rule.
+    """
+
+    n: int
+    mean: float
+    std: float
+    min: float
+    max: float
+    median: float
+    p95: float
+    p99: float
+
+    @classmethod
+    def of(cls, values: list[float]) -> "Summary":
+        """Summarise a non-empty sample."""
+        if not values:
+            raise ValueError("no values")
+        arr = np.asarray(values, dtype=float)
+        median, p95, p99 = np.percentile(arr, [50, 95, 99])
+        return cls(
+            n=len(values),
+            mean=float(arr.mean()),
+            std=float(arr.std()),
+            min=float(arr.min()),
+            max=float(arr.max()),
+            median=float(median),
+            p95=float(p95),
+            p99=float(p99),
+        )
+
+    def ci95_halfwidth(self) -> float:
+        """Normal-approximation 95% confidence half-width of the mean."""
+        if self.n < 2:
+            return float("inf")
+        return 1.96 * self.std / np.sqrt(self.n)
 
 
 def normalized_runtime_pdf(

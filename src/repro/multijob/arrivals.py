@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.engines.registry import resolve_engine
 from repro.workloads.puma import puma
 from repro.workloads.spec import WorkloadSpec
 
@@ -220,7 +221,8 @@ def load_arrival_trace(path: str | Path) -> TraceArrivals:
     ``t`` (submit time, seconds) and ``benchmark`` (PUMA abbreviation) are
     required; ``engine`` defaults to ``flexmap``, ``input_mb`` to the
     benchmark's Table II small input, ``queue``/``weight`` to the capacity
-    scheduler defaults.
+    scheduler defaults.  A malformed line, an unknown benchmark or an
+    unregistered engine raises ``ValueError("path:line: ...")``.
     """
     requests: list[JobRequest] = []
     with open(path, encoding="utf-8") as fh:
@@ -232,13 +234,19 @@ def load_arrival_trace(path: str | Path) -> TraceArrivals:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if "t" not in obj or "benchmark" not in obj:
+            if not isinstance(obj, dict) or "t" not in obj or "benchmark" not in obj:
                 raise ValueError(f"{path}:{lineno}: need 't' and 'benchmark' fields")
+            engine = str(obj.get("engine", "flexmap"))
+            try:
+                workload = puma(str(obj["benchmark"]))
+                resolve_engine(engine)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
             requests.append(
                 JobRequest(
                     submit_time=float(obj["t"]),
-                    workload=puma(str(obj["benchmark"])),
-                    engine=str(obj.get("engine", "flexmap")),
+                    workload=workload,
+                    engine=engine,
                     input_mb=(
                         float(obj["input_mb"]) if obj.get("input_mb") is not None else None
                     ),

@@ -173,7 +173,7 @@ class ClusterService(Testbed):
         job_id = f"j{self._job_seq:03d}"
         self._job_seq += 1
         spec = resolve_engine(request.engine)
-        base_job = request.workload.job(input_mb=request.input_mb, small=True)
+        base_job = request.workload.job(input_mb=request.input_mb)
         # Unique per-submission identity: two WC jobs must not collide on
         # the NameNode namespace or in the shared trace stream.
         job = dataclasses.replace(

@@ -13,7 +13,9 @@ Headline metrics:
   elastic and fixed-size engines can be compared under identical load;
 * **utilization** — mean and peak busy-slot fraction over the run.
 
-Percentiles use the linear-interpolation convention (``numpy`` default).
+Every distribution is a :class:`repro.metrics.stats.Summary`, the same
+summary seed sweeps and metric histograms use: numpy's linear-interpolation
+percentiles.
 """
 
 from __future__ import annotations
@@ -24,45 +26,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.metrics.stats import Summary
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.multijob.service import JobOutcome
-
-
-@dataclass(frozen=True)
-class DistStats:
-    """Summary of one metric's distribution over jobs."""
-
-    n: int
-    mean: float
-    median: float
-    p95: float
-    p99: float
-    max: float
-
-    @classmethod
-    def of(cls, values: list[float]) -> "DistStats":
-        if not values:
-            raise ValueError("no values")
-        arr = np.asarray(values, dtype=float)
-        return cls(
-            n=len(values),
-            mean=float(arr.mean()),
-            median=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            p99=float(np.percentile(arr, 99)),
-            max=float(arr.max()),
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict with values rounded for stable diffs."""
-        return {
-            "n": self.n,
-            "mean": round(self.mean, 4),
-            "median": round(self.median, 4),
-            "p95": round(self.p95, 4),
-            "p99": round(self.p99, 4),
-            "max": round(self.max, 4),
-        }
 
 
 @dataclass
@@ -70,8 +37,8 @@ class EngineSLO:
     """Per-engine service quality under the shared load."""
 
     engine: str
-    jct: DistStats
-    slowdown: DistStats | None  # None when isolated baselines were skipped
+    jct: Summary
+    slowdown: Summary | None  # None when isolated baselines were skipped
 
 
 @dataclass
@@ -82,8 +49,8 @@ class SLOReport:
     policy: str
     n_jobs: int
     makespan: float
-    jct: DistStats
-    slowdown: DistStats | None
+    jct: Summary
+    slowdown: Summary | None
     per_engine: list[EngineSLO] = field(default_factory=list)
     utilization_mean: float = 0.0
     utilization_peak: float = 0.0
@@ -107,12 +74,12 @@ class SLOReport:
             "throughput_jobs_per_hour": round(self.throughput_jobs_per_hour, 3),
             "utilization_mean": round(self.utilization_mean, 4),
             "utilization_peak": round(self.utilization_peak, 4),
-            "jct": self.jct.to_dict(),
-            "slowdown": self.slowdown.to_dict() if self.slowdown else None,
+            "jct": _dist_dict(self.jct),
+            "slowdown": _dist_dict(self.slowdown),
             "per_engine": {
                 slo.engine: {
-                    "jct": slo.jct.to_dict(),
-                    "slowdown": slo.slowdown.to_dict() if slo.slowdown else None,
+                    "jct": _dist_dict(slo.jct),
+                    "slowdown": _dist_dict(slo.slowdown),
                 }
                 for slo in self.per_engine
             },
@@ -144,7 +111,21 @@ class SLOReport:
         return "\n".join(lines)
 
 
-def _dist_line(label: str, dist: DistStats) -> str:
+def _dist_dict(dist: Summary | None) -> dict | None:
+    """JSON-ready dict with values rounded for stable diffs."""
+    if dist is None:
+        return None
+    return {
+        "n": dist.n,
+        "mean": round(dist.mean, 4),
+        "median": round(dist.median, 4),
+        "p95": round(dist.p95, 4),
+        "p99": round(dist.p99, 4),
+        "max": round(dist.max, 4),
+    }
+
+
+def _dist_line(label: str, dist: Summary) -> str:
     return (
         f"  {label:<22s} n={dist.n:<3d} mean={dist.mean:9.2f} "
         f"median={dist.median:9.2f} p95={dist.p95:9.2f} p99={dist.p99:9.2f}"
@@ -175,8 +156,8 @@ def compute_slo(
         per_engine.append(
             EngineSLO(
                 engine=engine,
-                jct=DistStats.of([o.jct for o in mine]),
-                slowdown=DistStats.of(mine_slow) if mine_slow else None,
+                jct=Summary.of([o.jct for o in mine]),
+                slowdown=Summary.of(mine_slow) if mine_slow else None,
             )
         )
 
@@ -185,8 +166,8 @@ def compute_slo(
         policy=policy,
         n_jobs=len(outcomes),
         makespan=makespan,
-        jct=DistStats.of(jcts),
-        slowdown=DistStats.of(slowdowns) if slowdowns else None,
+        jct=Summary.of(jcts),
+        slowdown=Summary.of(slowdowns) if slowdowns else None,
         per_engine=per_engine,
         utilization_mean=float(np.mean(util_values)) if util_values else 0.0,
         utilization_peak=float(np.max(util_values)) if util_values else 0.0,

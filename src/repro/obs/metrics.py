@@ -7,14 +7,18 @@ by dotted names (``am.maps_launched``, ``sim.heap_depth``,
 registry into plain JSON-serializable dicts for reports and the
 ``--metrics-out`` CLI flag.
 
-The registry is intentionally dependency-free (no numpy) so it can be
-imported from the hot simulation path without pulling heavy modules.
+Recording stays plain Python (a counter add, a gauge store, a list
+append); only :meth:`Histogram.summary` reaches numpy, through
+:class:`repro.metrics.stats.Summary`, the summary every sample in the
+package uses.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from repro.metrics.stats import Summary
 
 
 class Counter:
@@ -61,19 +65,14 @@ class Histogram:
         """Count/mean/min/max/p50/p95 of the recorded samples."""
         if not self.values:
             return {"count": 0}
-        ordered = sorted(self.values)
-        n = len(ordered)
-
-        def pct(q: float) -> float:
-            return ordered[min(n - 1, int(q * n))]
-
+        s = Summary.of(self.values)
         return {
-            "count": n,
-            "mean": sum(ordered) / n,
-            "min": ordered[0],
-            "max": ordered[-1],
-            "p50": pct(0.50),
-            "p95": pct(0.95),
+            "count": s.n,
+            "mean": s.mean,
+            "min": s.min,
+            "max": s.max,
+            "p50": s.median,
+            "p95": s.p95,
         }
 
 

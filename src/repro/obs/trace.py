@@ -96,11 +96,18 @@ class JsonlTraceEmitter(TraceEmitter):
 
 
 def read_trace(path: str | Path) -> list[dict]:
-    """Load a JSONL trace back into a list of event dicts."""
+    """Load a JSONL trace back into a list of event dicts.
+
+    Raises ``ValueError`` for a line that is not an event: a JSON object
+    with ``ev`` and ``t`` fields.
+    """
     events = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                events.append(json.loads(line))
+                event = json.loads(line)
+                if not (isinstance(event, dict) and "ev" in event and "t" in event):
+                    raise ValueError(f"line {lineno} is not a trace event")
+                events.append(event)
     return events

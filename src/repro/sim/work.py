@@ -101,10 +101,6 @@ class VariableRateWork:
     def cancelled(self) -> bool:
         return self._cancelled
 
-    @property
-    def total_work(self) -> float:
-        return self._total_work
-
     def remaining_work(self) -> float:
         """Remaining work, accounting for progress since the last event."""
         if self._done:

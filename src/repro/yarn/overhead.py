@@ -49,8 +49,3 @@ class OverheadModel:
         if self.jitter_frac == 0.0:
             return base
         return base * rng.uniform(1.0 - self.jitter_frac, 1.0 + self.jitter_frac)
-
-    @property
-    def nominal_s(self) -> float:
-        """Jitter-free overhead on a speed-1.0 node."""
-        return self.container_alloc_s + self.jvm_startup_s

@@ -113,10 +113,10 @@ ALLOWED_EDGES = {
     "mapreduce": {"cluster", "hdfs", "sim"},
     "metrics": {"sim"},
     "multijob": {
-        "core", "engines", "hdfs", "mapreduce", "obs", "sim", "workloads",
-        "yarn",
+        "core", "engines", "hdfs", "mapreduce", "metrics", "obs", "sim",
+        "workloads", "yarn",
     },
-    "obs": {"viz"},
+    "obs": {"metrics", "viz"},
     "viz": {"sim"},
     "workloads": {"mapreduce"},
     "yarn": {"cluster", "sim"},

@@ -188,8 +188,26 @@ def test_serve_bad_input_is_a_usage_error(capsys, bad_args, message):
     ["fuzz", "--replay", "no-such-reproducer.json"],
     ["fuzz", "--replay", os.devnull],
     ["trace", "summarize", "trace.jsonl", "--width", "0"],
+    ["serve", "--arrivals", "trace"],
+    ["serve", "--arrivals", "trace", "--trace-file", "no-such.jsonl"],
+    ["serve", "--arrivals", "trace", "--trace-file", "bad-benchmark.jsonl"],
+    ["serve", "--arrivals", "trace", "--trace-file", "bad-engine.jsonl"],
+    ["serve", "--policy", "capacity", "--queues", "a=x"],
+    ["serve", "--util-period", "0"],
+    ["trace", "summarize", "no-such.jsonl"],
+    ["trace", "summarize", "."],
+    ["trace", "summarize", "not-jsonl.txt"],
+    ["trace", "summarize", "bad-benchmark.jsonl"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_input_is_a_usage_error(capsys, argv):
+def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad-benchmark.jsonl").write_text('{"t": 0, "benchmark": "XX"}\n')
+    (tmp_path / "bad-engine.jsonl").write_text(
+        '{"t": 0, "benchmark": "WC", "engine": "nope"}\n'
+    )
+    (tmp_path / "not-jsonl.txt").write_text("not json\n")
+    if argv[0] == "serve":
+        argv = [*argv, "--trace-out", "F"]
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -199,6 +217,8 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     # The error names the (sub)command whose parser rejected the input.
     command = "trace summarize" if argv[0] == "trace" else argv[0]
     assert len(errors) == 1 and errors[0].startswith(f"repro {command}: error: ")
+    # A rejected serve leaves no trace file behind.
+    assert not (tmp_path / "F").exists()
 
 
 def test_fuzz_small_campaign_clean(capsys):

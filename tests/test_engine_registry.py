@@ -72,20 +72,9 @@ def test_register_engine_rejects_duplicates():
         register_engine("flexmap", block_size_mb=8.0)
 
 
-def test_register_engine_requires_exactly_one_sizing():
-    with pytest.raises(ValueError):
-        register_engine("test-bad", block_size_mb=64.0, block_size=lambda: 64.0)
-    with pytest.raises(ValueError):
+def test_register_engine_requires_a_block_size():
+    with pytest.raises(TypeError):
         register_engine("test-bad")
-
-
-def test_register_engine_callable_block_size_evaluated_once():
-    decorator = register_engine("test-lazy", block_size=lambda: 24.0)
-    try:
-        decorator(ApplicationMaster)
-        assert ENGINES["test-lazy"].block_size_mb == 24.0
-    finally:
-        unregister_engine("test-lazy")
 
 
 def test_extra_kwargs_flow_into_spec():

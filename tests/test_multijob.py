@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.metrics.stats import Summary
 from repro.multijob.arrivals import (
     ClosedLoopArrivals,
     JobRequest,
@@ -20,7 +21,8 @@ from repro.multijob.policies import (
     make_policy,
 )
 from repro.multijob.service import ClusterService, SharedSpeedMonitor
-from repro.multijob.slo import DistStats, compute_slo
+from repro.multijob.slo import compute_slo
+from repro.obs import Observability
 from repro.sim.random import RandomStreams
 from repro.workloads.puma import puma
 from repro.yarn.resource_manager import AppRecord
@@ -184,6 +186,13 @@ def test_load_arrival_trace_rejects_malformed(tmp_path):
     missing.write_text('{"t": 1.0}\n')
     with pytest.raises(ValueError, match="benchmark"):
         load_arrival_trace(missing)
+    unknown = tmp_path / "unknown.jsonl"
+    unknown.write_text('{"t": 0.0, "benchmark": "WC"}\n{"t": 1.0, "benchmark": "XX"}\n')
+    with pytest.raises(ValueError, match=r"unknown\.jsonl:2: unknown PUMA benchmark 'XX'"):
+        load_arrival_trace(unknown)
+    unknown.write_text('{"t": 0.0, "benchmark": "WC", "engine": "nope"}\n')
+    with pytest.raises(ValueError, match=r"unknown\.jsonl:1: unknown engine 'nope'"):
+        load_arrival_trace(unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +233,20 @@ def test_shared_monitor_new_epoch_is_noop():
 # SLO statistics
 # ---------------------------------------------------------------------------
 def test_dist_stats_percentiles():
-    stats = DistStats.of([float(v) for v in range(1, 101)])
+    stats = Summary.of([float(v) for v in range(1, 101)])
     assert stats.n == 100
     assert stats.mean == pytest.approx(50.5)
     assert stats.median == pytest.approx(50.5)
     assert stats.p99 == pytest.approx(np.percentile(np.arange(1, 101), 99))
     assert stats.max == 100.0
     with pytest.raises(ValueError):
-        DistStats.of([])
+        Summary.of([])
 
 
 # ---------------------------------------------------------------------------
 # service driver (end-to-end on a tiny cluster)
 # ---------------------------------------------------------------------------
-def _tiny_service(seed=3, policy="fair", n_jobs=4, compute_slowdown=False):
+def _tiny_service(seed=3, policy="fair", n_jobs=4, compute_slowdown=False, obs=None):
     arrivals = PoissonArrivals(
         rate=0.05,
         n_jobs=n_jobs,
@@ -251,6 +260,7 @@ def _tiny_service(seed=3, policy="fair", n_jobs=4, compute_slowdown=False):
         arrivals,
         policy=policy,
         seed=seed,
+        obs=obs,
     )
     return service.run(compute_slowdown=compute_slowdown)
 
@@ -293,6 +303,49 @@ def test_service_slowdown_vs_isolated_baseline():
     payload = json.loads(report.to_json())
     assert payload["cluster"] == "test"
     assert payload["policy"] == "fair"
+
+
+def test_slo_report_and_jct_histogram_share_one_percentile_rule():
+    obs = Observability()
+    result = _tiny_service(n_jobs=6, obs=obs)
+    hist = obs.metrics.snapshot()["histograms"]["service.jct"]
+    jct = result.report.jct
+    assert hist["count"] == jct.n == 6
+    assert (hist["p50"], hist["p95"], hist["max"]) == (jct.median, jct.p95, jct.max)
+
+
+def test_burst_jobs_run_under_their_submitted_engines():
+    # Twelve jobs at t=0, engines named by string: each AM is built through
+    # the registry, and each job's map splits show which engine sized them.
+    engines = ("hadoop-64", "flexmap")
+    benchmarks = ("WC", "GR", "HR")
+    requests = [
+        JobRequest(
+            submit_time=0.0,
+            workload=puma(benchmarks[i % len(benchmarks)]),
+            engine=engines[i % len(engines)],
+            input_mb=128.0,
+        )
+        for i in range(12)
+    ]
+    service = ClusterService(
+        lambda: make_cluster(speeds=(1.0, 1.0, 2.0), slots=2),
+        TraceArrivals(requests),
+        policy="fair",
+        seed=7,
+    )
+    outcomes = {o.job_id: o for o in service.run(compute_slowdown=False).outcomes}
+    assert len(outcomes) == len(requests)
+    for i, request in enumerate(requests):
+        outcome = outcomes[f"j{i:03d}"]
+        assert (outcome.engine, outcome.benchmark) == (
+            request.engine, request.workload.abbrev
+        )
+        sizes = {r.size_mb for r in outcome.trace.maps(include_killed=True)}
+        if request.engine == "hadoop-64":
+            assert sizes == {64.0}
+        else:
+            assert min(sizes) < 64.0
 
 
 def test_service_policies_change_schedule():

@@ -9,7 +9,8 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.engines import run_job
-from repro.experiments.stats import SweepStats, compare_sweep, seed_sweep
+from repro.experiments.stats import compare_sweep, seed_sweep
+from repro.metrics.stats import Summary
 from repro.mapreduce.job import JobSpec
 from tests.conftest import make_cluster, tiny_job
 
@@ -103,18 +104,18 @@ def test_determinism_property(seed_a, seed_b):
 # experiments.stats
 # ---------------------------------------------------------------------------
 def test_sweep_stats_summary():
-    s = SweepStats.of([1.0, 2.0, 3.0])
-    assert s.mean == 2.0 and s.lo == 1.0 and s.hi == 3.0 and s.n == 3
+    s = Summary.of([1.0, 2.0, 3.0])
+    assert s.mean == 2.0 and s.min == 1.0 and s.max == 3.0 and s.n == 3
     assert s.ci95_halfwidth() > 0
     with pytest.raises(ValueError):
-        SweepStats.of([])
+        Summary.of([])
 
 
 def test_seed_sweep_runs_all_seeds():
     r = seed_sweep(lambda: make_cluster(), tiny_job(input_mb=256.0),
                    "hadoop-64", seeds=[1, 2, 3])
     assert len(r.runs) == 3
-    assert r.jct.lo <= r.jct.mean <= r.jct.hi
+    assert r.jct.min <= r.jct.mean <= r.jct.max
 
 
 def test_compare_sweep_normalizes():

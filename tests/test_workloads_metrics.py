@@ -6,8 +6,8 @@ import pytest
 from repro.metrics.efficiency import job_efficiency, serial_runtime
 from repro.metrics.jct import jct, normalized_jct
 from repro.metrics.stats import (
+    Summary,
     normalized_runtime_pdf,
-    runtime_variance,
     straggler_ratio,
     tail_slowdown_fraction,
 )
@@ -163,11 +163,30 @@ def test_jct_and_normalization():
 
 def test_runtime_stats():
     rts = [10.0, 10.0, 20.0]
-    assert runtime_variance(rts) == pytest.approx(np.var(rts))
     assert straggler_ratio(rts) == 2.0
     assert tail_slowdown_fraction([1.0] * 9 + [5.0], factor=3.0) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         straggler_ratio([])
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 10, 101])
+def test_summary_matches_numpy(size):
+    values = np.random.default_rng(size).lognormal(3.0, 0.6, size=size).tolist()
+    s = Summary.of(values)
+    assert s.n == size
+    assert s.mean == np.mean(values) and s.std == np.std(values)
+    assert s.min == min(values) and s.max == max(values)
+    assert s.median == np.percentile(values, 50)
+    assert s.p95 == np.percentile(values, 95)
+    assert s.p99 == np.percentile(values, 99)
+
+
+def test_summary_ci95_halfwidth_and_empty_sample():
+    assert Summary.of([4.0]).ci95_halfwidth() == float("inf")
+    s = Summary.of([1.0, 3.0])
+    assert s.ci95_halfwidth() == pytest.approx(1.96 * 1.0 / np.sqrt(2))
+    with pytest.raises(ValueError):
+        Summary.of([])
 
 
 def test_normalized_pdf_integrates_to_one():
