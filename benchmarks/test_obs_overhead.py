@@ -14,16 +14,27 @@ from __future__ import annotations
 
 import heapq
 import time
+from dataclasses import dataclass, field
 
 from conftest import save_result
 
 from repro.experiments.report import render_table
 from repro.obs import MemoryTraceEmitter, Observability
-from repro.sim.engine import EventHandle, Simulator, _Entry
+from repro.sim.engine import EventHandle, Simulator
 
 N_EVENTS = 30_000
 ROUNDS = 9
 SAMPLE_EVERY = 500  # record_obs cadence for the "enabled" scenario
+
+
+@dataclass(order=True)
+class _Entry:
+    """The seed engine's heap entry, verbatim (the engine now pushes plain
+    tuples)."""
+
+    time: float
+    seq: int
+    handle: "EventHandle" = field(compare=False)
 
 
 class _SeedReplica:

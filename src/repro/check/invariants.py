@@ -5,8 +5,8 @@ which replaces a method:
 
 * :meth:`repro.sim.engine.Simulator.install_step_interceptor` — called
   after every processed event;
-* the ResourceManager's ``audit`` attribute — registrations and slot
-  occupy/release transitions;
+* the ResourceManager's ``audit`` attribute — registrations, slot
+  occupy/release transitions and the re-offers of a closed round;
 * each AM's :class:`~repro.engines.base.TraceRecorder`, whose ``check``
   attribute holds the AM's ledger (map launches, completions, SkewTune's
   partial commits, failure requeues, job end), plus the AM's heartbeat
@@ -47,9 +47,9 @@ Invariant catalogue (rule names appear in every diagnostic):
     Run-end postconditions: every occupied container was released and
     every node's ``busy_slots`` drained back to zero.
 ``incremental-state``
-    Reference mode for the offer path's cached state: every attempt start
-    and end moves the AM's ``state_epoch``; a memoised straggler-scan
-    decline is rescanned in full and must decline again; the speculator's
+    Reference mode for the offer path's shortcuts: an AM the RM closed for
+    an offer round (``declines_every_node``) declines every slot the round
+    skipped it on, which the armed RM re-offers; the speculator's
     fresh-copy estimate equals a scan of the whole trace; and every cached
     node speed equals the mean of the node's sample window.
 """
@@ -105,9 +105,7 @@ class CheckReport:
 class _AMLedger:
     """Per-application ledger, fed by the AM's ``TraceRecorder``."""
 
-    __slots__ = (
-        "checker", "am", "last_round", "last_round_time", "blocks", "last_epoch"
-    )
+    __slots__ = ("checker", "am", "last_round", "last_round_time", "blocks")
 
     def __init__(self, checker: "InvariantChecker", am: "ApplicationMaster") -> None:
         self.checker = checker
@@ -116,35 +114,8 @@ class _AMLedger:
         self.last_round_time = -math.inf
         # block_id -> "inflight" | "done"; absent = assignable.
         self.blocks: dict[int, str] = {}
-        self.last_epoch = am.state_epoch
 
     # -- incremental state ------------------------------------------------
-    def attempt_event(self) -> None:
-        """An attempt started or ended: the AM's state epoch must have
-        moved since the previous one, or memoised declines go stale."""
-        checker = self.checker
-        checker._count("incremental-state")
-        epoch = self.am.state_epoch
-        if epoch == self.last_epoch:
-            checker._violate(
-                "incremental-state",
-                f"{self.am.job.name}: an attempt started or ended at "
-                f"t={self.am.sim.now:.3f} without a state-epoch bump",
-            )
-        self.last_epoch = epoch
-
-    def memoised_decline(self, scan: str, victim) -> None:
-        """A scan declined from its memo; the full rescan found ``victim``."""
-        checker = self.checker
-        checker._count("incremental-state")
-        if victim is not None:
-            checker._violate(
-                "incremental-state",
-                f"{self.am.job.name}: {scan} declined from its memo at "
-                f"t={self.am.sim.now:.3f}, but a full scan picks "
-                f"{victim.task_id}",
-            )
-
     def incremental_state(self, what: str, cached, reference) -> None:
         self.checker.incremental_state(f"{self.am.job.name}: {what}", cached, reference)
 
@@ -360,6 +331,18 @@ class InvariantChecker:
         self._containers[cid] = "released"
         self._occupied_by_node[node.node_id] -= 1
         self._check_node_ledger(node, extra=-1)
+
+    def on_closed_offer(self, container, accepted: bool) -> None:
+        """The RM re-offered ``container`` to an AM it had closed for the
+        round; ``accepted`` is the AM's answer, which must be a decline."""
+        self._count("incremental-state")
+        if accepted:
+            am = container.am
+            self._violate(
+                "incremental-state",
+                f"{am.job.name}: closed for the round at t={am.sim.now:.3f} "
+                f"but accepted on {container.node_id}",
+            )
 
     def _check_node_ledger(self, node, extra: int) -> None:
         """Cross-check busy_slots against the occupy/release ledger.

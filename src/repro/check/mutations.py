@@ -21,11 +21,12 @@ The four mutations:
 ``skip-heartbeat``
     The AM's heartbeat ticker skips a round number (reports 1, 2, 4, ...),
     as a buggy restart/renumbering would.  Caught by ``heartbeat-order``.
-``stale-decline-memo``
-    A map completion leaves the AM's ``state_epoch`` where it was, so a
-    straggler scan that declined earlier at the same instant would answer
-    from its memo although the running set and completed runtimes changed.
-    Caught by ``incremental-state`` when the completion is recorded.
+``close-on-every-decline``
+    The AM reports every decline as node-blind, so the RM closes it for the
+    round after a decline that did depend on the node — a FlexMap
+    reduce-bias rejection or a stock delay-scheduling wait — and skips the
+    nodes that would have taken the task.  Caught by ``incremental-state``
+    when the armed RM re-offers a skipped slot and the AM accepts it.
 
 ``apply_mutation(name, checker)`` wraps the checker's ``arm``: once the
 checker is armed on a run, the mutation wraps that run's ``rm.register``,
@@ -46,7 +47,7 @@ MUTATIONS: tuple[str, ...] = (
     "double-assign-bu",
     "leak-slot-on-failure",
     "skip-heartbeat",
-    "stale-decline-memo",
+    "close-on-every-decline",
 )
 
 
@@ -64,7 +65,7 @@ def apply_mutation(name: str, checker: "InvariantChecker") -> None:
         "double-assign-bu": _install_double_assign,
         "leak-slot-on-failure": _install_leak_slot,
         "skip-heartbeat": _install_skip_heartbeat,
-        "stale-decline-memo": _install_stale_decline_memo,
+        "close-on-every-decline": _install_close_on_every_decline,
     }[name]
     inner_arm = checker.arm
 
@@ -154,13 +155,6 @@ def _install_skip_heartbeat(am: "ApplicationMaster") -> None:
     heartbeat._tick = _tick  # type: ignore[method-assign]
 
 
-def _install_stale_decline_memo(am: "ApplicationMaster") -> None:
-    """Swallow the state-epoch bump of every successful map completion."""
-    maps = am.maps
-    inner_finished = maps.finished
-
-    def finished(attempt, container) -> None:
-        am.state_epoch -= 1  # cancels the bump ``finished`` makes
-        inner_finished(attempt, container)
-
-    maps.finished = finished  # type: ignore[method-assign]
+def _install_close_on_every_decline(am: "ApplicationMaster") -> None:
+    """Report every decline as one that could not depend on the node."""
+    am.declines_every_node = lambda: True  # type: ignore[method-assign]

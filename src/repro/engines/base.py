@@ -25,13 +25,12 @@ which also feeds ``repro.check``: when ``recorder.check`` holds an
 :class:`~repro.check.InvariantChecker` ledger, the recorder forwards map
 launches, completions, stops and requeues plus the job end to it.
 
-Every attempt start and end also bumps ``ApplicationMaster.state_epoch``
-at that one call site (``MapPhaseDriver.launch/finished/finalize_stopped/
-kill``, ``ReducePhaseDriver.launch/finished/kill``).  The straggler scans
-(LATE's map and reduce backups, SkewTune's mitigation) run through a
-:class:`DeclineMemo`, which remembers a decline under ``(sim.now,
-state_epoch)`` and answers a repeat offer with the same key without
-rescanning.
+After a declined offer the ResourceManager asks
+:meth:`ApplicationMaster.declines_every_node` whether the decline could
+have depended on the node.  Once only a node-blind straggler scan is left
+(LATE's map and reduce backups, SkewTune's mitigation), the answer is yes
+and the RM offers the AM nothing more in that round, so each scan runs once
+per round instead of once per free slot.
 
 Reducers are launched after the map phase completes (slowstart = 1.0, the
 conservative Hadoop setting; the paper's analysis treats the phases as
@@ -84,40 +83,6 @@ class MapAssignment:
     alg1_bus: int = 0  # FlexMap: Algorithm 1's size before the tail cap
 
 
-class DeclineMemo:
-    """A straggler scan that remembers its last decline.
-
-    ``scan()`` returns the attempt to act on, or None to decline.  Calling
-    the memo runs the scan, except that a decline is remembered under
-    ``(sim.now, am.state_epoch)`` and a repeat call with that key declines
-    without scanning.  This is exact: the AM bumps ``state_epoch`` at every
-    attempt start and end, and at one instant a straggler scan depends only
-    on the running set, the speculated ids, the completed runtimes and each
-    attempt's progress.  While a checker is armed (``recorder.check``), a
-    remembered decline is rescanned and the rescan must decline too.
-    """
-
-    __slots__ = ("am", "name", "scan", "_key")
-
-    def __init__(self, am: "ApplicationMaster", name: str, scan) -> None:
-        self.am = am
-        self.name = name
-        self.scan = scan
-        self._key: tuple[float, int] | None = None
-
-    def __call__(self) -> TaskAttempt | None:
-        am = self.am
-        key = (am.sim.now, am.state_epoch)
-        if key == self._key:
-            if am.recorder.check is not None:
-                am.recorder.check.memoised_decline(self.name, self.scan())
-            return None
-        victim = self.scan()
-        if victim is None:
-            self._key = key
-        return victim
-
-
 class TraceRecorder:
     """Owns the job trace and every structured observability emission.
 
@@ -150,8 +115,6 @@ class TraceRecorder:
         self.trace.add(record)
         if not record.killed and record.runtime > 0:
             self.completed_runtimes[record.kind].append(record.runtime)
-        if self.check is not None:
-            self.check.attempt_event()
 
     # -- job lifecycle --------------------------------------------------
     def job_submitted(self) -> None:
@@ -190,9 +153,10 @@ class TraceRecorder:
                 running_reduces=len(am.reduces.running),
             )
 
-    def container_offered(self) -> None:
-        """Count an RM container offer reaching this AM."""
-        if self.obs is not None:
+    def container_offered(self, container: Container) -> None:
+        """Count an RM container offer reaching this AM; a checked RM's
+        re-offer of a closed round (``container.reoffer``) is not one."""
+        if self.obs is not None and not container.reoffer:
             self.obs.metrics.counter("am.container_offers").inc()
 
     # -- map phase --------------------------------------------------------
@@ -219,7 +183,6 @@ class TraceRecorder:
         if math.isnan(self.trace.map_phase_start):
             self.trace.map_phase_start = am.sim.now
         if self.check is not None:
-            self.check.attempt_event()
             self.check.map_launched(assignment)
 
     def map_completed(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
@@ -252,8 +215,6 @@ class TraceRecorder:
     # -- reduce phase ------------------------------------------------------
     def reduce_launched(self, task_id: str, node, share: float, speculative: bool) -> None:
         """Record a reducer launch."""
-        if self.check is not None:
-            self.check.attempt_event()
         if self.obs is not None:
             self.obs.metrics.counter("am.reduces_launched").inc()
             self.obs.trace.emit(
@@ -330,7 +291,6 @@ class MapPhaseDriver:
     def launch(self, container: Container, assignment: MapAssignment) -> None:
         """Occupy the container and start the map attempt's three phases."""
         am = self.am
-        am.state_epoch += 1
         am.rm.occupy(container)
         node = container.node
         split = assignment.split
@@ -363,7 +323,6 @@ class MapPhaseDriver:
     def finished(self, attempt: TaskAttempt, container: Container) -> None:
         """Successful completion: commit output, release, check phase end."""
         am = self.am
-        am.state_epoch += 1
         assignment = self.running.pop(attempt)
         self.containers.pop(attempt, None)
         am.recorder.add(attempt.record)
@@ -379,7 +338,6 @@ class MapPhaseDriver:
     def finalize_stopped(self, attempt: TaskAttempt, container: Container) -> None:
         """Bookkeeping for an attempt stopped early with committed output."""
         am = self.am
-        am.state_epoch += 1
         assignment = self.running.pop(attempt, None)
         self.containers.pop(attempt, None)
         if assignment is not None:
@@ -396,7 +354,6 @@ class MapPhaseDriver:
 
         Returns the attempt's assignment, whose input the caller may requeue.
         """
-        self.am.state_epoch += 1
         attempt.kill()
         assignment = self.running.pop(attempt)
         self.am.recorder.add(attempt.record)
@@ -436,7 +393,6 @@ class ReducePhaseDriver:
         self.seq = 0
         self.speculated_ids: set[str] = set()
         self.done_ids: set[str] = set()
-        self._declines = DeclineMemo(am, "reduce speculation", self._victim)
 
     # -- phase transition --------------------------------------------------
     def begin(self) -> None:
@@ -465,7 +421,6 @@ class ReducePhaseDriver:
     ) -> None:
         """Occupy the container and start a reduce attempt."""
         am = self.am
-        am.state_epoch += 1
         am.rm.occupy(container)
         if not speculative:
             self.pending -= 1
@@ -496,7 +451,6 @@ class ReducePhaseDriver:
     def finished(self, attempt: TaskAttempt, container: Container) -> None:
         """Reducer completion; the first copy home wins a speculation race."""
         am = self.am
-        am.state_epoch += 1
         self.running.pop(attempt, None)
         am.recorder.add(attempt.record)
         am.recorder.reduce_completed(attempt)
@@ -510,7 +464,6 @@ class ReducePhaseDriver:
 
     def kill(self, attempt: TaskAttempt) -> None:
         """Kill a running reducer, discard its output, free its container."""
-        self.am.state_epoch += 1
         attempt.kill()
         container = self.running.pop(attempt)
         self.am.recorder.add(attempt.record)
@@ -519,24 +472,18 @@ class ReducePhaseDriver:
     # -- speculation -----------------------------------------------------------
     def maybe_speculate(self, container: Container) -> bool:
         """Back up the worst reduce straggler on an idle container (LATE)."""
-        victim = self._declines()
-        if victim is None:
-            return False
-        self.speculated_ids.add(victim.task_id)
-        self.launch(container, task_id=victim.task_id, speculative=True)
-        return True
-
-    def _victim(self) -> TaskAttempt | None:
-        """The reduce straggler with the longest estimated time left, or None."""
         am = self.am
         if not am._reduce_speculation_enabled():
-            return None
+            return False
         candidates = am.speculation.stragglers(
             self.running, "reduce", self.speculated_ids
         )
         if not candidates:
-            return None
-        return max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
+            return False
+        victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
+        self.speculated_ids.add(victim.task_id)
+        self.launch(container, task_id=victim.task_id, speculative=True)
+        return True
 
 
 class ApplicationMaster:
@@ -572,9 +519,6 @@ class ApplicationMaster:
         self.store = IntermediateStore()
         self.heartbeat = HeartbeatService(sim)
         self.recorder = TraceRecorder(self)
-        #: Bumped at every attempt start and end; memoised scan declines
-        #: key on ``(sim.now, state_epoch)``.
-        self.state_epoch = 0
         self.maps = MapPhaseDriver(self)
         self.reduces = ReducePhaseDriver(self)
         self.job_done = False
@@ -644,10 +588,29 @@ class ApplicationMaster:
         """RM offer: return True iff a task was launched on the container."""
         if self.job_done:
             return False
-        self.recorder.container_offered()
+        self.recorder.container_offered(container)
         if not self.maps.done():
             return self.maps.offer(container)
         return self.reduces.offer(container)
+
+    def declines_every_node(self) -> bool:
+        """Whether the offer just declined would be declined on every node
+        for the rest of the ResourceManager's offer round.
+
+        True when the job is done; when maps are running but none is
+        pending, so only the map straggler scan (LATE's or SkewTune's) is
+        left; and when maps are done and no reducer is pending, so only the
+        reduce-backup scan is left (or reduces have not started).  Those
+        scans pick a victim without looking at the offered node.  False
+        while pending work may be node-dependent: stock delay scheduling
+        keys its wait per node, and FlexMap's reduce-bias filter draws per
+        node.
+        """
+        if self.job_done:
+            return True
+        if not self.maps.done():
+            return not self.maps_pending()
+        return not (self.reduces.started and self.reduces.pending > 0)
 
     # ------------------------------------------------------------------
     # reduce phase

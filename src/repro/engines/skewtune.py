@@ -12,16 +12,16 @@ Mitigation costs are modelled per the SkewTune design: repartitioning moves
 the remainder over the network (scan + transfer) and every mitigator pays a
 fresh container/JVM startup.
 
-The straggler scan runs through a :class:`~repro.engines.base.DeclineMemo`,
-as LATE's does: a repeat offer at one instant with no attempt started or
-ended since the last decline declines without rescanning.
+The straggler scan ignores the offered node, as LATE's does, so once it is
+all the AM has left, the ResourceManager stops offering it slots for the
+rest of a round after its first decline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engines.base import DeclineMemo, MapAssignment
+from repro.engines.base import MapAssignment
 from repro.engines.registry import register_engine
 from repro.engines.speculation import SpeculationConfig
 from repro.engines.stock import StockHadoopAM
@@ -61,7 +61,6 @@ class SkewTuneAM(StockHadoopAM):
         self.mitigations = 0
         self.mitigated_tasks: set[str] = set()
         self._mitigator_seq = 0
-        self._declines = DeclineMemo(self, "skewtune mitigation", self._mitigation_victim)
 
     # ------------------------------------------------------------------
     def maps_pending(self) -> bool:
@@ -88,15 +87,9 @@ class SkewTuneAM(StockHadoopAM):
 
     # ------------------------------------------------------------------
     def _try_mitigate(self, container: Container) -> None:
-        victim = self._declines()
-        if victim is not None:
-            self._repartition(victim, container)
-
-    def _mitigation_victim(self) -> TaskAttempt | None:
-        """The straggler SkewTune would repartition now, or None."""
         cfg = self.st_config
         if self.outstanding_mitigators() >= MAX_OUTSTANDING_MITIGATIONS:
-            return None
+            return
         candidates = [
             a
             for a in self.maps.running
@@ -105,11 +98,11 @@ class SkewTuneAM(StockHadoopAM):
             and a.elapsed() >= cfg.min_age_s
         ]
         if not candidates:
-            return None
+            return
         victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
         if victim.est_time_left() < cfg.min_remaining_s:
-            return None
-        return victim
+            return
+        self._repartition(victim, container)
 
     def outstanding_mitigators(self) -> int:
         """Mitigator tasks running or queued."""

@@ -17,25 +17,20 @@ Whichever copy finishes first wins; the loser is killed and its record is
 marked ``killed`` (wasted work — one of the costs Fig. 8's "No Speculation"
 variant avoids).
 
-The scans run on every idle-container offer, so they cost in proportion to
-what changed:
-
-* the fresh-copy estimate is the mean of the completed runtimes the
-  :class:`~repro.engines.base.TraceRecorder` keeps per kind, recomputed
-  only when a runtime was added;
-* both scans run through a :class:`~repro.engines.base.DeclineMemo`: a
-  decline is remembered under ``(sim.now, am.state_epoch)``, and a repeat
-  offer with that key declines without rescanning.  The AM bumps
-  ``state_epoch`` at every attempt start and end; at one instant the
-  decision depends only on the running set, the speculated ids, the
-  completed runtimes and each attempt's progress, and progress at ``t``
-  does not move when a node's rate changes at ``t``.  The memo is
-  therefore exact.
+Neither scan looks at the offered node: at one instant the pick depends
+only on the AM's running set, the speculated ids, the completed runtimes
+and each attempt's progress.  So once a scan is all an AM has left, the
+ResourceManager stops offering it slots for the rest of a round after its
+first decline (see
+:meth:`repro.engines.base.ApplicationMaster.declines_every_node`), and the
+fresh-copy estimate is the mean of the completed runtimes the
+:class:`~repro.engines.base.TraceRecorder` keeps per kind, recomputed only
+when a runtime was added.
 
 While a :class:`repro.check.InvariantChecker` is armed (the AM's
-``recorder.check``), each memoised decline reruns the full scan, which
-must decline too, and the fresh-copy estimate is compared with a scan of
-the whole trace.
+``recorder.check``), the fresh-copy estimate is compared with a scan of the
+whole trace, and the RM re-offers every slot the closure skipped, which
+the scan must decline.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.engines.base import DeclineMemo, MapAssignment
+from repro.engines.base import MapAssignment
 from repro.mapreduce.attempt import TaskAttempt
 from repro.mapreduce.split import InputSplit
 from repro.yarn.container import Container
@@ -83,7 +78,6 @@ class SpeculationManager:
         self._cap = max(1, int(config.speculative_cap_frac * am.cluster.total_slots))
         # kind -> (completed runtimes averaged, their mean)
         self._fresh: dict[str, tuple[int, float]] = {}
-        self._declines = DeclineMemo(am, "map speculation", self._victim)
 
     # ------------------------------------------------------------------
     def live_backups(self) -> list[TaskAttempt]:
@@ -138,7 +132,12 @@ class SpeculationManager:
 
     def select_speculative(self, container: Container) -> MapAssignment | None:
         """Pick a straggler to back up on the offered container."""
-        victim = self._declines()
+        if not self.config.enabled or len(self.live_backups()) >= self._cap:
+            return None
+        candidates = self.stragglers(self.am.maps.running, "map", self.speculated_tasks)
+        if not candidates:
+            return None
+        victim = self._pick_late(candidates)
         if victim is None:
             return None
         # Re-read the victim's blocks on the new node; locality recomputed.
@@ -152,15 +151,6 @@ class SpeculationManager:
         self.speculated_tasks.add(victim.task_id)
         self.launched += 1
         return assignment
-
-    def _victim(self) -> TaskAttempt | None:
-        """The map straggler LATE would back up now, or None."""
-        if not self.config.enabled or len(self.live_backups()) >= self._cap:
-            return None
-        candidates = self.stragglers(self.am.maps.running, "map", self.speculated_tasks)
-        if not candidates:
-            return None
-        return self._pick_late(candidates)
 
     def _pick_late(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:
         rates = np.array([a.progress_rate() for a in candidates])

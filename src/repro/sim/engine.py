@@ -4,23 +4,18 @@ The engine is deliberately minimal: events are ``(time, seq)``-ordered
 callbacks.  Determinism is guaranteed by the monotonically increasing
 sequence number used to break ties between events scheduled for the same
 instant, so two runs with identical inputs produce identical traces.
+
+Heap entries are plain ``(time, seq, handle)`` tuples: ``seq`` is unique,
+so tuple comparison never reaches the handle and stays in C.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
-
-
-@dataclass(order=True)
-class _Entry:
-    time: float
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -66,7 +61,7 @@ class Simulator:
 
     def __init__(self, obs: "Observability | None" = None) -> None:
         self.now: float = 0.0
-        self._heap: list[_Entry] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq: int = 0
         self._events_processed: int = 0
         self._cancelled_in_heap: int = 0
@@ -89,7 +84,7 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         handle = EventHandle(time, callback, self)
-        heapq.heappush(self._heap, _Entry(time, self._seq, handle))
+        heapq.heappush(self._heap, (time, self._seq, handle))
         self._seq += 1
         return handle
 
@@ -113,7 +108,7 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        self._heap = [e for e in self._heap if not e.handle.cancelled]
+        self._heap = [e for e in self._heap if not e[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self._compactions += 1
@@ -129,13 +124,13 @@ class Simulator:
     def step(self) -> bool:
         """Process the next pending event.  Returns False when idle."""
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.handle.cancelled:
+            time, _, handle = heapq.heappop(self._heap)
+            if handle.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self.now = entry.time
+            self.now = time
             self._events_processed += 1
-            entry.handle.callback()
+            handle.callback()
             return True
         return False
 
@@ -170,15 +165,15 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Time of the next non-cancelled event, or None if idle."""
-        while self._heap and self._heap[0].handle.cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
             self._cancelled_in_heap -= 1
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     @property
     def pending(self) -> int:
         """Number of non-cancelled events still queued."""
-        return sum(1 for e in self._heap if not e.handle.cancelled)
+        return sum(1 for e in self._heap if not e[2].cancelled)
 
     @property
     def events_processed(self) -> int:

@@ -15,7 +15,7 @@ class Container:
 
     _next_id = 0
 
-    def __init__(self, node: Node, am=None) -> None:
+    def __init__(self, node: Node, am=None, reoffer: bool = False) -> None:
         self.node = node
         self.container_id = Container._next_id
         Container._next_id += 1
@@ -24,6 +24,9 @@ class Container:
         # this app's slot accounting on occupy/release.  None for containers
         # constructed outside an RM offer round (tests, ad-hoc drivers).
         self.am = am
+        # True when a checked RM re-offers the slot to an AM it closed for
+        # the round; the AM must decline, and does not count the offer.
+        self.reoffer = reoffer
 
     @property
     def node_id(self) -> str:

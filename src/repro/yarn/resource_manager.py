@@ -18,9 +18,27 @@ pre-multi-job RM.
 Offer rounds are triggered at start, whenever an AM signals new pending
 work, and whenever a slot is released.
 
+**Round closure.**  Right after an AM declines, the RM asks it
+``declines_every_node()``.  True means the decline could not have depended
+on the offered node (the job is done, or only a node-blind straggler scan
+is left), so the AM is *closed*: it gets no more offers in this round, and
+once every live AM is closed the round stops walking nodes.  This is exact:
+the sim time is fixed within a round, only an AM's own launch changes its
+running set, and a straggler scan reads progress, ``elapsed`` and
+``est_time_left``, which are functions of ``sim.now``.  A declining AM with
+pending node-dependent work (stock delay scheduling, FlexMap's reduce-bias
+filter) stays open, and so does an offer sink without the method.  Closed
+AMs are filtered out *after* the cluster policy ranks the live records, so
+the policy sees the same records as without the closure.  Every scheduled
+round still consumes exactly one ``rm-offers`` shuffle.
+
 :class:`repro.check.InvariantChecker` observes registrations and slot
 transitions through the plain ``audit`` attribute; an RM without one pays
-one ``is not None`` test per call.
+one ``is not None`` test per call.  While it is set, the RM walks every
+node as if nothing were closed and re-offers each skipped (slot, closed
+AM) pair, flagged :attr:`~repro.yarn.container.Container.reoffer`; the
+checker requires the AM to decline it, so a checked run makes the
+decisions of the unclosed loop.
 """
 
 from __future__ import annotations
@@ -151,6 +169,12 @@ class ResourceManager:
             return self.scheduler.order(records)
         return records
 
+    @staticmethod
+    def _closes(am) -> bool:
+        # Plain offer sinks without the method (tests) are never closed.
+        declines_every_node = getattr(am, "declines_every_node", None)
+        return declines_every_node is not None and declines_every_node()
+
     def _offer_round(self) -> None:
         self._offer_scheduled = False
         if self._next_app_index == 0:  # no AM ever registered
@@ -164,6 +188,8 @@ class ResourceManager:
             self._rng.shuffle(nodes)
         if not any(self._live(r) for r in self._apps.values()):
             return
+        audit = self.audit
+        closed: set[int] = set()  # id(am) of the AMs closed for this round
         # Keep offering on a node while some AM accepts and slots remain.
         # The policy re-ranks candidates per free slot so slot accounting
         # from one grant influences who is offered the next slot.
@@ -172,14 +198,27 @@ class ResourceManager:
                 continue
             while node.free_slots > 0:
                 accepted = False
-                for record in self._offer_order():
-                    container = Container(node, am=record.am)
-                    if record.am.on_container(container):
+                order = self._offer_order()
+                for record in order:
+                    am = record.am
+                    reoffer = id(am) in closed
+                    if reoffer and audit is None:
+                        continue
+                    container = Container(node, am=am, reoffer=reoffer)
+                    accepted = am.on_container(container)
+                    if reoffer:
+                        audit.on_closed_offer(container, accepted)
+                        if accepted:  # its own launch reopens it
+                            closed.discard(id(am))
+                    elif not accepted and self._closes(am):
+                        closed.add(id(am))
+                    if accepted:
                         record.granted += 1
                         self.containers_granted += 1
-                        accepted = True
                         break
                 if not accepted:
+                    if audit is None and all(id(r.am) in closed for r in order):
+                        return
                     break
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each mutation in :mod:`repro.check.mutations` breaks one invariant the
 checker claims to enforce — BU conservation, container/slot accounting,
-heartbeat ordering, the offer path's incremental state.  If any of these
+heartbeat ordering, the RM's round closure.  If any of these
 tests fails, the checker has a blind spot: it would wave through a
 scheduler bug of that class.
 """
@@ -25,8 +25,10 @@ CASES = {
         "slot-leak",
     ),
     "skip-heartbeat": (ScenarioConfig(mutation="skip-heartbeat"), "heartbeat-order"),
-    "stale-decline-memo": (
-        ScenarioConfig(mutation="stale-decline-memo"),
+    # Four reducers: a reduce-bias rejection on a slow node closes the
+    # mutated FlexMap AM while a faster node would take the reducer.
+    "close-on-every-decline": (
+        ScenarioConfig(reducers=4, mutation="close-on-every-decline"),
         "incremental-state",
     ),
 }
@@ -50,9 +52,9 @@ MULTIJOB_CASES = {
         ScenarioConfig(n_jobs=2, mutation="skip-heartbeat"),
         "round jumped 2 -> 4",
     ),
-    "stale-decline-memo": (
-        ScenarioConfig(n_jobs=2, mutation="stale-decline-memo"),
-        "without a state-epoch bump",
+    "close-on-every-decline": (
+        ScenarioConfig(n_jobs=2, mutation="close-on-every-decline"),
+        "closed for the round at t=",
     ),
 }
 
@@ -98,6 +100,12 @@ def test_skip_heartbeat_diagnostic_names_the_gap():
     failure = probe(CASES["skip-heartbeat"][0])
     assert failure is not None
     assert "round jumped 2 -> 4" in failure.message
+
+
+def test_close_on_every_decline_diagnostic_names_the_node():
+    failure = probe(CASES["close-on-every-decline"][0])
+    assert failure is not None
+    assert failure.message == "fz: closed for the round at t=82.899 but accepted on f02"
 
 
 def test_unchecked_mutated_run_completes_quietly():

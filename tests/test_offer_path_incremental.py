@@ -1,11 +1,13 @@
-"""The offer path's cached state equals its from-scratch definition.
+"""The offer path's shortcuts equal their from-scratch definitions.
 
 Every container offer reads the speculator's fresh-copy estimate, the
-SpeedMonitor's per-node speeds, FlexMap's tail-cap capacity sum and, for a
-repeat offer at one instant, a remembered straggler-scan decline.  Each
-test pins one of these caches to the full recomputation it replaces, and
-checks that a remembered decline is forgotten as soon as an attempt starts
-or ends.
+SpeedMonitor's per-node speeds and FlexMap's tail-cap capacity sum; each
+test pins one of these caches to the full recomputation it replaces.  The
+ResourceManager closes an AM for the rest of an offer round once its
+decline cannot depend on the node; the closure tests pin that a closed AM
+is skipped, that it is offered again in the next round, that node-dependent
+declines leave it open, and that grants and traces equal the unclosed loop
+the armed RM still walks.
 """
 
 import math
@@ -18,7 +20,7 @@ from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.cluster.failures import FailureSchedule
 from repro.core.speed_monitor import SpeedMonitor
 from repro.engines import driver, run_job
-from repro.engines.base import AMConfig, MapAssignment, TraceRecorder
+from repro.engines.base import AMConfig, ApplicationMaster, MapAssignment, TraceRecorder
 from repro.engines.registry import EngineSpec, resolve_engine
 from repro.engines.speculation import (
     SpeculationConfig,
@@ -28,9 +30,15 @@ from repro.engines.speculation import (
 from repro.engines.skewtune import SkewTuneAM, SkewTuneConfig
 from repro.engines.stock import StockHadoopAM
 from repro.mapreduce.split import InputSplit
-from repro.multijob.service import SharedSpeedMonitor
+from repro.multijob.arrivals import JobRequest, TraceArrivals
+from repro.multijob.policies import CapacityPolicy
+from repro.multijob.service import ClusterService, SharedSpeedMonitor
+from repro.obs import Observability
+from repro.sim.engine import Simulator
 from repro.sim.trace import TaskRecord
+from repro.workloads.puma import puma
 from repro.yarn.container import Container
+from repro.yarn.resource_manager import ResourceManager
 from tests.conftest import make_cluster, tiny_job
 
 
@@ -154,12 +162,15 @@ def test_speed_monitor_reference_mode_catches_a_stale_speed():
 
 
 # ----------------------------------------------------------------------
-# decline memo
+# round closure
 # ----------------------------------------------------------------------
-def _bed_with(engine, job, check=None, speeds=(2.0, 2.0, 0.2)):
+def _bed_with(engine, job, check=None, speeds=(2.0, 2.0, 0.2), replication=3):
     """A submitted AM of ``engine`` on a fresh testbed, before any event."""
     spec = resolve_engine(engine)
-    bed = driver.Testbed(lambda: make_cluster(speeds=speeds, slots=2), seed=5, check=check)
+    bed = driver.Testbed(
+        lambda: make_cluster(speeds=speeds, slots=2),
+        seed=5, replication=replication, check=check,
+    )
     bed.stage(job, spec.block_size_mb, job)
     config = AMConfig(block_size_mb=spec.block_size_mb)
     am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams, config)
@@ -172,62 +183,127 @@ def _step_until(bed, condition):
         assert bed.sim.step(), "simulation ended before the condition held"
 
 
-def _scan_counter(obj, name):
-    """Wrap the scan ``obj.name`` on the instance; returns ``scans(offer)``,
-    the number of scans one call of ``offer`` runs."""
-    inner = getattr(obj, name)
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
-
-    setattr(obj, name, counted)
-
-    def scans(offer):
-        before = calls[0]
-        offer()
-        return calls[0] - before
-
-    return scans
-
-
-def _free_slot(bed):
-    return any(n.alive and n.free_slots > 0 for n in bed.cluster.nodes)
-
-
-def _idle_in_last_map_wave(am_class, check=None, **kwargs):
-    """An AM in its last map wave with a slot its straggler scan left
-    idle; ``kwargs`` configure the AM class."""
-    spec = EngineSpec("memo-test", 64.0, am_class, kwargs)
-    bed, am = _bed_with(spec, tiny_job(input_mb=768.0, reducers=0), check=check)
-    _step_until(
-        bed,
-        lambda: am.index.unprocessed == 0 and len(am.maps.running) >= 2 and _free_slot(bed),
-    )
-    node = next(n for n in bed.cluster.nodes if n.alive and n.free_slots > 0)
-    return bed, am, Container(node, am=am)
+def _free_nodes(bed):
+    return [n for n in bed.cluster.nodes if n.alive and n.free_slots > 0]
 
 
 #: Keeps every scan a decline, so probing a scan cannot launch anything.
 NEVER_OLD_ENOUGH = 1e9
 
 
-def test_launch_and_completion_at_one_instant_invalidate_the_map_memo():
-    bed, am, container = _idle_in_last_map_wave(
+def _idle_in_last_map_wave(am_class, check=None, **kwargs):
+    """An AM in its last map wave whose straggler scan left free slots on
+    at least two nodes; ``kwargs`` configure the AM class."""
+    spec = EngineSpec("closure-test", 64.0, am_class, kwargs)
+    bed, am = _bed_with(spec, tiny_job(input_mb=768.0, reducers=0), check=check)
+    _step_until(
+        bed,
+        lambda: am.index.unprocessed == 0
+        and len(am.maps.running) >= 2
+        and len(_free_nodes(bed)) >= 2,
+    )
+    return bed, am
+
+
+def _idle_with_reducers_running():
+    """A stock AM whose reducers all run, with free slots on two nodes."""
+    spec = EngineSpec(
+        "closure-test", 64.0, StockHadoopAM,
+        {"speculation": SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH)},
+    )
+    bed, am = _bed_with(spec, tiny_job(input_mb=512.0, reducers=3, shuffle=0.5))
+    reduces = am.reduces
+    _step_until(
+        bed,
+        lambda: reduces.started
+        and reduces.pending == 0
+        and reduces.running
+        and len(_free_nodes(bed)) >= 2,
+    )
+    return bed, am
+
+
+def _offer_round(rm, *sinks):
+    """Run ``rm``'s offer round now; returns, per sink, the offers it got as
+    ``(node id, re-offer, accepted)`` in order."""
+    logs = []
+    for sink in sinks:
+        log = []
+        inner = sink.on_container
+
+        def on_container(container, inner=inner, log=log):
+            accepted = inner(container)
+            log.append((container.node_id, container.reoffer, accepted))
+            return accepted
+
+        sink.on_container = on_container
+        logs.append(log)
+    try:
+        rm._offer_round()
+    finally:
+        for sink in sinks:
+            del sink.on_container
+    return logs
+
+
+#: One AM per node-blind scan, each left with only that scan: the LATE
+#: map scan, SkewTune's mitigation scan and the LATE reduce-backup scan.
+ONLY_A_SCAN_LEFT = {
+    "map-backup": lambda: _idle_in_last_map_wave(
+        StockHadoopAM, speculation=SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH)
+    ),
+    "skewtune": lambda: _idle_in_last_map_wave(
+        SkewTuneAM, skewtune=SkewTuneConfig(min_age_s=NEVER_OLD_ENOUGH)
+    ),
+    "reduce-backup": _idle_with_reducers_running,
+}
+
+
+@pytest.mark.parametrize("scan", sorted(ONLY_A_SCAN_LEFT))
+def test_a_closed_am_gets_no_further_offer_in_the_round(scan):
+    bed, am = ONLY_A_SCAN_LEFT[scan]()
+    [log] = _offer_round(bed.rm, am)
+    # The scan ignores the node: one offer, then the round stops walking
+    # the other free nodes.
+    assert len(log) == 1
+    assert log[0][1:] == (False, False)
+    assert am.declines_every_node()
+
+
+def test_an_armed_rm_reoffers_every_skipped_slot():
+    checker = InvariantChecker()
+    bed, am = _idle_in_last_map_wave(
+        StockHadoopAM,
+        check=checker,
+        speculation=SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH),
+    )
+    checks = checker.checks.get("incremental-state", 0)
+    free = [n.node_id for n in _free_nodes(bed)]
+    [log] = _offer_round(bed.rm, am)
+    # The unclosed walk: one offer per free node, all but the first a
+    # re-offer of the closed round, each declined and checked.
+    assert sorted(node for node, _, _ in log) == sorted(free)
+    assert [reoffer for _, reoffer, _ in log] == [False] + [True] * (len(free) - 1)
+    assert not any(accepted for _, _, accepted in log)
+    assert checker.checks["incremental-state"] - checks >= len(free) - 1
+
+
+def test_a_closed_am_is_offered_again_after_its_own_kill_or_launch():
+    bed, am = _idle_in_last_map_wave(
         StockHadoopAM, speculation=SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH)
     )
-    manager = am.speculation
-    scans = _scan_counter(manager._declines, "scan")
+    now = bed.sim.now
+    [log] = _offer_round(bed.rm, am)
+    assert len(log) == 1
 
-    def offer():
-        assert manager.select_speculative(container) is None
+    # Its own kill at the same instant: the next round offers it again.
+    am.maps.kill(next(iter(am.maps.running)))
+    [log] = _offer_round(bed.rm, am)
+    assert len(log) == 1
 
-    offer()
-    assert scans(offer) == 0  # the repeat offer is answered from the memo
-
-    # A launch at the same instant: the next offer rescans.
+    # Its own launch at the same instant: offered again too.
     original, assignment = next(iter(am.maps.running.items()))
+    container = Container(_free_nodes(bed)[0], am=am)
     am.maps.launch(
         container,
         MapAssignment(
@@ -236,92 +312,174 @@ def test_launch_and_completion_at_one_instant_invalidate_the_map_memo():
             speculative=True,
         ),
     )
-    assert scans(offer) == 1
-    assert scans(offer) == 0
-
-    # A completion at the same instant: the next offer rescans again.
-    now = bed.sim.now
-    next(a for a in am.maps.running if not a.record.speculative)._finish()
+    [log] = _offer_round(bed.rm, am)
+    assert len(log) == 1
     assert bed.sim.now == now
-    assert scans(offer) == 1
-    assert scans(offer) == 0
 
 
-def test_reduce_memo_is_invalidated_by_a_launch():
-    spec = EngineSpec(
-        "memo-test", 64.0, StockHadoopAM,
-        {"speculation": SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH)},
+def test_a_delay_scheduling_decline_leaves_the_stock_am_open():
+    # One replica per block on four nodes: some nodes hold no local block.
+    bed, am = _bed_with(
+        "hadoop-64", tiny_job(input_mb=128.0, reducers=0),
+        speeds=(1.0, 1.0, 1.0, 1.0), replication=1,
     )
-    bed, am = _bed_with(spec, tiny_job(input_mb=512.0, reducers=3, shuffle=0.5))
-    reduces = am.reduces
-    _step_until(bed, lambda: reduces.started and reduces.running and _free_slot(bed))
-    node = next(n for n in bed.cluster.nodes if n.alive and n.free_slots > 0)
-    container = Container(node, am=am)
-    scans = _scan_counter(reduces._declines, "scan")
-
-    def offer():
-        assert reduces.maybe_speculate(container) is False
-
-    offer()
-    assert scans(offer) == 0
-    reduces.pending += 1
-    reduces.launch(container)
-    assert scans(offer) == 1
-    assert scans(offer) == 0
+    local = {
+        n.node_id for n in bed.cluster.nodes if am.index.min_local_block(n.node_id) is not None
+    }
+    [log] = _offer_round(bed.rm, am)
+    node, _, accepted = log[0]
+    assert node not in local and not accepted  # waits for a local block
+    # The wait depends on the node, so the AM stayed open: a later node
+    # holding a local block was offered the slot and took it in this round.
+    taken = [node for node, _, accepted in log if accepted]
+    assert taken and set(taken) <= local
 
 
-def test_skewtune_memo_is_invalidated_by_a_kill():
-    bed, am, container = _idle_in_last_map_wave(
-        SkewTuneAM, skewtune=SkewTuneConfig(min_age_s=NEVER_OLD_ENOUGH)
+class _Tenant:
+    """Takes up to ``budget`` offers; its declines are node-blind if
+    ``node_blind``."""
+
+    job_done = False
+
+    def __init__(self, rm, budget, node_blind=False):
+        self.rm = rm
+        self.budget = budget
+        self.node_blind = node_blind
+
+    def on_container(self, container):
+        if self.budget == 0:
+            return False
+        self.budget -= 1
+        self.rm.occupy(container)
+        return True
+
+    def declines_every_node(self):
+        return self.node_blind
+
+
+class _PlainSink:
+    """An offer sink without ``declines_every_node`` that declines all."""
+
+    def on_container(self, container):
+        return False
+
+
+def test_a_sink_without_the_method_keeps_one_offer_per_free_node():
+    rm = ResourceManager(Simulator(), make_cluster())
+    plain, blind = _PlainSink(), _Tenant(rm, budget=0, node_blind=True)
+    rm.register(plain)
+    rm.register(blind)
+    plain_log, blind_log = _offer_round(rm, plain, blind)
+    assert [node for node, _, _ in plain_log] == ["t00", "t01", "t02"]
+    assert [node for node, _, _ in blind_log] == ["t00"]
+
+
+@pytest.mark.parametrize("node_blind", [True, False])
+def test_capacity_policy_ranks_closed_ams_with_the_rest(node_blind):
+    cluster = make_cluster(speeds=(1.0,) * 5)  # 10 slots
+    policy = CapacityPolicy({"prod": 3.0, "batch": 1.0})
+    rm = ResourceManager(Simulator(), cluster, scheduler=policy)
+    done = _Tenant(rm, budget=0, node_blind=node_blind)  # prod, holds 4 slots
+    batch = _Tenant(rm, budget=99)
+    prod = _Tenant(rm, budget=99)
+    rm.register(done, queue="prod")
+    rm.register(batch, queue="batch")
+    rm.register(prod, queue="prod")
+    for tenant, nodes in ((done, (0, 0, 1, 1)), (batch, (2, 2))):
+        for i in nodes:
+            rm.occupy(Container(cluster.nodes[i], am=tenant))
+    done_log, batch_log, prod_log = _offer_round(rm, done, batch, prod)
+    # The closed tenant's 4 slots still count toward prod's usage: after
+    # two grants prod is at 6/3, level with batch's 2/1, and batch wins
+    # the tie on its registration index.
+    assert len(done_log) == (1 if node_blind else 4)
+    assert [node for node, _, _ in prod_log] == ["t03", "t03", "t04"]
+    assert [node for node, _, _ in batch_log] == ["t04"]
+
+
+def _grant_log(monkeypatch, run):
+    """``run()``'s grants as ``(time, job, node)`` in grant order."""
+    grants = []
+    occupy = ResourceManager.occupy
+
+    def logged(rm, container):
+        grants.append((rm.sim.now, container.am.job.name, container.node_id))
+        occupy(rm, container)
+
+    monkeypatch.setattr(ResourceManager, "occupy", logged)
+    result = run()
+    monkeypatch.setattr(ResourceManager, "occupy", occupy)
+    return grants, result
+
+
+def _capacity_service():
+    wc = puma("WC")
+    arrivals = TraceArrivals([
+        JobRequest(0.0, wc, "flexmap", input_mb=512.0, queue="prod"),
+        JobRequest(0.0, wc, "hadoop-64", input_mb=512.0, queue="batch"),
+        JobRequest(20.0, wc, "skewtune-64", input_mb=512.0, queue="batch"),
+        JobRequest(40.0, wc, "flexmap", input_mb=256.0, queue="prod"),
+    ])
+    return ClusterService(
+        lambda: make_cluster(speeds=(2.0, 1.0, 0.25, 1.0), slots=2),
+        arrivals,
+        policy="capacity",
+        queues={"prod": 3.0, "batch": 1.0},
+        seed=4,
     )
-    scans = _scan_counter(am._declines, "scan")
-
-    def offer():
-        am._try_mitigate(container)
-        assert not am.mitigation_queue
-
-    offer()
-    assert scans(offer) == 0
-    am.maps.kill(next(iter(am.maps.running)))
-    assert scans(offer) == 1
-    assert scans(offer) == 0
 
 
-def test_reference_mode_rescans_a_memoised_decline():
-    checker = InvariantChecker(strict=False)
-    bed, am, container = _idle_in_last_map_wave(
-        StockHadoopAM,
-        check=checker,
-        speculation=SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH),
-    )
-    manager = am.speculation
-    assert manager.select_speculative(container) is None
-    # A scan that would now back up a task behind the memo's back.
-    straggler = next(iter(am.maps.running))
-    manager._declines.scan = lambda: straggler
-    assert manager.select_speculative(container) is None
-    rules = [v.rule for v in checker.violations]
-    assert rules == ["incremental-state"]
-    assert "declined from its memo" in checker.violations[0].message
+def _records(trace):
+    return [
+        (r.task_id, r.node, r.start, r.end, r.killed, r.speculative, r.size_mb)
+        for r in trace.records
+    ]
 
 
-def test_checked_run_with_backup_races_keeps_the_epoch_moving():
-    """Losing map and reduce copies are killed mid-race; each kill must
-    move the state epoch like every other attempt start and end."""
+def test_capacity_grants_equal_the_unclosed_order(monkeypatch):
+    def run():
+        result = _capacity_service().run(compute_slowdown=False)
+        return [(o.job_id, _records(o.trace)) for o in result.outcomes]
+
+    closed_grants, closed = _grant_log(monkeypatch, run)
+    monkeypatch.setattr(ApplicationMaster, "declines_every_node", lambda am: False)
+    unclosed_grants, unclosed = _grant_log(monkeypatch, run)
+    assert closed_grants == unclosed_grants
+    assert closed == unclosed
+    assert len({job for _, job, _ in closed_grants}) == 4
+
+
+@pytest.mark.parametrize("engine", ["hadoop-64", "flexmap", "skewtune-64"])
+def test_checked_and_unchecked_runs_match(engine, monkeypatch):
+    reoffers = []
+    on_closed_offer = InvariantChecker.on_closed_offer
+
+    def counted(checker, container, accepted):
+        reoffers.append(accepted)
+        on_closed_offer(checker, container, accepted)
+
+    monkeypatch.setattr(InvariantChecker, "on_closed_offer", counted)
+
+    def run(check):
+        obs = Observability()
+        result = run_job(
+            lambda: make_cluster(speeds=(2.0, 1.0, 0.25), slots=2),
+            tiny_job(input_mb=1024.0, reducers=4, shuffle=0.5),
+            engine,
+            seed=3,
+            obs=obs,
+            check=check,
+        )
+        offers = obs.metrics.counter("am.container_offers").value
+        return _records(result.trace), offers
+
     checker = InvariantChecker()
-    spec = EngineSpec("memo-test", 64.0, StockHadoopAM, {"speculation": SpeculationConfig()})
-    result = run_job(
-        lambda: make_cluster(speeds=(2.0, 2.0, 0.25), slots=2),
-        tiny_job(input_mb=512.0, reducers=4, shuffle=0.5),
-        spec,
-        seed=2,
-        check=checker,
-    )
-    report = checker.finalize()
-    assert report.ok
-    killed = {r.kind for r in result.trace.records if r.killed}
-    assert killed == {"map", "reduce"}
-    assert report.checks["incremental-state"] > 0
+    checked = run(checker)
+    assert checker.finalize().ok
+    assert run(None) == checked  # re-offers are not counted as offers
+    assert reoffers and not any(reoffers)
+    records, _ = checked
+    assert any(killed for *_, killed, _, _ in records)  # a backup race was lost
 
 
 # ----------------------------------------------------------------------
