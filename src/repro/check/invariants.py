@@ -64,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Cluster
     from repro.engines.base import ApplicationMaster
     from repro.sim.engine import Simulator
+    from repro.yarn.container import Container
     from repro.yarn.resource_manager import ResourceManager
 
 #: Relative tolerance for byte-conservation comparisons (float summation).
@@ -204,9 +205,9 @@ class InvariantChecker:
         self._rm: "ResourceManager | None" = None
         self._last_now = -math.inf
         self._ledgers: dict[int, _AMLedger] = {}
-        # container_id -> "occupied" | "released"
-        self._containers: dict[int, str] = {}
-        self._container_nodes: dict[int, str] = {}
+        # Container -> occupied?, in first-occupy order: a diagnostic numbers
+        # a container by its position here, which depends only on the run.
+        self._containers: dict["Container", bool] = {}
         self._occupied_by_node: dict[str, int] = {}
         self._finalized = False
 
@@ -298,20 +299,19 @@ class InvariantChecker:
     def on_occupy(self, container) -> None:
         """The RM is about to occupy ``container``'s slot."""
         self._count("container-lifecycle")
-        cid = container.container_id
         node = container.node
-        if self._containers.get(cid) == "occupied":
+        if self._containers.get(container):
             self._violate(
                 "container-lifecycle",
-                f"container #{cid} on {node.node_id} occupied twice",
+                f"container {self._number(container)} on {node.node_id} occupied twice",
             )
         if not node.alive:
             self._violate(
                 "container-lifecycle",
-                f"container #{cid} occupies a slot on dead node {node.node_id}",
+                f"container {self._number(container)} occupies a slot on dead "
+                f"node {node.node_id}",
             )
-        self._containers[cid] = "occupied"
-        self._container_nodes[cid] = node.node_id
+        self._containers[container] = True
         self._occupied_by_node[node.node_id] = (
             self._occupied_by_node.get(node.node_id, 0) + 1
         )
@@ -320,17 +320,23 @@ class InvariantChecker:
     def on_release(self, container) -> None:
         """The RM is about to release ``container`` for the first time."""
         self._count("container-lifecycle")
-        cid = container.container_id
         node = container.node
-        if self._containers.get(cid) != "occupied":
+        if not self._containers.get(container):
             self._violate(
                 "container-lifecycle",
-                f"container #{cid} on {node.node_id} released but never occupied",
+                f"container {self._number(container)} on {node.node_id} released "
+                "but never occupied",
             )
             return
-        self._containers[cid] = "released"
+        self._containers[container] = False
         self._occupied_by_node[node.node_id] -= 1
         self._check_node_ledger(node, extra=-1)
+
+    def _number(self, container: "Container") -> str:
+        """``#n``: the container's position in first-occupy order (taken on
+        violations only)."""
+        self._containers.setdefault(container, False)
+        return f"#{list(self._containers).index(container)}"
 
     def on_closed_offer(self, container, accepted: bool) -> None:
         """The RM re-offered ``container`` to an AM it had closed for the
@@ -473,18 +479,13 @@ class InvariantChecker:
                         f"{ledger.am.job.name}: run ended before the job "
                         "completed",
                     )
-            leaked = sorted(
-                (cid, self._container_nodes.get(cid, "?"))
-                for cid, held in self._containers.items()
-                if held == "occupied"
-            )
+            leaked = [c for c, held in self._containers.items() if held]
             self._count("slot-leak")
             if leaked:
-                cid, node = leaked[0]
                 self._violate(
                     "slot-leak",
-                    f"{len(leaked)} container(s) never released "
-                    f"(first: #{cid} on node {node})",
+                    f"{len(leaked)} container(s) never released (first: "
+                    f"{self._number(leaked[0])} on node {leaked[0].node_id})",
                 )
             if self._cluster is not None:
                 for node in self._cluster.nodes:

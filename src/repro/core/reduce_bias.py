@@ -8,6 +8,9 @@ The paper's scheme: normalize machine capacities to (0, 1] with the fastest
 node at 1, give node *i* a dispatch bias of ``c_i**2``, then rejection-
 sample — pick a random node, accept with probability ``c_i**2``, repeat
 until a node accepts.  Faster nodes accept proportionally more reducers.
+The RM's offer rounds supply the random nodes: FlexMap runs one trial per
+offered container (:meth:`ReducePlacer.accepts`) and a declined offer
+waits for the next round.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ import numpy as np
 class ReducePlacer:
     """Rejection sampler over normalized node capacities."""
 
-    def __init__(self, rng: np.random.Generator, max_tries: int = 64) -> None:
-        if max_tries < 1:
-            raise ValueError(f"max_tries must be >= 1: {max_tries}")
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self.max_tries = max_tries
 
     def bias(self, capacity: float) -> float:
         """Dispatch bias for a node of normalized capacity c: c**2."""
@@ -33,18 +33,3 @@ class ReducePlacer:
     def accepts(self, capacity: float) -> bool:
         """One rejection-sampling trial for a specific candidate node."""
         return self.rng.random() < self.bias(capacity)
-
-    def choose(self, capacities: dict[str, float]) -> str:
-        """Pick a node from ``capacities`` (node id -> normalized capacity).
-
-        Rejection-samples up to ``max_tries`` rounds, then falls back to the
-        highest-capacity candidate so dispatch can never stall.
-        """
-        if not capacities:
-            raise ValueError("no candidate nodes")
-        ids = sorted(capacities)
-        for _ in range(self.max_tries):
-            node_id = ids[int(self.rng.integers(len(ids)))]
-            if self.accepts(capacities[node_id]):
-                return node_id
-        return max(ids, key=lambda n: (capacities[n], n))

@@ -18,7 +18,6 @@ those (enforced by the layering lint in ``tests/test_api_hygiene.py``).
 """
 
 from repro.engines.base import (
-    AMConfig,
     ApplicationMaster,
     MapAssignment,
     MapPhaseDriver,
@@ -34,16 +33,15 @@ from repro.engines.registry import (
     resolve_engine,
     unregister_engine,
 )
-from repro.engines.speculation import SpeculationConfig, SpeculationManager
+from repro.engines.speculation import SpeculationManager
 
 # Importing the engine modules registers the built-in comparison set; the
 # import order is the registration order of ENGINES.
 from repro.engines.stock import StockHadoopAM  # isort: skip
-from repro.engines.skewtune import SkewTuneAM, SkewTuneConfig  # isort: skip
+from repro.engines.skewtune import SkewTuneAM  # isort: skip
 from repro.engines.flexmap import FlexMapAM  # isort: skip
 
 __all__ = [
-    "AMConfig",
     "ApplicationMaster",
     "MapAssignment",
     "MapPhaseDriver",
@@ -61,7 +59,5 @@ __all__ = [
     "FlexMapAM",
     "StockHadoopAM",
     "SkewTuneAM",
-    "SkewTuneConfig",
-    "SpeculationConfig",
     "SpeculationManager",
 ]

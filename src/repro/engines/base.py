@@ -1,13 +1,14 @@
 """ApplicationMaster and the three phase collaborators it composes.
 
 The AM owns the lifecycle every engine shares — accepting container
-offers, launching task attempts, tracking the map -> shuffle/reduce phase
-transition, recording the job trace — split across three collaborators:
+offers, starting, ending and racing task attempts, tracking the map ->
+shuffle/reduce phase transition, recording the job trace — split across
+three collaborators:
 
-* :class:`MapPhaseDriver` — map offer routing and attempt lifecycle
-  (launch, completion, early-stop/kill bookkeeping, phase-end detection);
+* :class:`MapPhaseDriver` — map offer routing and the map side of the
+  attempt lifecycle (completion, early stop, phase-end detection);
 * :class:`ReducePhaseDriver` — the slowstart transition, reducer
-  placement/launches, and the LATE-style backup race;
+  placement/launches and LATE-style reduce backups;
 * :class:`TraceRecorder` — the :class:`~repro.sim.trace.JobTrace` plus all
   structured observability emissions.
 
@@ -16,14 +17,21 @@ strategy hooks (``prepare_maps``, ``select_map``, ``on_tick``, ...); the
 AM reaches its collaborators as ``am.maps``, ``am.reduces`` and
 ``am.recorder``.
 
-Each attempt end has one call site: ``MapPhaseDriver.finished`` (commit),
-``MapPhaseDriver.finalize_stopped`` (SkewTune's partial commit),
-``MapPhaseDriver.kill`` and ``ReducePhaseDriver.kill`` (output discarded),
-and :meth:`ApplicationMaster.on_node_failure` is the one place lost map
+Every attempt of either kind starts in :meth:`ApplicationMaster.start_attempt`
+and is killed in :meth:`ApplicationMaster.kill_attempt`, and
+:meth:`ApplicationMaster.first_copy_wins` settles both phases' backup
+races.  Each attempt end has one call site: the drivers' ``finished``
+(commit), ``MapPhaseDriver.finalize_stopped`` (SkewTune's partial commit)
+and ``kill_attempt`` (output discarded), and
+:meth:`ApplicationMaster.on_node_failure` is the one place lost map
 input is requeued.  Every milestone reaches the :class:`TraceRecorder`,
 which also feeds ``repro.check``: when ``recorder.check`` holds an
 :class:`~repro.check.InvariantChecker` ledger, the recorder forwards map
 launches, completions, stops and requeues plus the job end to it.
+
+In the last map wave, the heartbeat of an engine that backs up stragglers
+(:meth:`ApplicationMaster._backs_up_stragglers`) asks the RM for an offer
+round, so idle slots reach the straggler scan.
 
 After a declined offer the ResourceManager asks
 :meth:`ApplicationMaster.declines_every_node` whether the decline could
@@ -40,8 +48,8 @@ sequential).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.topology import Cluster
 from repro.hdfs.namenode import NameNode
@@ -61,14 +69,8 @@ from repro.yarn.resource_manager import ResourceManager
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import TaskRecord
 
-
-@dataclass(frozen=True)
-class AMConfig:
-    """Settings shared by every engine."""
-
-    block_size_mb: float = 64.0  # split size for fixed-size engines
-    overhead: OverheadModel = field(default_factory=OverheadModel)
-    obs: Observability | None = None  # structured tracing/metrics (off = None)
+#: Container allocation + JVM startup cost of every attempt.
+OVERHEAD = OverheadModel()
 
 
 @dataclass
@@ -262,15 +264,15 @@ class TraceRecorder:
 class MapPhaseDriver:
     """Map-phase collaborator: offer routing plus attempt lifecycle.
 
-    Owns the running-attempt tables and the task-id sequence.  An attempt
-    ends in exactly one of :meth:`finished`, :meth:`finalize_stopped` or
-    :meth:`kill`.
+    Owns the running-attempt table, the ids of speculated tasks and the
+    task-id sequence.  An attempt ends in exactly one of :meth:`finished`,
+    :meth:`finalize_stopped` or :meth:`kill`.
     """
 
     def __init__(self, am: "ApplicationMaster") -> None:
         self.am = am
         self.running: dict[TaskAttempt, MapAssignment] = {}
-        self.containers: dict[TaskAttempt, Container] = {}
+        self.speculated_ids: set[str] = set()
         self.task_seq = 0
 
     # -- offer routing ---------------------------------------------------
@@ -289,27 +291,14 @@ class MapPhaseDriver:
 
     # -- attempt lifecycle -------------------------------------------------
     def launch(self, container: Container, assignment: MapAssignment) -> None:
-        """Occupy the container and start the map attempt's three phases."""
+        """Start the map attempt of ``assignment`` on the container."""
         am = self.am
-        am.rm.occupy(container)
-        node = container.node
         split = assignment.split
-        overhead = am.config.overhead.sample(node.effective_speed, am._overhead_rng)
-        transfer = (
-            am.cluster.network.remote_read_time(split.remote_mb)
-            + assignment.extra_transfer_s
-        )
-        noise = node.sample_work_noise(am._noise_rng)
-        attempt = TaskAttempt(
-            am.sim,
-            node,
-            task_id=assignment.task_id,
-            kind="map",
-            size_mb=split.size_mb,
-            work_s=split.work_mb * am.job.map_cost_s_per_mb * noise,
-            overhead_s=overhead,
-            transfer_s=transfer,
-            on_complete=lambda a: self.finished(a, container),
+        attempt = am.start_attempt(
+            container, self.finished, assignment.task_id, "map", split.size_mb,
+            work_s=split.work_mb * am.job.map_cost_s_per_mb,
+            transfer_s=am.cluster.network.remote_read_time(split.remote_mb)
+            + assignment.extra_transfer_s,
             wave=assignment.wave,
             speculative=assignment.speculative,
             num_bus=split.num_bus,
@@ -317,48 +306,39 @@ class MapPhaseDriver:
             remote_mb=split.remote_mb,
         )
         self.running[attempt] = assignment
-        self.containers[attempt] = container
-        am.recorder.map_launched(assignment, node)
+        am.recorder.map_launched(assignment, container.node)
 
-    def finished(self, attempt: TaskAttempt, container: Container) -> None:
+    def finished(self, attempt: TaskAttempt) -> None:
         """Successful completion: commit output, release, check phase end."""
         am = self.am
         assignment = self.running.pop(attempt)
-        self.containers.pop(attempt, None)
-        am.recorder.add(attempt.record)
-        am.store.add(
-            attempt.node.node_id,
-            attempt.record.processed_mb * am.job.shuffle_ratio,
-        )
+        self._commit(attempt)
         am.recorder.map_completed(attempt, assignment)
+        am.first_copy_wins(attempt, self.running, self.speculated_ids)
         am.on_map_complete(attempt, assignment)
-        am.rm.release(container)
+        am.rm.release(am.containers.pop(attempt))
         self.check_phase_end()
 
-    def finalize_stopped(self, attempt: TaskAttempt, container: Container) -> None:
+    def finalize_stopped(self, attempt: TaskAttempt) -> None:
         """Bookkeeping for an attempt stopped early with committed output."""
         am = self.am
-        assignment = self.running.pop(attempt, None)
-        self.containers.pop(attempt, None)
-        if assignment is not None:
-            am.recorder.map_stopped(assignment)
+        am.recorder.map_stopped(self.running.pop(attempt))
+        self._commit(attempt)
+        am.rm.release(am.containers.pop(attempt))
+
+    def _commit(self, attempt: TaskAttempt) -> None:
+        """Record the attempt and store its map output on its node."""
+        am = self.am
         am.recorder.add(attempt.record)
         am.store.add(
             attempt.node.node_id,
             attempt.record.processed_mb * am.job.shuffle_ratio,
         )
-        am.rm.release(container)
 
     def kill(self, attempt: TaskAttempt) -> MapAssignment:
-        """Kill a running attempt, discard its output, free its container.
-
-        Returns the attempt's assignment, whose input the caller may requeue.
-        """
-        attempt.kill()
-        assignment = self.running.pop(attempt)
-        self.am.recorder.add(attempt.record)
-        self.am.rm.release(self.containers.pop(attempt))
-        return assignment
+        """Kill a running attempt; returns its assignment, whose input the
+        caller may requeue."""
+        return self.am.kill_attempt(attempt, self.running)
 
     def done(self) -> bool:
         """True once no map work is pending and nothing is running."""
@@ -387,7 +367,7 @@ class ReducePhaseDriver:
 
     def __init__(self, am: "ApplicationMaster") -> None:
         self.am = am
-        self.running: dict[TaskAttempt, Container] = {}
+        self.running: dict[TaskAttempt, None] = {}  # a set in launch order
         self.started = False
         self.pending = 0
         self.seq = 0
@@ -419,61 +399,47 @@ class ReducePhaseDriver:
     def launch(
         self, container: Container, task_id: str | None = None, speculative: bool = False
     ) -> None:
-        """Occupy the container and start a reduce attempt."""
+        """Start a reduce attempt (a backup of ``task_id`` if
+        ``speculative``) on the container."""
         am = self.am
-        am.rm.occupy(container)
         if not speculative:
             self.pending -= 1
             self.seq += 1
             task_id = f"r{self.seq:04d}"
-        node = container.node
         share = am.store.reducer_share_mb(am.job.num_reducers)
-        cross = am.store.cross_node_mb(node.node_id, share)
-        overhead = am.config.overhead.sample(node.effective_speed, am._overhead_rng)
-        noise = node.sample_work_noise(am._noise_rng)
-        attempt = TaskAttempt(
-            am.sim,
-            node,
-            task_id=task_id,
-            kind="reduce",
-            size_mb=share,
-            work_s=share * am.job.reduce_cost_s_per_mb * noise,
-            overhead_s=overhead,
+        cross = am.store.cross_node_mb(container.node_id, share)
+        attempt = am.start_attempt(
+            container, self.finished, task_id, "reduce", share,
+            work_s=share * am.job.reduce_cost_s_per_mb,
             transfer_s=am.cluster.network.shuffle_time(cross),
-            on_complete=lambda a: self.finished(a, container),
             speculative=speculative,
             local_mb=share - cross,
             remote_mb=cross,
         )
-        self.running[attempt] = container
-        am.recorder.reduce_launched(task_id, node, share, speculative)
+        self.running[attempt] = None
+        am.recorder.reduce_launched(task_id, container.node, share, speculative)
 
-    def finished(self, attempt: TaskAttempt, container: Container) -> None:
+    def finished(self, attempt: TaskAttempt) -> None:
         """Reducer completion; the first copy home wins a speculation race."""
         am = self.am
-        self.running.pop(attempt, None)
+        self.running.pop(attempt)
         am.recorder.add(attempt.record)
         am.recorder.reduce_completed(attempt)
         self.done_ids.add(attempt.task_id)
-        # First copy home wins: kill the loser of a speculation race.
-        for copy in [a for a in self.running if a.task_id == attempt.task_id]:
-            self.kill(copy)
-        am.rm.release(container)
+        am.first_copy_wins(attempt, self.running, self.speculated_ids)
+        am.rm.release(am.containers.pop(attempt))
         if self.pending == 0 and not self.running:
             am._finish_job()
 
     def kill(self, attempt: TaskAttempt) -> None:
         """Kill a running reducer, discard its output, free its container."""
-        attempt.kill()
-        container = self.running.pop(attempt)
-        self.am.recorder.add(attempt.record)
-        self.am.rm.release(container)
+        self.am.kill_attempt(attempt, self.running)
 
     # -- speculation -----------------------------------------------------------
     def maybe_speculate(self, container: Container) -> bool:
         """Back up the worst reduce straggler on an idle container (LATE)."""
         am = self.am
-        if not am._reduce_speculation_enabled():
+        if not am._backs_up_stragglers():
             return False
         candidates = am.speculation.stragglers(
             self.running, "reduce", self.speculated_ids
@@ -506,7 +472,7 @@ class ApplicationMaster:
         namenode: NameNode,
         job: JobSpec,
         streams: RandomStreams,
-        config: AMConfig | None = None,
+        obs: Observability | None = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
@@ -514,13 +480,14 @@ class ApplicationMaster:
         self.namenode = namenode
         self.job = job
         self.streams = streams
-        self.config = config or AMConfig()
-        self.obs = self.config.obs
+        self.obs = obs
         self.store = IntermediateStore()
         self.heartbeat = HeartbeatService(sim)
         self.recorder = TraceRecorder(self)
         self.maps = MapPhaseDriver(self)
         self.reduces = ReducePhaseDriver(self)
+        #: The container of every running map and reduce attempt.
+        self.containers: dict[TaskAttempt, Container] = {}
         self.job_done = False
         # Overhead/noise draws are interleaved across map and reduce
         # launches, so both drivers share the AM-level generators.
@@ -557,6 +524,56 @@ class ApplicationMaster:
         return self.trace
 
     # ------------------------------------------------------------------
+    # attempt lifecycle, shared by both phases
+    # ------------------------------------------------------------------
+    def start_attempt(
+        self,
+        container: Container,
+        on_done: Callable[[TaskAttempt], None],
+        task_id: str,
+        kind: str,
+        size_mb: float,
+        work_s: float,
+        transfer_s: float,
+        **record,
+    ) -> TaskAttempt:
+        """Occupy ``container`` and start an attempt on its node.
+
+        Draws the startup overhead and then the work noise (which scales
+        ``work_s``) from the AM's streams; ``record`` holds the attempt's
+        remaining :class:`~repro.sim.trace.TaskRecord` fields.
+        """
+        self.rm.occupy(container)
+        node = container.node
+        overhead = OVERHEAD.sample(node.effective_speed, self._overhead_rng)
+        noise = node.sample_work_noise(self._noise_rng)
+        attempt = TaskAttempt(
+            self.sim, node, task_id=task_id, kind=kind, size_mb=size_mb,
+            work_s=work_s * noise, overhead_s=overhead, transfer_s=transfer_s,
+            on_complete=on_done, **record,
+        )
+        self.containers[attempt] = container
+        return attempt
+
+    def kill_attempt(self, attempt: TaskAttempt, running: dict):
+        """Kill a running attempt, discard its output and free its
+        container; returns its entry in its phase's ``running`` table."""
+        attempt.kill()
+        entry = running.pop(attempt)
+        self.recorder.add(attempt.record)
+        self.rm.release(self.containers.pop(attempt))
+        return entry
+
+    def first_copy_wins(
+        self, attempt: TaskAttempt, running: dict, speculated: set[str]
+    ) -> None:
+        """``attempt`` finished first: kill the other running copies of its
+        task.  A copy exists only while the task id is in ``speculated``."""
+        if attempt.task_id in speculated:
+            for copy in [a for a in running if a.task_id == attempt.task_id]:
+                self.kill_attempt(copy, running)
+
+    # ------------------------------------------------------------------
     # subclass API (strategy hooks)
     # ------------------------------------------------------------------
     def prepare_maps(self) -> None:
@@ -572,14 +589,16 @@ class ApplicationMaster:
         raise NotImplementedError
 
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
-        """Hook: called after a map attempt finishes successfully."""
+        """Hook: called after a map attempt finishes successfully (and its
+        other copies, if any, were killed)."""
 
     def select_reduce_node_ok(self, container: Container) -> bool:
         """Placement filter for reducers; base accepts any node (stock)."""
         return True
 
     def on_tick(self, round_no: int) -> None:
-        """Hook: called every heartbeat round (speculation checks etc.)."""
+        """Hook: called every heartbeat round, before the base AM's own
+        offer requests (delay-scheduling retries, IPS reports)."""
 
     # ------------------------------------------------------------------
     # container offers
@@ -612,13 +631,10 @@ class ApplicationMaster:
             return not self.maps_pending()
         return not (self.reduces.started and self.reduces.pending > 0)
 
-    # ------------------------------------------------------------------
-    # reduce phase
-    # ------------------------------------------------------------------
-    def _reduce_speculation_enabled(self) -> bool:
-        """Reduce backups run whenever the engine's speculator is enabled —
-        YARN speculates reduces exactly as it does maps."""
-        return self.speculation is not None and self.speculation.config.enabled
+    def _backs_up_stragglers(self) -> bool:
+        """Whether idle slots go to straggler scans: the engine's speculator
+        is enabled.  YARN speculates reduces exactly as it does maps."""
+        return self.speculation is not None and self.speculation.enabled
 
     # ------------------------------------------------------------------
     # fault tolerance
@@ -658,8 +674,7 @@ class ApplicationMaster:
                 continue  # a copy elsewhere still holds the input
             self.requeue_map(assignment)
             # The task may be re-run from scratch; allow fresh speculation.
-            if self.speculation is not None:
-                self.speculation.speculated_tasks.discard(attempt.task_id)
+            self.maps.speculated_ids.discard(attempt.task_id)
             self.recorder.map_requeued(assignment)
         for attempt in [a for a in self.reduces.running if a.node is node]:
             self.reduces.kill(attempt)
@@ -683,9 +698,15 @@ class ApplicationMaster:
     def _on_heartbeat(self, round_no: int) -> None:
         self.recorder.heartbeat(round_no)
         self.on_tick(round_no)
+        # Last map wave: no regular work remains, but idle slots must still
+        # be offered so the straggler scan can back up (or split) a map.
         # Engines with placement filters (FlexMap's reduce bias) may decline
         # every free container in a round; retry on the next heartbeat so
         # pending reducers cannot stall.  Running reduces also need periodic
         # offers so idle containers can launch backups.
-        if self.reduces.started and (self.reduces.pending > 0 or self.reduces.running):
+        index, reduces = self.index, self.reduces
+        last_wave = index is not None and index.unprocessed == 0 and not self.maps.done()
+        if (last_wave and self._backs_up_stragglers()) or (
+            reduces.started and (reduces.pending > 0 or reduces.running)
+        ):
             self.rm.request_offers()

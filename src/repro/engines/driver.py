@@ -15,14 +15,13 @@ the same cluster, interference schedule, and record skew.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cluster.failures import FailureSchedule
 from repro.cluster.topology import Cluster
-from repro.engines.base import AMConfig, ApplicationMaster
+from repro.engines.base import ApplicationMaster
 from repro.engines.registry import EngineSpec, resolve_engine
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.placement import RandomPlacement
@@ -143,7 +142,6 @@ def run_job(
     seed: int = 0,
     input_mb: float | None = None,
     replication: int = 3,
-    am_config: AMConfig | None = None,
     max_events: int | None = None,
     failures: "FailureSchedule | None" = None,
     obs: Observability | None = None,
@@ -166,15 +164,12 @@ def run_job(
     )
     job = as_job(workload, input_mb)
     bed.stage(job, spec.block_size_mb, workload)
-    config = am_config or AMConfig(block_size_mb=spec.block_size_mb)
-    if obs is not None and config.obs is None:
-        config = dataclasses.replace(config, obs=obs)
     if obs is not None:
         obs.trace.emit(
             "run_meta", bed.sim.now,
             engine=spec.name, cluster=bed.cluster.name, job=job.name, seed=seed,
         )
-    am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams, config)
+    am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams, obs)
     trace = am.run_to_completion(max_events=max_events)
 
     return RunResult(

@@ -34,7 +34,7 @@ from repro.core.sizing import DynamicSizer, SizingConfig
 from repro.core.speed_monitor import SpeedMonitor
 from repro.engines.base import ApplicationMaster, MapAssignment
 from repro.engines.registry import EngineSpec, register_engine
-from repro.engines.speculation import SpeculationConfig, SpeculationManager
+from repro.engines.speculation import SpeculationManager
 from repro.mapreduce.attempt import TaskAttempt
 from repro.yarn.container import Container
 
@@ -52,13 +52,12 @@ class FlexMapAM(ApplicationMaster):
         horizontal_scaling: bool = True,
         vertical_scaling: bool = True,
         reduce_bias: bool = True,
-        speculation: SpeculationConfig | None = None,
         monitor: SpeedMonitor | None = None,
         sizer: DynamicSizer | None = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self.speculation = SpeculationManager(self, speculation or SpeculationConfig())
+        self.speculation = SpeculationManager(self)
         self.sizing_config = sizing or SizingConfig()
         # Pre-warmed monitor/sizer state can be injected so iterative
         # (Spark-style, §IV-G) workloads skip the sizing ramp after the
@@ -178,7 +177,6 @@ class FlexMapAM(ApplicationMaster):
         self.binder.put_back(assignment.split)
 
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
-        self.speculation.on_map_complete(attempt, assignment)
         node_id = attempt.node.node_id
         runtime = attempt.record.runtime
         if runtime > 0:
@@ -221,7 +219,6 @@ class FlexMapAM(ApplicationMaster):
     # heartbeats -> SpeedMonitor
     # ------------------------------------------------------------------
     def on_tick(self, round_no: int) -> None:
-        self.speculation.on_tick()
         node_ips: dict[str, list[float]] = {}
         for attempt in self.maps.running:
             node_ips.setdefault(attempt.node.node_id, []).append(attempt.ips())

@@ -12,6 +12,9 @@ Mitigation costs are modelled per the SkewTune design: repartitioning moves
 the remainder over the network (scan + transfer) and every mitigator pays a
 fresh container/JVM startup.
 
+SkewTune replaces LATE for maps (the AM is built with ``speculate=False``)
+but counts as backing up stragglers, so the base AM's heartbeat requests
+offers in the last map wave and reduce stragglers get LATE-style backups.
 The straggler scan ignores the offered node, as LATE's does, so once it is
 all the AM has left, the ResourceManager stops offering it slots for the
 rest of a round after its first decline.
@@ -19,11 +22,8 @@ rest of a round after its first decline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.engines.base import MapAssignment
 from repro.engines.registry import register_engine
-from repro.engines.speculation import SpeculationConfig
 from repro.engines.stock import StockHadoopAM
 from repro.hdfs.block import Block
 from repro.mapreduce.attempt import TaskAttempt
@@ -34,16 +34,11 @@ from repro.yarn.container import Container
 MAX_OUTSTANDING_MITIGATIONS = 1
 #: Fixed cost to plan and scan a straggler's remainder, charged per chunk.
 REPARTITION_SCAN_S = 5.0
-
-
-@dataclass(frozen=True)
-class SkewTuneConfig:
-    """Straggler-mitigation knobs."""
-
-    # Only mitigate when the straggler's estimated remaining time exceeds
-    # twice the repartitioning overhead (SkewTune's w heuristic).
-    min_remaining_s: float = 30.0
-    min_age_s: float = 30.0
+#: Only mitigate when the straggler's estimated remaining time exceeds
+#: twice the repartitioning overhead (SkewTune's w heuristic).
+MIN_REMAINING_S = 30.0
+#: Brand-new attempts are not judged.
+MIN_AGE_S = 30.0
 
 
 @register_engine("skewtune-64", block_size_mb=64.0)
@@ -52,11 +47,8 @@ class SkewTuneAM(StockHadoopAM):
 
     engine_name = "skewtune"
 
-    def __init__(self, *args, skewtune: SkewTuneConfig | None = None, **kwargs):
-        # SkewTune replaces speculation as the straggler defence.
-        kwargs.setdefault("speculation", SpeculationConfig(enabled=False))
-        super().__init__(*args, **kwargs)
-        self.st_config = skewtune or SkewTuneConfig()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, speculate=False, **kwargs)
         self.mitigation_queue: list[MapAssignment] = []
         self.mitigations = 0
         self.mitigated_tasks: set[str] = set()
@@ -87,7 +79,6 @@ class SkewTuneAM(StockHadoopAM):
 
     # ------------------------------------------------------------------
     def _try_mitigate(self, container: Container) -> None:
-        cfg = self.st_config
         if self.outstanding_mitigators() >= MAX_OUTSTANDING_MITIGATIONS:
             return
         candidates = [
@@ -95,12 +86,12 @@ class SkewTuneAM(StockHadoopAM):
             for a in self.maps.running
             if a.task_id not in self.mitigated_tasks
             and not a.record.task_id.startswith("st")
-            and a.elapsed() >= cfg.min_age_s
+            and a.elapsed() >= MIN_AGE_S
         ]
         if not candidates:
             return
         victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
-        if victim.est_time_left() < cfg.min_remaining_s:
+        if victim.est_time_left() < MIN_REMAINING_S:
             return
         self._repartition(victim, container)
 
@@ -115,16 +106,10 @@ class SkewTuneAM(StockHadoopAM):
         if remaining_mb <= 0:
             return
         source_node = victim.node.node_id
-        victim_container = self.maps.containers.get(victim)
-        assignment = self.maps.running.get(victim)
-        avg_cost = (
-            assignment.split.work_mb / assignment.split.size_mb
-            if assignment is not None and assignment.split.size_mb > 0
-            else 1.0
-        )
+        split = self.maps.running[victim].split
+        avg_cost = split.work_mb / split.size_mb if split.size_mb > 0 else 1.0
         victim.stop_early()
-        if victim_container is not None:
-            self.maps.finalize_stopped(victim, victim_container)
+        self.maps.finalize_stopped(victim)
         self.mitigated_tasks.add(victim.task_id)
         self.mitigations += 1
         if self.obs is not None:
@@ -170,14 +155,13 @@ class SkewTuneAM(StockHadoopAM):
         else:
             super().requeue_map(assignment)
 
-    def _reduce_speculation_enabled(self) -> bool:
-        """SkewTune mitigates reduce-side stragglers too; we approximate its
+    def _backs_up_stragglers(self) -> bool:
+        """Idle last-wave slots trigger the mitigation scan, and SkewTune
+        mitigates reduce-side stragglers too; we approximate its
         repartition-the-remainder scheme with a LATE-style backup copy (a
         conservative stand-in: SkewTune would commit partial output)."""
         return True
 
     def on_tick(self, round_no: int) -> None:
-        # Idle slots during the last wave trigger straggler scans.
-        assert self.index is not None
-        if self.index.unprocessed == 0 and not self.maps.done():
-            self.rm.request_offers()
+        """No delay-scheduling retry on the heartbeat (unlike stock): offers
+        come from releases and the base AM's last-wave and reduce rules."""

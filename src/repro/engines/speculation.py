@@ -11,11 +11,14 @@ under SpeculativeCap.
 maps (:meth:`~SpeculationManager.select_speculative` adds the cap and the
 percentile pick) and reduces
 (:meth:`repro.engines.base.ReducePhaseDriver.maybe_speculate` backs up the
-candidate with the longest estimated time left).
+candidate with the longest estimated time left).  Its thresholds are the
+module constants below; an engine only switches speculation on or off.
 
-Whichever copy finishes first wins; the loser is killed and its record is
-marked ``killed`` (wasted work — one of the costs Fig. 8's "No Speculation"
-variant avoids).
+Whichever copy finishes first wins: the AM's
+:meth:`~repro.engines.base.ApplicationMaster.first_copy_wins` kills the
+loser, whose record is marked ``killed`` (wasted work — one of the costs
+Fig. 8's "No Speculation" variant avoids).  The AM's heartbeat keeps
+offer rounds coming in the last map wave so idle slots reach the scan.
 
 Neither scan looks at the offered node: at one instant the pick depends
 only on the AM's running set, the speculated ids, the completed runtimes
@@ -36,7 +39,6 @@ the scan must decline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -54,28 +56,25 @@ if TYPE_CHECKING:  # pragma: no cover
 #: LATE's SlowTaskThreshold: only tasks whose progress rate is at or
 #: below this percentile of the candidates' rates are backed up.
 SLOW_TASK_PERCENTILE = 25.0
-
-
-@dataclass(frozen=True)
-class SpeculationConfig:
-    """Speculation policy knobs (LATE defaults)."""
-
-    enabled: bool = True
-    speculative_cap_frac: float = 0.1  # of cluster slots
-    min_age_s: float = 30.0  # don't judge brand-new tasks
-    max_progress: float = 0.9  # nearly-done tasks aren't worth backing up
+#: LATE's SpeculativeCap: live map backups, as a fraction of cluster slots.
+SPECULATIVE_CAP_FRAC = 0.1
+#: Brand-new attempts are not judged.
+MIN_AGE_S = 30.0
+#: Nearly-done attempts are not worth backing up.
+MAX_PROGRESS = 0.9
 
 
 class SpeculationManager:
-    """Tracks original/backup copies for one AM."""
+    """LATE backups for one AM; ``enabled`` False keeps only the straggler
+    rule and the fresh-copy estimate (for engines that mitigate
+    otherwise)."""
 
-    def __init__(self, am: "ApplicationMaster", config: SpeculationConfig) -> None:
+    def __init__(self, am: "ApplicationMaster", enabled: bool = True) -> None:
         self.am = am
-        self.config = config
-        self.speculated_tasks: set[str] = set()
+        self.enabled = enabled
         self.launched = 0
         # Live-backup cap: node slot counts never change.
-        self._cap = max(1, int(config.speculative_cap_frac * am.cluster.total_slots))
+        self._cap = max(1, int(SPECULATIVE_CAP_FRAC * am.cluster.total_slots))
         # kind -> (completed runtimes averaged, their mean)
         self._fresh: dict[str, tuple[int, float]] = {}
 
@@ -113,42 +112,42 @@ class SpeculationManager:
     ) -> list[TaskAttempt]:
         """Original copies among ``running`` worth backing up.
 
-        A straggler has run at least ``min_age_s``, is below
-        ``max_progress``, has no backup yet (its task id is not in
+        A straggler has run at least :data:`MIN_AGE_S`, is below
+        :data:`MAX_PROGRESS`, has no backup yet (its task id is not in
         ``speculated``), and would take longer to finish than a fresh copy
         of its ``kind``.
         """
-        cfg = self.config
         fresh = self._fresh_copy_estimate_s(kind)
         return [
             a
             for a in running
             if not a.record.speculative
             and a.task_id not in speculated
-            and a.elapsed() >= cfg.min_age_s
-            and a.progress() < cfg.max_progress
+            and a.elapsed() >= MIN_AGE_S
+            and a.progress() < MAX_PROGRESS
             and a.est_time_left() > fresh
         ]
 
     def select_speculative(self, container: Container) -> MapAssignment | None:
         """Pick a straggler to back up on the offered container."""
-        if not self.config.enabled or len(self.live_backups()) >= self._cap:
+        if not self.enabled or len(self.live_backups()) >= self._cap:
             return None
-        candidates = self.stragglers(self.am.maps.running, "map", self.speculated_tasks)
+        maps = self.am.maps
+        candidates = self.stragglers(maps.running, "map", maps.speculated_ids)
         if not candidates:
             return None
         victim = self._pick_late(candidates)
         if victim is None:
             return None
         # Re-read the victim's blocks on the new node; locality recomputed.
-        blocks = self.am.maps.running[victim].split.blocks
+        blocks = maps.running[victim].split.blocks
         assignment = MapAssignment(
             task_id=victim.task_id,
             split=InputSplit.for_node(blocks, container.node_id),
-            wave=self.am.maps.running[victim].wave,
+            wave=maps.running[victim].wave,
             speculative=True,
         )
-        self.speculated_tasks.add(victim.task_id)
+        maps.speculated_ids.add(victim.task_id)
         self.launched += 1
         return assignment
 
@@ -160,28 +159,6 @@ class SpeculationManager:
             return None
         return max(slow, key=lambda a: (a.est_time_left(), a.task_id))
 
-    # ------------------------------------------------------------------
-    def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
-        """First copy home wins: kill the remaining copies of the task."""
-        if attempt.task_id not in self.speculated_tasks:
-            return
-        maps = self.am.maps
-        for copy in [a for a in maps.running if a.task_id == attempt.task_id]:
-            maps.kill(copy)
-
-    def on_tick(self) -> None:
-        """Keep the last wave alive: poke the RM so idle slots get offered
-        for speculation even though no regular work remains."""
-        index = self.am.index
-        if (
-            self.config.enabled
-            and not self.am.maps.done()
-            and index is not None
-            and index.unprocessed == 0
-        ):
-            # Last wave: keep poking the RM so free slots get offered for
-            # speculation even though no regular work remains.
-            self.am.rm.request_offers()
 
 
 def fresh_copy_estimate_from_records(records: Iterable["TaskRecord"], kind: str) -> float:

@@ -2,19 +2,25 @@
 
 One map task per fixed-size HDFS block (64 MB default, 128 MB industry
 recommended — the two settings of Fig. 5/6).  Containers prefer splits with
-a local replica; if none remain, any pending split runs with a remote read.
-Optional LATE speculative execution re-runs stragglers.
+a local replica; a node with none left waits :data:`LOCALITY_DELAY_S`
+(delay scheduling), then runs any pending split with a remote read.  LATE
+speculative execution (``speculate=False`` turns it off) re-runs
+stragglers; the race and the last-wave offer requests are the base AM's.
 """
 
 from __future__ import annotations
 
 from repro.engines.base import ApplicationMaster, MapAssignment
 from repro.engines.registry import register_engine
-from repro.engines.speculation import SpeculationConfig, SpeculationManager
+from repro.engines.speculation import SpeculationManager
 from repro.hdfs.locality import LocalityIndex
-from repro.mapreduce.attempt import TaskAttempt
 from repro.mapreduce.split import InputSplit
 from repro.yarn.container import Container
+
+#: Delay scheduling: a node whose local splits are exhausted waits this
+#: long before accepting remote work, hoping a local split frees up
+#: (yarn node-locality-delay).
+LOCALITY_DELAY_S = 10.0
 
 
 @register_engine("hadoop-64", block_size_mb=64.0)
@@ -23,19 +29,9 @@ class StockHadoopAM(ApplicationMaster):
 
     engine_name = "hadoop"
 
-    def __init__(
-        self,
-        *args,
-        speculation: SpeculationConfig | None = None,
-        locality_delay_s: float = 10.0,
-        **kwargs,
-    ):
+    def __init__(self, *args, speculate: bool = True, **kwargs):
         super().__init__(*args, **kwargs)
-        self.speculation = SpeculationManager(self, speculation or SpeculationConfig())
-        # Delay scheduling: a node whose local splits are exhausted waits
-        # this long before accepting remote work, hoping a local split frees
-        # up (yarn node-locality-delay).
-        self.locality_delay_s = locality_delay_s
+        self.speculation = SpeculationManager(self, speculate)
         self._wave_counter: dict[str, int] = {}
         self._idle_since: dict[str, float] = {}
 
@@ -62,7 +58,7 @@ class StockHadoopAM(ApplicationMaster):
                 # then run any pending split remotely.
                 idle_since = self._idle_since.setdefault(node_id, self.sim.now)
                 waited = self.sim.now - idle_since
-                if waited < self.locality_delay_s:
+                if waited < LOCALITY_DELAY_S:
                     # Declined; the heartbeat tick retries every 5 s, which
                     # doubles as the "scheduling opportunity" cadence.
                     return None
@@ -96,11 +92,7 @@ class StockHadoopAM(ApplicationMaster):
         for block in assignment.split.blocks:
             self.index.put_back(block)
 
-    def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
-        self.speculation.on_map_complete(attempt, assignment)
-
     def on_tick(self, round_no: int) -> None:
-        self.speculation.on_tick()
         # Nodes sitting out their locality delay need periodic re-offers.
         assert self.index is not None
         if self.index.unprocessed > 0 and any(
@@ -113,8 +105,4 @@ class StockHadoopAM(ApplicationMaster):
 # registered post-definition (not stacked) to keep the historical
 # registry insertion order: hadoop-64, hadoop-128, hadoop-nospec-64.
 register_engine("hadoop-128", block_size_mb=128.0)(StockHadoopAM)
-register_engine(
-    "hadoop-nospec-64",
-    block_size_mb=64.0,
-    speculation=SpeculationConfig(enabled=False),
-)(StockHadoopAM)
+register_engine("hadoop-nospec-64", block_size_mb=64.0, speculate=False)(StockHadoopAM)

@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from repro.cluster.topology import Cluster
-from repro.engines.base import AMConfig
 from repro.engines.driver import Testbed, as_job
 from repro.engines.flexmap import is_flexmap
 from repro.engines.registry import EngineSpec, resolve_engine
@@ -86,7 +85,6 @@ def run_iterative_job(
     )
     bed.stage(job, spec.block_size_mb, workload)
 
-    config = AMConfig(block_size_mb=spec.block_size_mb)
     result = IterativeResult(engine=spec.name)
     carry = warm_start and is_flexmap(spec)
     extra: dict | None = None
@@ -95,7 +93,7 @@ def run_iterative_job(
         if i:
             rm = ResourceManager(bed.sim, bed.cluster, rng=bed.streams.stream("rm-offers"))
         am = spec.build(
-            bed.sim, bed.cluster, rm, bed.namenode, job, bed.streams, config, extra=extra
+            bed.sim, bed.cluster, rm, bed.namenode, job, bed.streams, extra=extra
         )
         trace = am.run_to_completion()
         result.iteration_jcts.append(trace.jct)

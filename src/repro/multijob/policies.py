@@ -66,25 +66,20 @@ class CapacityPolicy(ClusterSchedulerPolicy):
     """Capacity queues: rank queues by usage over configured capacity.
 
     ``queues`` maps queue name to a positive capacity weight; queues not
-    configured get ``default_capacity``.  Within a queue, FIFO.
+    configured get capacity 1.0.  Within a queue, FIFO.
     """
 
     name = "capacity"
 
-    def __init__(
-        self, queues: dict[str, float] | None = None, default_capacity: float = 1.0
-    ) -> None:
-        if default_capacity <= 0:
-            raise ValueError(f"non-positive default capacity: {default_capacity}")
+    def __init__(self, queues: dict[str, float] | None = None) -> None:
         self.queues = dict(queues or {})
         for queue, capacity in self.queues.items():
             if capacity <= 0:
                 raise ValueError(f"non-positive capacity for queue {queue!r}")
-        self.default_capacity = default_capacity
 
     def capacity_of(self, queue: str) -> float:
-        """Configured capacity weight for ``queue`` (default if unset)."""
-        return self.queues.get(queue, self.default_capacity)
+        """Configured capacity weight for ``queue`` (1.0 if unset)."""
+        return self.queues.get(queue, 1.0)
 
     def order(self, records: "list[AppRecord]") -> "list[AppRecord]":
         usage: dict[str, int] = {}

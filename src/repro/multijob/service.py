@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.speed_monitor import SpeedMonitor
-from repro.engines.base import AMConfig, ApplicationMaster
+from repro.engines.base import ApplicationMaster
 from repro.engines.driver import Testbed, run_job
 from repro.engines.flexmap import is_flexmap
 from repro.engines.registry import resolve_engine
@@ -183,9 +183,8 @@ class ClusterService(Testbed):
         )
         streams = self.streams.child(job_id)
         self.stage(job, spec.block_size_mb, request.workload, streams)
-        config = AMConfig(block_size_mb=spec.block_size_mb, obs=self.obs)
         am = spec.build(
-            self.sim, self.cluster, self.rm, self.namenode, job, streams, config,
+            self.sim, self.cluster, self.rm, self.namenode, job, streams, self.obs,
             extra={"monitor": self.monitor} if is_flexmap(spec) else None,
         )
         # Register before submit() so queue/weight stick (submit()'s own

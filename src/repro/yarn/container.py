@@ -13,12 +13,8 @@ from repro.cluster.node import Node
 class Container:
     """One granted container on a worker node."""
 
-    _next_id = 0
-
     def __init__(self, node: Node, am=None, reoffer: bool = False) -> None:
         self.node = node
-        self.container_id = Container._next_id
-        Container._next_id += 1
         self.released = False
         # The ApplicationMaster the offer was addressed to; the RM charges
         # this app's slot accounting on occupy/release.  None for containers
@@ -31,6 +27,3 @@ class Container:
     @property
     def node_id(self) -> str:
         return self.node.node_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Container(#{self.container_id} on {self.node_id})"

@@ -23,11 +23,8 @@ HEARTBEAT_PERIOD_S = 5.0
 class HeartbeatService:
     """Fixed-period ticker with subscriber callbacks."""
 
-    def __init__(self, sim: Simulator, period_s: float = HEARTBEAT_PERIOD_S) -> None:
-        if period_s <= 0:
-            raise ValueError(f"non-positive heartbeat period: {period_s}")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.period_s = period_s
         self._subscribers: list[Callable[[int], None]] = []
         self._round = 0
         self._event: EventHandle | None = None
@@ -42,7 +39,7 @@ class HeartbeatService:
         if self._running:
             return
         self._running = True
-        self._event = self.sim.schedule(self.period_s, self._tick)
+        self._event = self.sim.schedule(HEARTBEAT_PERIOD_S, self._tick)
 
     def stop(self) -> None:
         """Stop ticking and cancel the pending event."""
@@ -58,7 +55,7 @@ class HeartbeatService:
         for callback in list(self._subscribers):
             callback(self._round)
         if self._running:
-            self._event = self.sim.schedule(self.period_s, self._tick)
+            self._event = self.sim.schedule(HEARTBEAT_PERIOD_S, self._tick)
 
     @property
     def rounds(self) -> int:

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from repro.engines import run_job
-from repro.engines.base import AMConfig
+from repro.check.invariants import InvariantChecker
+from repro.cluster.failures import FailureSchedule
+from repro.engines import base, driver, run_job
+from repro.engines.registry import resolve_engine
 from repro.yarn.overhead import OverheadModel
 from tests.conftest import make_cluster, quick_run, tiny_job
 
@@ -56,14 +58,13 @@ def test_map_output_locality_accounting():
     assert sum(store.node_mb(n) for n in map_nodes) == pytest.approx(store.total_mb)
 
 
-def test_custom_overhead_model_is_respected():
-    cfg = AMConfig(
-        block_size_mb=64.0,
-        overhead=OverheadModel(container_alloc_s=0.0, jvm_startup_s=0.0,
-                               jitter_frac=0.0),
-    )
-    zero = quick_run("hadoop-64", input_mb=512.0, am_config=cfg)
+def test_custom_overhead_model_is_respected(monkeypatch):
     normal = quick_run("hadoop-64", input_mb=512.0)
+    monkeypatch.setattr(
+        base, "OVERHEAD",
+        OverheadModel(container_alloc_s=0.0, jvm_startup_s=0.0, jitter_frac=0.0),
+    )
+    zero = quick_run("hadoop-64", input_mb=512.0)
     assert zero.jct < normal.jct
     assert all(m.overhead == 0.0 for m in zero.trace.maps())
     # With zero overhead every map is pure compute: productivity 1.0.
@@ -107,3 +108,82 @@ def test_flexmap_with_input_smaller_than_bu():
     r = quick_run("flexmap", input_mb=5.0)
     assert r.trace.data_processed_mb() == pytest.approx(5.0)
     assert len(r.trace.maps()) == 1
+
+
+# ----------------------------------------------------------------------
+# the shared attempt lifecycle and the last-wave heartbeat rule
+# ----------------------------------------------------------------------
+def _built(engine, job, speeds=(2.0, 2.0, 0.2), replication=3, **bed_kwargs):
+    """An unsubmitted AM of ``engine`` on a fresh seed-5 testbed."""
+    spec = resolve_engine(engine)
+    bed = driver.Testbed(
+        lambda: make_cluster(speeds=speeds, slots=2),
+        seed=5, replication=replication, **bed_kwargs,
+    )
+    bed.stage(job, spec.block_size_mb, job)
+    am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams)
+    return bed, am
+
+
+@pytest.mark.parametrize(
+    "engine, requests",
+    [("hadoop-64", 1), ("flexmap", 1), ("skewtune-64", 1), ("hadoop-nospec-64", 0)],
+)
+def test_a_last_wave_heartbeat_requests_offers_iff_the_engine_backs_up(engine, requests):
+    bed, am = _built(engine, tiny_job(input_mb=768.0, reducers=0))
+    am.submit()
+    while not (am.index is not None and am.index.unprocessed == 0):
+        assert bed.sim.step()
+    assert not am.maps.done() and not bed.rm._offer_scheduled
+    calls = []
+    request_offers = bed.rm.request_offers
+    bed.rm.request_offers = lambda: (calls.append(bed.sim.now), request_offers())
+    am.heartbeat._tick()
+    assert len(calls) == requests
+    assert bed.rm._offer_scheduled == bool(requests)
+
+
+@pytest.mark.parametrize("engine, retries", [("hadoop-64", True), ("skewtune-64", False)])
+def test_only_stock_heartbeats_retry_delay_scheduling(engine, retries):
+    """One replica per block: nodes without a local block sit out the
+    locality delay, and stock's heartbeat re-offers them.  SkewTune's
+    heartbeat requests offers only once no block is left."""
+    bed, am = _built(
+        engine, tiny_job(input_mb=1024.0, reducers=0),
+        speeds=(1.0, 1.0, 1.0, 1.0), replication=1,
+    )
+    unprocessed_at_request = []
+    request_offers = bed.rm.request_offers
+
+    def on_heartbeat(round_no, beat=am._on_heartbeat):
+        bed.rm.request_offers = lambda: (
+            unprocessed_at_request.append(am.index.unprocessed), request_offers()
+        )
+        beat(round_no)
+        bed.rm.request_offers = request_offers
+
+    am._on_heartbeat = on_heartbeat  # what submit() subscribes
+    am.run_to_completion()
+    assert am.heartbeat.rounds > 1
+    assert any(n > 0 for n in unprocessed_at_request) == retries
+
+
+def test_containers_hold_exactly_the_running_attempts():
+    """A checked hadoop-64 run whose crash kills two reducers and whose
+    reduce and map backups win races: the AM's container table matches
+    its running map and reduce attempts after every event."""
+    checker = InvariantChecker()
+    bed, am = _built(
+        "hadoop-64", tiny_job(input_mb=512.0, reducers=4, shuffle=0.5),
+        speeds=(2.0, 2.0, 0.25, 1.0), check=checker,
+        failures=FailureSchedule.single(120.0, "t03"),
+    )
+    am.submit()
+    while not am.job_done and bed.sim.step():
+        assert set(am.containers) == set(am.maps.running) | set(am.reduces.running)
+    assert am.job_done and not am.containers
+    assert checker.finalize().ok
+    killed = [r for r in am.trace.records if r.killed]
+    assert {(r.kind, r.node) for r in killed if r.end == 120.0} == {("reduce", "t03")}
+    assert any(r.kind == "reduce" and r.speculative for r in am.trace.records)
+    assert any(r.kind == "map" and r.speculative for r in am.trace.records)

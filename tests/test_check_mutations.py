@@ -133,3 +133,17 @@ def test_unknown_mutation_rejected():
 
     with pytest.raises(ValueError, match="unknown mutation"):
         apply_mutation("no-such-bug", checker=None)
+
+
+def test_diagnostics_do_not_depend_on_earlier_runs():
+    """Containers are numbered per checker in first-occupy order, so a
+    reproducer replays with the same message in any process."""
+    config = ScenarioConfig(
+        seed=1, failures=((20.0, 0),), mutation="leak-slot-on-failure"
+    )
+    first, second = (
+        [str(v) for v in run_scenario(config, strict=False).report.violations]
+        for _ in range(2)
+    )
+    assert first == second
+    assert "never released (first: #" in first[0]

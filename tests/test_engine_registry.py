@@ -79,5 +79,4 @@ def test_register_engine_requires_a_block_size():
 
 def test_extra_kwargs_flow_into_spec():
     spec = resolve_engine("hadoop-nospec-64")
-    speculation = spec.kwargs.get("speculation")
-    assert speculation is not None and not speculation.enabled
+    assert spec.kwargs == {"speculate": False}

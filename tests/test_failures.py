@@ -131,7 +131,6 @@ def test_failure_after_job_completion_only_marks_node_dead():
     from repro.engines import ENGINES
     from repro.hdfs.namenode import NameNode
     from repro.hdfs.placement import RandomPlacement
-    from repro.engines.base import AMConfig
     from repro.sim.engine import Simulator
     from repro.sim.random import RandomStreams
     from repro.yarn.resource_manager import ResourceManager
@@ -148,8 +147,7 @@ def test_failure_after_job_completion_only_marks_node_dead():
     )
     namenode.create_file(job.input_file, job.input_mb, spec.block_size_mb)
     rm = ResourceManager(sim, c, rng=streams.stream("rm-offers"))
-    am = spec.build(sim, c, rm, namenode, job, streams,
-                    AMConfig(block_size_mb=spec.block_size_mb))
+    am = spec.build(sim, c, rm, namenode, job, streams)
     trace = am.run_to_completion()
     records_before = len(trace.records)
 

@@ -62,8 +62,6 @@ def test_capacity_orders_queues_by_usage_over_capacity():
 def test_capacity_rejects_bad_shares():
     with pytest.raises(ValueError):
         CapacityPolicy({"q": 0.0})
-    with pytest.raises(ValueError):
-        CapacityPolicy(default_capacity=-1.0)
 
 
 def test_make_policy_registry():

@@ -19,15 +19,11 @@ import pytest
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.cluster.failures import FailureSchedule
 from repro.core.speed_monitor import SpeedMonitor
-from repro.engines import driver, run_job
-from repro.engines.base import AMConfig, ApplicationMaster, MapAssignment, TraceRecorder
+from repro.engines import driver, run_job, skewtune, speculation
+from repro.engines.base import ApplicationMaster, MapAssignment, TraceRecorder
 from repro.engines.registry import EngineSpec, resolve_engine
-from repro.engines.speculation import (
-    SpeculationConfig,
-    SpeculationManager,
-    fresh_copy_estimate_from_records,
-)
-from repro.engines.skewtune import SkewTuneAM, SkewTuneConfig
+from repro.engines.speculation import SpeculationManager, fresh_copy_estimate_from_records
+from repro.engines.skewtune import SkewTuneAM
 from repro.engines.stock import StockHadoopAM
 from repro.mapreduce.split import InputSplit
 from repro.multijob.arrivals import JobRequest, TraceArrivals
@@ -66,7 +62,7 @@ def _record(kind, start, end, killed=False, processed=None):
 def test_fresh_copy_estimate_equals_full_scan_record_by_record():
     am = SimpleNamespace(job=SimpleNamespace(name="j"), obs=None, cluster=make_cluster())
     am.recorder = TraceRecorder(am)
-    manager = SpeculationManager(am, SpeculationConfig())
+    manager = SpeculationManager(am)
     records = [
         _record("map", 0.0, 1e16),  # huge, so summation order matters
         _record("map", 0.0, 7.0, killed=True),  # lost a backup race
@@ -172,8 +168,7 @@ def _bed_with(engine, job, check=None, speeds=(2.0, 2.0, 0.2), replication=3):
         seed=5, replication=replication, check=check,
     )
     bed.stage(job, spec.block_size_mb, job)
-    config = AMConfig(block_size_mb=spec.block_size_mb)
-    am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams, config)
+    am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams)
     am.submit()
     return bed, am
 
@@ -187,14 +182,16 @@ def _free_nodes(bed):
     return [n for n in bed.cluster.nodes if n.alive and n.free_slots > 0]
 
 
-#: Keeps every scan a decline, so probing a scan cannot launch anything.
-NEVER_OLD_ENOUGH = 1e9
+def _never_old_enough(monkeypatch):
+    """Keep every scan a decline, so probing a scan cannot launch anything."""
+    monkeypatch.setattr(speculation, "MIN_AGE_S", 1e9)
+    monkeypatch.setattr(skewtune, "MIN_AGE_S", 1e9)
 
 
-def _idle_in_last_map_wave(am_class, check=None, **kwargs):
+def _idle_in_last_map_wave(am_class, check=None):
     """An AM in its last map wave whose straggler scan left free slots on
-    at least two nodes; ``kwargs`` configure the AM class."""
-    spec = EngineSpec("closure-test", 64.0, am_class, kwargs)
+    at least two nodes."""
+    spec = EngineSpec("closure-test", 64.0, am_class)
     bed, am = _bed_with(spec, tiny_job(input_mb=768.0, reducers=0), check=check)
     _step_until(
         bed,
@@ -207,11 +204,7 @@ def _idle_in_last_map_wave(am_class, check=None, **kwargs):
 
 def _idle_with_reducers_running():
     """A stock AM whose reducers all run, with free slots on two nodes."""
-    spec = EngineSpec(
-        "closure-test", 64.0, StockHadoopAM,
-        {"speculation": SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH)},
-    )
-    bed, am = _bed_with(spec, tiny_job(input_mb=512.0, reducers=3, shuffle=0.5))
+    bed, am = _bed_with("hadoop-64", tiny_job(input_mb=512.0, reducers=3, shuffle=0.5))
     reduces = am.reduces
     _step_until(
         bed,
@@ -249,18 +242,15 @@ def _offer_round(rm, *sinks):
 #: One AM per node-blind scan, each left with only that scan: the LATE
 #: map scan, SkewTune's mitigation scan and the LATE reduce-backup scan.
 ONLY_A_SCAN_LEFT = {
-    "map-backup": lambda: _idle_in_last_map_wave(
-        StockHadoopAM, speculation=SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH)
-    ),
-    "skewtune": lambda: _idle_in_last_map_wave(
-        SkewTuneAM, skewtune=SkewTuneConfig(min_age_s=NEVER_OLD_ENOUGH)
-    ),
+    "map-backup": lambda: _idle_in_last_map_wave(StockHadoopAM),
+    "skewtune": lambda: _idle_in_last_map_wave(SkewTuneAM),
     "reduce-backup": _idle_with_reducers_running,
 }
 
 
 @pytest.mark.parametrize("scan", sorted(ONLY_A_SCAN_LEFT))
-def test_a_closed_am_gets_no_further_offer_in_the_round(scan):
+def test_a_closed_am_gets_no_further_offer_in_the_round(scan, monkeypatch):
+    _never_old_enough(monkeypatch)
     bed, am = ONLY_A_SCAN_LEFT[scan]()
     [log] = _offer_round(bed.rm, am)
     # The scan ignores the node: one offer, then the round stops walking
@@ -270,13 +260,10 @@ def test_a_closed_am_gets_no_further_offer_in_the_round(scan):
     assert am.declines_every_node()
 
 
-def test_an_armed_rm_reoffers_every_skipped_slot():
+def test_an_armed_rm_reoffers_every_skipped_slot(monkeypatch):
+    _never_old_enough(monkeypatch)
     checker = InvariantChecker()
-    bed, am = _idle_in_last_map_wave(
-        StockHadoopAM,
-        check=checker,
-        speculation=SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH),
-    )
+    bed, am = _idle_in_last_map_wave(StockHadoopAM, check=checker)
     checks = checker.checks.get("incremental-state", 0)
     free = [n.node_id for n in _free_nodes(bed)]
     [log] = _offer_round(bed.rm, am)
@@ -288,10 +275,9 @@ def test_an_armed_rm_reoffers_every_skipped_slot():
     assert checker.checks["incremental-state"] - checks >= len(free) - 1
 
 
-def test_a_closed_am_is_offered_again_after_its_own_kill_or_launch():
-    bed, am = _idle_in_last_map_wave(
-        StockHadoopAM, speculation=SpeculationConfig(min_age_s=NEVER_OLD_ENOUGH)
-    )
+def test_a_closed_am_is_offered_again_after_its_own_kill_or_launch(monkeypatch):
+    _never_old_enough(monkeypatch)
+    bed, am = _idle_in_last_map_wave(StockHadoopAM)
     now = bed.sim.now
     [log] = _offer_round(bed.rm, am)
     assert len(log) == 1

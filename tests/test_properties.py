@@ -2,11 +2,9 @@
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reduce_bias import ReducePlacer
 from repro.core.sizing import DynamicSizer, NodeSizing, SizingConfig
 from repro.core.speed_monitor import SpeedMonitor
 from repro.hdfs.block import Block
@@ -193,20 +191,3 @@ def test_store_fractions_sum_to_one(deposits):
             share = s.reducer_share_mb(4)
             assert 0.0 <= s.cross_node_mb(n, share) <= share + 1e-9
 
-
-# ---------------------------------------------------------------------------
-# ReducePlacer
-# ---------------------------------------------------------------------------
-@given(
-    st.dictionaries(
-        st.text(alphabet="abcdefgh", min_size=1, max_size=3),
-        st.floats(min_value=0.01, max_value=1.0),
-        min_size=1,
-        max_size=8,
-    ),
-    st.integers(0, 10_000),
-)
-@settings(max_examples=50)
-def test_placer_always_returns_valid_node(capacities, seed):
-    p = ReducePlacer(np.random.default_rng(seed), max_tries=8)
-    assert p.choose(capacities) in capacities

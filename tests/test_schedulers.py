@@ -6,10 +6,7 @@ predictable, plus targeted unit checks of the policy logic.
 
 import pytest
 
-from repro.engines import ENGINES, EngineSpec, run_job
-from repro.engines.skewtune import SkewTuneAM, SkewTuneConfig
-from repro.engines.speculation import SpeculationConfig
-from repro.engines.stock import StockHadoopAM
+from repro.engines import ENGINES, run_job, skewtune, speculation
 from tests.conftest import make_cluster, quick_run, tiny_job
 
 
@@ -113,12 +110,11 @@ def test_speculation_helps_on_slow_node():
     assert with_spec.jct <= without.jct * 1.02
 
 
-def test_speculation_cap_limits_backups():
-    cfg = SpeculationConfig(speculative_cap_frac=0.01)  # cap -> 1
-    spec = EngineSpec("capped", 64.0, StockHadoopAM, {"speculation": cfg})
-    r = run_job(slow_node_cluster, tiny_job(input_mb=768.0, reducers=0), spec, seed=5)
+def test_speculation_cap_limits_backups(monkeypatch):
+    monkeypatch.setattr(speculation, "SPECULATIVE_CAP_FRAC", 0.01)  # cap -> 1
+    r = run_job(slow_node_cluster, tiny_job(input_mb=768.0, reducers=0), "hadoop-64", seed=5)
     am = r.am
-    assert am.speculation.launched <= len(am.speculation.speculated_tasks)
+    assert am.speculation.launched <= len(am.maps.speculated_ids)
 
 
 def test_reduce_speculation_rescues_slow_reducer():
@@ -151,10 +147,9 @@ def test_skewtune_mitigates_straggler():
     assert r.trace.data_processed_mb() == pytest.approx(768.0, rel=1e-6)
 
 
-def test_skewtune_respects_min_remaining():
-    cfg = SkewTuneConfig(min_remaining_s=1e9)
-    spec = EngineSpec("st-off", 64.0, SkewTuneAM, {"skewtune": cfg})
-    r = run_job(slow_node_cluster, tiny_job(input_mb=768.0, reducers=0), spec, seed=5)
+def test_skewtune_respects_min_remaining(monkeypatch):
+    monkeypatch.setattr(skewtune, "MIN_REMAINING_S", 1e9)
+    r = run_job(slow_node_cluster, tiny_job(input_mb=768.0, reducers=0), "skewtune-64", seed=5)
     assert r.am.mitigations == 0
 
 
