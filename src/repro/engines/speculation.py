@@ -115,9 +115,12 @@ class SpeculationManager:
         A straggler has run at least :data:`MIN_AGE_S`, is below
         :data:`MAX_PROGRESS`, has no backup yet (its task id is not in
         ``speculated``), and would take longer to finish than a fresh copy
-        of its ``kind``.
+        of its ``kind``.  Before a ``kind`` attempt has completed the
+        estimate is infinite, which no attempt's time left exceeds.
         """
         fresh = self._fresh_copy_estimate_s(kind)
+        if fresh == math.inf:
+            return []
         return [
             a
             for a in running

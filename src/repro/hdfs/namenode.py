@@ -56,9 +56,11 @@ class NameNode:
             num_blocks, self.node_ids, self.replication, self.rng
         )
         if cost_factors is None:
-            factors = np.ones(num_blocks)
+            factors = [1.0] * num_blocks
         else:
-            factors = np.broadcast_to(np.asarray(cost_factors, dtype=float), (num_blocks,))
+            factors = np.broadcast_to(
+                np.asarray(cost_factors, dtype=float), (num_blocks,)
+            ).tolist()
         blocks: list[Block] = []
         remaining = size_mb
         for i in range(num_blocks):
@@ -70,7 +72,7 @@ class NameNode:
                     file=name,
                     size_mb=size,
                     replicas=placements[i],
-                    cost_factor=float(factors[i]),
+                    cost_factor=factors[i],
                 )
             )
             self._next_block_id += 1

@@ -141,9 +141,19 @@ class ResourceManager:
 
         Sizing logic divides cluster capacity by this to estimate the slice
         one job can actually occupy; in single-job mode it is 1, so the
-        single-job behaviour is unchanged.
+        single-job behaviour is unchanged.  A finishing AM unregisters right
+        after it sets ``job_done``, so every registered application is live;
+        while ``audit`` is set the count is compared with a scan for
+        ``job_done``.
         """
-        return max(1, sum(1 for r in self._apps.values() if self._live(r)))
+        live = max(1, len(self._apps))
+        if self.audit is not None:
+            self.audit.incremental_state(
+                "live apps",
+                live,
+                max(1, sum(1 for r in self._apps.values() if self._live(r))),
+            )
+        return live
 
     # ------------------------------------------------------------------
     def start(self) -> None:

@@ -61,6 +61,88 @@ def test_replication_capped_by_cluster_size():
 
 
 # ---------------------------------------------------------------------------
+# RandomPlacement's batched kernel against per-block Generator.choice
+# ---------------------------------------------------------------------------
+def choice_per_block(num_blocks, node_ids, replication, rng):
+    """The loop the kernel replaces: one ``choice`` call per block."""
+    r = min(replication, len(node_ids))
+    return [
+        tuple(node_ids[int(p)] for p in rng.choice(len(node_ids), size=r, replace=False))
+        for _ in range(num_blocks)
+    ]
+
+
+def next_draws(rng):
+    """The generator's next 64-bit and 32-bit draws (its state, observed)."""
+    return rng.integers(2**63), rng.integers(2**32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 39, 100])
+def test_placement_kernel_equals_per_block_choice(seed, n):
+    nodes = [f"n{i:03d}" for i in range(n)]
+    for replication in (1, 2, 3, 4):
+        for num_blocks in (0, 1, 2, 8, 2048):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = choice_per_block(num_blocks, nodes, replication, want_rng)
+            got = RandomPlacement().place(num_blocks, nodes, replication, got_rng)
+            assert got == want, (replication, num_blocks)
+            assert next_draws(got_rng) == next_draws(want_rng), (replication, num_blocks)
+
+
+def _raw_zero_next(seed):
+    """A generator whose next raw 32-bit draw is 0 (a buffered half-word)."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 0
+    rng.bit_generator.state = state
+    return rng
+
+
+@pytest.mark.parametrize("n", [5, 39])
+@pytest.mark.parametrize("num_blocks", [1, 8])
+def test_placement_kernel_rejects_a_raw_zero_like_choice(n, num_blocks):
+    # The first draw is bounded to [0, n-2]; neither 3 nor 37 is a power of
+    # two, so Lemire's method rejects a raw 0 and both take the next draw.
+    nodes = [f"n{i:02d}" for i in range(n)]
+    want_rng, got_rng = _raw_zero_next(3), _raw_zero_next(3)
+    want = choice_per_block(num_blocks, nodes, 3, want_rng)
+    got = RandomPlacement().place(num_blocks, nodes, 3, got_rng)
+    assert got == want
+    assert next_draws(got_rng) == next_draws(want_rng)
+
+
+class ScriptedDraws:
+    """Serves scripted raw 32-bit draws where a Generator's would be read."""
+
+    def __init__(self, raws):
+        self.raws = list(raws)
+        self.taken = 0
+
+    def integers(self, high, size, dtype):
+        assert high == 2**32 and dtype == np.uint32
+        out = np.array(self.raws[self.taken:self.taken + size], dtype=np.uint32)
+        self.taken += size
+        return out
+
+
+def test_placement_kernel_skips_a_rejected_draw_and_takes_one_more():
+    nodes = ["a", "b", "c", "d", "e"]  # bounds 3, 4, 5 then 3, 2 per block
+    raws = np.random.default_rng(11).integers(1, 2**32, size=3 * 5, dtype=np.uint32)
+    plain = ScriptedDraws(raws)
+    want = RandomPlacement().place(3, nodes, 3, plain)
+    assert plain.taken == 15
+    # A raw 0 is rejected for the bounds 3 and 5 and accepted for 4 and 2.
+    for index, rejected in ((0, True), (1, False), (7, True), (8, True), (9, False)):
+        script = ScriptedDraws([*raws[:index], 0, *raws[index:]])
+        got = RandomPlacement().place(3, nodes, 3, script)
+        if rejected:  # skipped: the draws after it serve as before, plus one
+            assert (got, script.taken) == (want, 16)
+        else:  # used: the last scripted draw is left over
+            assert got != want and script.taken == 15
+
+
+# ---------------------------------------------------------------------------
 # NameNode
 # ---------------------------------------------------------------------------
 def test_create_file_splits_and_places():

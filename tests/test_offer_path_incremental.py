@@ -1,8 +1,9 @@
 """The offer path's shortcuts equal their from-scratch definitions.
 
 Every container offer reads the speculator's fresh-copy estimate, the
-SpeedMonitor's per-node speeds and FlexMap's tail-cap capacity sum; each
-test pins one of these caches to the full recomputation it replaces.  The
+SpeedMonitor's per-node speeds, FlexMap's tail-cap capacity sum and the
+RM's live-app count; each test pins one of these to the full recomputation
+it replaces.  The
 ResourceManager closes an AM for the rest of an offer round once its
 decline cannot depend on the node; the closure tests pin that a closed AM
 is skipped, that it is offered again in the next round, that node-dependent
@@ -497,3 +498,21 @@ def test_tail_cap_follows_the_app_count_without_a_new_speed_sample():
     shared = {n: am._tail_cap(n) for n in nodes}
     assert shared == {n: _uncached_tail_cap(am, n) for n in nodes}
     assert shared != caps
+
+
+# ----------------------------------------------------------------------
+# live-app count
+# ----------------------------------------------------------------------
+def test_live_app_count_reference_mode_catches_a_finished_app_left_registered():
+    rm = ResourceManager(Simulator(), make_cluster())
+    finished, live = SimpleNamespace(job_done=False), SimpleNamespace(job_done=False)
+    rm.register(finished)
+    rm.register(live)
+    rm.audit = checker = InvariantChecker()
+    assert rm.num_active_apps == 2
+    assert checker.checks["incremental-state"] == 1
+    finished.job_done = True  # but never unregistered
+    with pytest.raises(InvariantViolation) as info:
+        rm.num_active_apps
+    assert info.value.rule == "incremental-state"
+    assert "live apps: cached 2 != recomputed 1" in info.value.message

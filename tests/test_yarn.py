@@ -295,7 +295,8 @@ def test_rm_num_active_apps_counts_live_ams():
     rm.register(a)
     rm.register(b)
     assert rm.num_active_apps == 2
-    a.job_done = True
+    a.job_done = True  # a finishing AM unregisters right after
+    rm.unregister(a)
     assert rm.num_active_apps == 1
 
 
