@@ -3,7 +3,6 @@ disabled at a time, plus sizing-parameter sensitivity."""
 
 from conftest import bench_scale, save_result
 
-from repro.core.sizing import SizingConfig
 from repro.engines import EngineSpec, run_job
 from repro.engines.flexmap import FlexMapAM
 from repro.experiments.clusters import physical_cluster
@@ -40,7 +39,7 @@ def test_bu_size_sensitivity(benchmark):
         for bu in (4.0, 8.0, 16.0, 32.0):
             spec = EngineSpec(
                 f"flexmap-bu{int(bu)}", bu, FlexMapAM,
-                {"sizing": SizingConfig(bu_mb=bu)},
+                {"bu_mb": bu},
             )
             r = run_job(physical_cluster, puma("WC"), spec, seed=1, input_mb=input_mb)
             out[bu] = r.jct

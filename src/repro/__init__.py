@@ -18,7 +18,6 @@ the PUMA workloads (:mod:`repro.workloads`) and the metrics
 """
 
 from repro.cluster.failures import FailureSchedule, NodeFailure
-from repro.core.sizing import SizingConfig
 from repro.engines import (
     ENGINES,
     FlexMapAM,
@@ -41,7 +40,6 @@ from repro.experiments.clusters import (
 from repro.experiments.iterative import IterativeResult, run_iterative_job
 from repro.mapreduce.job import JobSpec
 from repro.metrics.efficiency import job_efficiency
-from repro.metrics.jct import normalized_jct
 from repro.workloads.puma import PUMA_BENCHMARKS, puma
 
 __version__ = "1.0.0"
@@ -55,7 +53,6 @@ __all__ = [
     "JobSpec",
     "PUMA_BENCHMARKS",
     "RunResult",
-    "SizingConfig",
     "SkewTuneAM",
     "StockHadoopAM",
     "compare_engines",
@@ -63,7 +60,6 @@ __all__ = [
     "homogeneous_cluster",
     "job_efficiency",
     "multitenant_cluster",
-    "normalized_jct",
     "physical_cluster",
     "puma",
     "register_engine",

@@ -77,8 +77,22 @@ class ScenarioConfig:
             raise ValueError(
                 f"speeds/slots length mismatch: {len(self.speeds)} vs {len(self.slots)}"
             )
+        if not min(self.speeds) > 0:
+            raise ValueError(f"non-positive node speed: {list(self.speeds)}")
+        if min(self.slots) < 1:
+            raise ValueError(f"node without a slot: {list(self.slots)}")
+        if not self.input_mb > 0:
+            raise ValueError(f"non-positive input: {self.input_mb}")
+        if self.reducers < 0:
+            raise ValueError(f"negative reducer count: {self.reducers}")
+        if not self.shuffle_ratio >= 0:
+            raise ValueError(f"negative shuffle ratio: {self.shuffle_ratio}")
+        if not 0.0 <= self.slow_fraction <= 1.0:
+            raise ValueError(f"slow_fraction out of [0,1]: {self.slow_fraction}")
         if self.n_jobs < 1:
             raise ValueError(f"need at least one job: {self.n_jobs}")
+        if self.n_jobs > 1 and not self.arrival_rate > 0:
+            raise ValueError(f"non-positive arrival rate: {self.arrival_rate}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy: {self.policy}")
         for time_s, node_index in self.failures:

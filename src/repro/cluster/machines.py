@@ -42,11 +42,6 @@ MACHINE_CATALOG: tuple[MachineSpec, ...] = (
 )
 
 
-def catalog_by_model() -> dict[str, MachineSpec]:
-    """Catalog indexed by model name."""
-    return {m.model: m for m in MACHINE_CATALOG}
-
-
 def total_machines() -> int:
     """Total machine count of Table I (12)."""
     return sum(m.count for m in MACHINE_CATALOG)

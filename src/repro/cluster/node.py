@@ -61,10 +61,6 @@ class Node:
         """Current per-container work rate."""
         return self.base_speed * self._interference
 
-    @property
-    def interference_factor(self) -> float:
-        return self._interference
-
     def set_interference(self, factor: float) -> None:
         """Set the interference multiplier (1.0 = no interference).
 

@@ -7,7 +7,7 @@ The paper's primary contribution (Section III).  Components mirror Fig. 4:
   horizontal scaling);
 * :class:`~repro.core.data_provision.DataProvision` — task-size calculation
   for a granted container;
-* :class:`~repro.core.late_binding.LateTaskBinder` — template management and
+* :class:`~repro.core.late_binding.LateTaskBinder` — Late Task Binding:
   locality-preserving split construction;
 * :class:`~repro.core.reduce_bias.ReducePlacer` — capacity-biased reducer
   dispatch.
@@ -20,17 +20,15 @@ YARN substrate is :class:`repro.engines.flexmap.FlexMapAM`.
 """
 
 from repro.core.data_provision import DataProvision
-from repro.core.late_binding import LateTaskBinder, MapTemplate
+from repro.core.late_binding import LateTaskBinder
 from repro.core.reduce_bias import ReducePlacer
-from repro.core.sizing import DynamicSizer, SizingConfig
+from repro.core.sizing import DynamicSizer
 from repro.core.speed_monitor import SpeedMonitor
 
 __all__ = [
     "DataProvision",
     "DynamicSizer",
     "LateTaskBinder",
-    "MapTemplate",
     "ReducePlacer",
-    "SizingConfig",
     "SpeedMonitor",
 ]

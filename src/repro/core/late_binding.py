@@ -7,66 +7,41 @@ into a real elastic map task sized for the host node, assembling the input
 split from BUs with local replicas via the NodeToBlock/BlockToNode maps
 (:class:`repro.hdfs.locality.LocalityIndex`); if the node holds fewer than
 ``n`` unprocessed BUs, remote BUs are drawn from the node with the most
-unprocessed data.  Unused templates are discarded when all BUs are taken.
+unprocessed data.  The index's unprocessed BUs are the unused templates: a
+template is used when its BU is bound, and none is left over once every BU
+is taken.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.hdfs.block import Block
 from repro.hdfs.locality import LocalityIndex
 from repro.mapreduce.split import InputSplit
 
 
-@dataclass(frozen=True)
-class MapTemplate:
-    """A fine-grained task placeholder: one BU, no node binding."""
-
-    template_id: int
-    block_id: int
-
-
 class LateTaskBinder:
-    """Template pool + locality-preserving split construction."""
+    """Locality-preserving split construction over the unprocessed BUs."""
 
     def __init__(self, blocks: list[Block]) -> None:
         self.index = LocalityIndex(blocks)
-        self.templates: list[MapTemplate] = [
-            MapTemplate(template_id=i, block_id=b.block_id)
-            for i, b in enumerate(blocks)
-        ]
-        self.templates_used = 0
 
     # ------------------------------------------------------------------
     @property
     def unprocessed_bus(self) -> int:
         return self.index.unprocessed
 
-    @property
-    def templates_discarded(self) -> int:
-        """Templates that never became real tasks (Section III-C)."""
-        if self.unprocessed_bus > 0:
-            return 0
-        return len(self.templates) - self.templates_used
-
     def bind(self, node_id: str, n_bus: int) -> InputSplit | None:
         """Create a real elastic task's split for a container on ``node_id``.
 
         Claims up to ``n_bus`` BUs, local replicas first.  Returns None when
-        no BUs remain (the remaining templates are discarded).
+        no BUs remain.
         """
         if self.index.unprocessed == 0:
             return None
         local, remote = self.index.take_for_node(node_id, n_bus)
-        taken = len(local) + len(remote)
-        if taken == 0:
-            return None
-        self.templates_used += taken
         return InputSplit(local_blocks=local, remote_blocks=remote)
 
     def put_back(self, split: InputSplit) -> None:
         """Return a split's BUs (task killed before processing them)."""
         for block in split.blocks:
             self.index.put_back(block)
-        self.templates_used -= split.num_bus

@@ -16,41 +16,21 @@ holds back a fast node (Section III-E).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 #: Paper constants (Section III-E).
 FAST_LIMIT = 0.8
 LINEAR_LIMIT = 0.9
 BU_MB = 8.0
-
-
-@dataclass(frozen=True)
-class SizingConfig:
-    """Algorithm 1 knobs; defaults are the paper's."""
-
-    bu_mb: float = BU_MB
-    fast_limit: float = FAST_LIMIT
-    linear_limit: float = LINEAR_LIMIT
-    max_bus: int = 512  # safety valve, far above the paper's observed 64
-
-    def __post_init__(self) -> None:
-        if self.bu_mb <= 0:
-            raise ValueError(f"non-positive BU size: {self.bu_mb}")
-        if not 0.0 < self.fast_limit <= self.linear_limit <= 1.0:
-            raise ValueError(
-                f"limits must satisfy 0 < fast <= linear <= 1: "
-                f"{self.fast_limit}, {self.linear_limit}"
-            )
-        if self.max_bus < 1:
-            raise ValueError(f"max_bus must be >= 1: {self.max_bus}")
+#: Task size cap in BUs: a safety valve, far above the paper's observed 64.
+MAX_BUS = 512
 
 
 class NodeSizing:
     """Per-node vertical-scaling state (the s_i variable)."""
 
-    def __init__(self, config: SizingConfig) -> None:
-        self.config = config
-        self.size_unit_mb = config.bu_mb  # s_i, initialized to one BU
+    def __init__(self, bu_mb: float) -> None:
+        self.bu_mb = bu_mb
+        self.size_unit_mb = bu_mb  # s_i, initialized to one BU
         self.frozen = False  # productivity passed LINEAR_LIMIT
 
     def vertical(self, productivity: float) -> str:
@@ -64,32 +44,37 @@ class NodeSizing:
             raise ValueError(f"productivity out of [0,1]: {productivity}")
         if self.frozen:
             return "frozen"
-        if productivity < self.config.fast_limit:
+        if productivity < FAST_LIMIT:
             self.size_unit_mb *= 2.0
             decision = "fast"
-        elif productivity < self.config.linear_limit:
-            self.size_unit_mb += self.config.bu_mb
+        elif productivity < LINEAR_LIMIT:
+            self.size_unit_mb += self.bu_mb
             decision = "linear"
         else:
             self.frozen = True
             decision = "freeze"
-        cap = self.config.max_bus * self.config.bu_mb
-        self.size_unit_mb = min(self.size_unit_mb, cap)
+        self.size_unit_mb = min(self.size_unit_mb, MAX_BUS * self.bu_mb)
         return decision
 
 
 class DynamicSizer:
-    """Cluster-wide sizing state: one :class:`NodeSizing` per node."""
+    """Cluster-wide sizing state: one :class:`NodeSizing` per node.
 
-    def __init__(self, config: SizingConfig | None = None) -> None:
-        self.config = config or SizingConfig()
+    ``bu_mb`` is the block-unit size in MB: the paper's 8 MB by default,
+    varied only by the BU-size sensitivity bench.
+    """
+
+    def __init__(self, bu_mb: float = BU_MB) -> None:
+        if not bu_mb > 0:
+            raise ValueError(f"non-positive BU size: {bu_mb}")
+        self.bu_mb = bu_mb
         self._nodes: dict[str, NodeSizing] = {}
 
     def node(self, node_id: str) -> NodeSizing:
         """Per-node sizing state, created on first use."""
         state = self._nodes.get(node_id)
         if state is None:
-            state = NodeSizing(self.config)
+            state = NodeSizing(self.bu_mb)
             self._nodes[node_id] = state
         return state
 
@@ -106,8 +91,8 @@ class DynamicSizer:
         if relative_speed <= 0:
             raise ValueError(f"non-positive relative speed: {relative_speed}")
         size_mb = self.node(node_id).size_unit_mb * relative_speed
-        bus = int(math.floor(size_mb / self.config.bu_mb + 0.5))
-        return max(1, min(bus, self.config.max_bus))
+        bus = int(math.floor(size_mb / self.bu_mb + 0.5))
+        return max(1, min(bus, MAX_BUS))
 
     def size_unit_mb(self, node_id: str) -> float:
         """Current size unit s_i for the node, in MB."""

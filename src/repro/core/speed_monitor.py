@@ -3,7 +3,7 @@
 Containers report IPS (eq. 3) through 5-second heartbeats.  A single report
 is noisy — some records cost more than others — so the monitor averages the
 reports *from the same round* across a node's containers, then keeps a
-sliding window of the last ``window`` round-averages per node.  Completed
+sliding window of the last ``WINDOW`` round-averages per node.  Completed
 tasks contribute their end-to-end IPS as an extra sample, which is how the
 paper's "first-wave feedback" (Fig. 7) arrives.
 
@@ -37,6 +37,9 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
 
+#: Samples per node in the sliding window.
+WINDOW = 5
+
 
 class SpeedMonitor:
     """Sliding-window IPS estimates per node."""
@@ -47,13 +50,9 @@ class SpeedMonitor:
 
     def __init__(
         self,
-        window: int = 5,
         obs: "Observability | None" = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1: {window}")
-        self.window = window
         self._samples: dict[str, deque[float]] = {}
         # Smoothed speed per node and their minimum, refreshed on every
         # sample.
@@ -123,7 +122,7 @@ class SpeedMonitor:
         source: str = "round",
         round_no: int | None = None,
     ) -> None:
-        bucket = self._samples.setdefault(node_id, deque(maxlen=self.window))
+        bucket = self._samples.setdefault(node_id, deque(maxlen=WINDOW))
         bucket.append(value)
         self._speeds[node_id] = sum(bucket) / len(bucket)
         self._slowest = min(self._speeds.values())

@@ -63,14 +63,11 @@ from repro.sim.random import RandomStreams
 from repro.sim.trace import JobTrace
 from repro.yarn.container import Container
 from repro.yarn.heartbeat import HeartbeatService
-from repro.yarn.overhead import OverheadModel
+from repro.yarn.overhead import sample as sample_overhead
 from repro.yarn.resource_manager import ResourceManager
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import TaskRecord
-
-#: Container allocation + JVM startup cost of every attempt.
-OVERHEAD = OverheadModel()
 
 
 @dataclass
@@ -545,7 +542,7 @@ class ApplicationMaster:
         """
         self.rm.occupy(container)
         node = container.node
-        overhead = OVERHEAD.sample(node.effective_speed, self._overhead_rng)
+        overhead = sample_overhead(node.effective_speed, self._overhead_rng)
         noise = node.sample_work_noise(self._noise_rng)
         attempt = TaskAttempt(
             self.sim, node, task_id=task_id, kind=kind, size_mb=size_mb,

@@ -24,7 +24,6 @@ from repro.cluster.topology import Cluster
 from repro.engines.base import ApplicationMaster
 from repro.engines.registry import EngineSpec, resolve_engine
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import RandomPlacement
 from repro.mapreduce.job import JobSpec
 from repro.metrics.efficiency import job_efficiency
 from repro.obs import Observability
@@ -66,7 +65,6 @@ class Testbed:
         self.namenode = NameNode(
             [n.node_id for n in self.cluster.nodes],
             replication=replication,
-            policy=RandomPlacement(),
             rng=self.streams.stream("placement"),
         )
         self.rm = ResourceManager(

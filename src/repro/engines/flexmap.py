@@ -30,7 +30,7 @@ import math
 from repro.core.data_provision import DataProvision
 from repro.core.late_binding import LateTaskBinder
 from repro.core.reduce_bias import ReducePlacer
-from repro.core.sizing import DynamicSizer, SizingConfig
+from repro.core.sizing import BU_MB, DynamicSizer
 from repro.core.speed_monitor import SpeedMonitor
 from repro.engines.base import ApplicationMaster, MapAssignment
 from repro.engines.registry import EngineSpec, register_engine
@@ -39,7 +39,7 @@ from repro.mapreduce.attempt import TaskAttempt
 from repro.yarn.container import Container
 
 
-@register_engine("flexmap", block_size_mb=SizingConfig().bu_mb)
+@register_engine("flexmap", block_size_mb=BU_MB)
 class FlexMapAM(ApplicationMaster):
     """Elastic map tasks sized to machine capacity."""
 
@@ -48,7 +48,7 @@ class FlexMapAM(ApplicationMaster):
     def __init__(
         self,
         *args,
-        sizing: SizingConfig | None = None,
+        bu_mb: float = BU_MB,
         horizontal_scaling: bool = True,
         vertical_scaling: bool = True,
         reduce_bias: bool = True,
@@ -58,7 +58,6 @@ class FlexMapAM(ApplicationMaster):
     ) -> None:
         super().__init__(*args, **kwargs)
         self.speculation = SpeculationManager(self)
-        self.sizing_config = sizing or SizingConfig()
         # Pre-warmed monitor/sizer state can be injected so iterative
         # (Spark-style, §IV-G) workloads skip the sizing ramp after the
         # first iteration.
@@ -70,7 +69,7 @@ class FlexMapAM(ApplicationMaster):
             self.monitor.obs = self.obs
         if self.monitor.clock is None:
             self.monitor.clock = lambda: self.sim.now
-        self.sizer = sizer or DynamicSizer(self.sizing_config)
+        self.sizer = sizer or DynamicSizer(bu_mb)
         self.dp = DataProvision(self.monitor, self.sizer)
         self.placer = ReducePlacer(self.streams.stream("reduce-bias"))
         # Ablation switches (not in the paper; used by the ablation benches).

@@ -72,7 +72,6 @@ class SpeculationManager:
     def __init__(self, am: "ApplicationMaster", enabled: bool = True) -> None:
         self.am = am
         self.enabled = enabled
-        self.launched = 0
         # Live-backup cap: node slot counts never change.
         self._cap = max(1, int(SPECULATIVE_CAP_FRAC * am.cluster.total_slots))
         # kind -> (completed runtimes averaged, their mean)
@@ -151,7 +150,6 @@ class SpeculationManager:
             speculative=True,
         )
         maps.speculated_ids.add(victim.task_id)
-        self.launched += 1
         return assignment
 
     def _pick_late(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.sizing import SizingConfig
+from repro.core.sizing import BU_MB
 from repro.engines import EngineSpec, run_job
 from repro.engines.flexmap import FlexMapAM
 from repro.engines.stock import StockHadoopAM
@@ -282,7 +282,7 @@ def ablation_study(
     seeds = seeds or [1, 2]
     out = {}
     for name, kwargs in ABLATIONS.items():
-        spec = EngineSpec(name, SizingConfig().bu_mb, FlexMapAM, dict(kwargs))
+        spec = EngineSpec(name, BU_MB, FlexMapAM, dict(kwargs))
         out[name] = seed_sweep(
             physical_cluster, puma(benchmark), spec, seeds, input_mb=input_mb
         ).jct.mean

@@ -8,17 +8,11 @@ variable-size input splits at dispatch time.
 from repro.hdfs.block import Block
 from repro.hdfs.locality import LocalityIndex
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import (
-    PlacementPolicy,
-    RandomPlacement,
-    RoundRobinPlacement,
-)
+from repro.hdfs.placement import RandomPlacement
 
 __all__ = [
     "Block",
     "LocalityIndex",
     "NameNode",
-    "PlacementPolicy",
     "RandomPlacement",
-    "RoundRobinPlacement",
 ]

@@ -48,10 +48,6 @@ class LocalityIndex:
         """All unprocessed blocks (unordered list)."""
         return list(self._blocks.values())
 
-    def local_count(self, node_id: str) -> int:
-        """Number of unprocessed BUs with a replica on ``node_id``."""
-        return len(self.node_to_block.get(node_id, ()))
-
     def local_blocks(self, node_id: str) -> list[Block]:
         """Unprocessed blocks with a replica on the node, by id."""
         ids = self.node_to_block.get(node_id, set())
@@ -64,12 +60,10 @@ class LocalityIndex:
         if cache is None:
             cache = deque(sorted(bucket))
             self._min_cache[node_id] = cache
-        while cache and cache[0] not in bucket:
+        # The bucket stays a subset of the cache: the cache is built from
+        # the bucket, take only removes ids, and put_back drops the cache.
+        while cache[0] not in bucket:
             cache.popleft()
-        if not cache and bucket:
-            # Defensive rebuild; unreachable while put_back invalidates.
-            cache = deque(sorted(bucket))
-            self._min_cache[node_id] = cache
         return cache
 
     def min_local_block(self, node_id: str) -> int | None:

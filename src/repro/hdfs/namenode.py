@@ -1,7 +1,8 @@
 """NameNode: file-to-block bookkeeping and replica placement.
 
 ``create_file`` splits an input of ``size_mb`` into fixed-size blocks (the
-last block may be short), assigns replicas via the placement policy, and
+last block may be short), places replicas on random distinct nodes
+(:class:`~repro.hdfs.placement.RandomPlacement`, one draw per file), and
 optionally applies a record-skew model that perturbs per-block processing
 cost.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hdfs.block import Block
-from repro.hdfs.placement import PlacementPolicy, RoundRobinPlacement
+from repro.hdfs.placement import RandomPlacement
 
 
 class NameNode:
@@ -21,7 +22,6 @@ class NameNode:
         self,
         node_ids: list[str],
         replication: int = 3,
-        policy: PlacementPolicy | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
         if not node_ids:
@@ -30,7 +30,6 @@ class NameNode:
             raise ValueError(f"replication must be >= 1: {replication}")
         self.node_ids = list(node_ids)
         self.replication = replication
-        self.policy = policy or RoundRobinPlacement()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.files: dict[str, list[Block]] = {}
         self._next_block_id = 0
@@ -52,7 +51,7 @@ class NameNode:
         if size_mb <= 0 or block_size_mb <= 0:
             raise ValueError("file and block sizes must be positive")
         num_blocks = int(np.ceil(size_mb / block_size_mb))
-        placements = self.policy.place(
+        placements = RandomPlacement().place(
             num_blocks, self.node_ids, self.replication, self.rng
         )
         if cost_factors is None:
@@ -82,7 +81,3 @@ class NameNode:
     def blocks_of(self, name: str) -> list[Block]:
         """Blocks of a stored file, in offset order."""
         return self.files[name]
-
-    def blocks_on_node(self, name: str, node_id: str) -> list[Block]:
-        """Blocks of ``name`` with a replica on ``node_id``."""
-        return [b for b in self.files[name] if b.is_local_to(node_id)]

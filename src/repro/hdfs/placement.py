@@ -1,4 +1,4 @@
-"""Replica placement policies.
+"""Replica placement.
 
 HDFS spreads ``replication`` copies of each block across distinct nodes.
 The paper uses the default replication factor 3 and notes that on small
@@ -26,38 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 
-class PlacementPolicy:
-    """Chooses the nodes that store each block's replicas."""
-
-    def place(
-        self,
-        num_blocks: int,
-        node_ids: list[str],
-        replication: int,
-        rng: np.random.Generator,
-    ) -> list[tuple[str, ...]]:
-        """Replica node-sets for each of ``num_blocks`` blocks."""
-        raise NotImplementedError
-
-
-class RoundRobinPlacement(PlacementPolicy):
-    """Deterministic striping: block *i* goes to nodes ``i, i+1, ... i+r-1``.
-
-    Produces perfectly even block counts per node, which is the idealized
-    balanced-HDFS assumption behind Fig. 2's worked example.
-    """
-
-    def place(self, num_blocks, node_ids, replication, rng):
-        """Replica node-sets for each of ``num_blocks`` blocks."""
-        n = len(node_ids)
-        r = min(replication, n)
-        return [
-            tuple(node_ids[(i + j) % n] for j in range(r))
-            for i in range(num_blocks)
-        ]
-
-
-class RandomPlacement(PlacementPolicy):
+class RandomPlacement:
     """Random distinct-node placement, closer to real HDFS behaviour."""
 
     def place(self, num_blocks, node_ids, replication, rng):

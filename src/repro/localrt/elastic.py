@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.sizing import DynamicSizer, SizingConfig
+from repro.core.sizing import DynamicSizer
 from repro.core.speed_monitor import SpeedMonitor
 from repro.localrt.runtime import LocalTaskRecord, WorkerSpec
 
@@ -59,7 +59,7 @@ class ElasticSplitter:
     def reset(self, num_bus: int, workers: list[WorkerSpec]) -> None:
         """Start a new job over ``num_bus`` block units."""
         self.monitor = SpeedMonitor()
-        self.sizer = DynamicSizer(SizingConfig())
+        self.sizer = DynamicSizer()
         self._next = 0
         self._total = num_bus
         self._workers = list(workers)

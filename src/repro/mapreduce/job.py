@@ -39,11 +39,6 @@ class JobSpec:
             raise ValueError(f"negative reducer count: {self.num_reducers}")
 
     @property
-    def intermediate_mb(self) -> float:
-        """Total map-output volume shuffled to reducers."""
-        return self.input_mb * self.shuffle_ratio
-
-    @property
     def map_only(self) -> bool:
         return self.num_reducers == 0 or self.shuffle_ratio == 0.0
 

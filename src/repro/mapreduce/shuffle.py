@@ -30,22 +30,11 @@ class IntermediateStore:
         self._per_node[node_id] = self._per_node.get(node_id, 0.0) + mb
         self.total_mb += mb
 
-    def node_mb(self, node_id: str) -> float:
-        """Intermediate MB stored on the node."""
-        return self._per_node.get(node_id, 0.0)
-
     def node_fraction(self, node_id: str) -> float:
         """Fraction of all intermediate data stored on ``node_id``."""
         if self.total_mb == 0:
             return 0.0
         return self._per_node.get(node_id, 0.0) / self.total_mb
-
-    def skewness(self) -> float:
-        """Max/mean node share — 1.0 means perfectly even distribution."""
-        if not self._per_node or self.total_mb == 0:
-            return 1.0
-        mean = self.total_mb / len(self._per_node)
-        return max(self._per_node.values()) / mean
 
     def reducer_share_mb(self, num_reducers: int) -> float:
         """Even partition size per reducer."""

@@ -128,7 +128,7 @@ class ClusterService(Testbed):
         self.cluster_factory = cluster_factory
         self.replication = replication
         self.utilization_period_s = utilization_period_s
-        self.monitor = SharedSpeedMonitor(window=5, obs=obs, clock=lambda: self.sim.now)
+        self.monitor = SharedSpeedMonitor(obs=obs, clock=lambda: self.sim.now)
 
         self.outcomes: list[JobOutcome] = []
         self.utilization: list[tuple[float, float]] = []

@@ -57,13 +57,6 @@ class SLOReport:
     throughput_jobs_per_hour: float = 0.0
 
     # ------------------------------------------------------------------
-    def engine_slo(self, engine: str) -> EngineSLO | None:
-        """Per-engine block by engine name, if present."""
-        for slo in self.per_engine:
-            if slo.engine == engine:
-                return slo
-        return None
-
     def to_dict(self) -> dict:
         """JSON-ready dict of the full report (see :meth:`to_json`)."""
         return {

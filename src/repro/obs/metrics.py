@@ -15,8 +15,6 @@ package uses.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 
 from repro.metrics.stats import Summary
 
@@ -114,7 +112,3 @@ class MetricsRegistry:
                 k: h.summary() for k, h in sorted(self._histograms.items())
             },
         }
-
-    def write_json(self, path: str | Path) -> None:
-        """Dump :meth:`snapshot` as pretty-printed JSON."""
-        Path(path).write_text(json.dumps(self.snapshot(), indent=2) + "\n")

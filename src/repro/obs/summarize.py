@@ -27,7 +27,9 @@ def node_series(events: list[dict]) -> dict[str, dict[str, list[float]]]:
     Keys per node: ``task_bus`` (dispatched task sizes in BUs), ``s_i_mb``
     (size unit after each vertical step, seeded with the starting value),
     ``productivity`` (per completed map), ``ips`` (smoothed estimate per
-    sample), plus ``decisions`` (tally of Algorithm 1 outcomes).
+    sample), plus ``decisions`` (tally of Algorithm 1 outcomes).  Raises
+    ``ValueError`` naming the event and the field when an event lacks a
+    field its series needs.
     """
     series: dict[str, dict] = defaultdict(
         lambda: {
@@ -40,21 +42,24 @@ def node_series(events: list[dict]) -> dict[str, dict[str, list[float]]]:
     )
     for e in events:
         ev = e["ev"]
-        if ev == "task_bind":
-            s = series[e["node"]]
-            s["task_bus"].append(float(e["n_bus"]))
-            if not s["s_i_mb"]:
-                s["s_i_mb"].append(float(e["s_i_mb"]))
-        elif ev == "sizing":
-            s = series[e["node"]]
-            if not s["s_i_mb"]:
-                s["s_i_mb"].append(float(e["s_i_before"]))
-            s["s_i_mb"].append(float(e["s_i_after"]))
-            s["decisions"][e["decision"]] += 1
-        elif ev == "map_complete":
-            series[e["node"]]["productivity"].append(float(e["productivity"]))
-        elif ev == "ips":
-            series[e["node"]]["ips"].append(float(e["smoothed"]))
+        try:
+            if ev == "task_bind":
+                s = series[e["node"]]
+                s["task_bus"].append(float(e["n_bus"]))
+                if not s["s_i_mb"]:
+                    s["s_i_mb"].append(float(e["s_i_mb"]))
+            elif ev == "sizing":
+                s = series[e["node"]]
+                if not s["s_i_mb"]:
+                    s["s_i_mb"].append(float(e["s_i_before"]))
+                s["s_i_mb"].append(float(e["s_i_after"]))
+                s["decisions"][e["decision"]] += 1
+            elif ev == "map_complete":
+                series[e["node"]]["productivity"].append(float(e["productivity"]))
+            elif ev == "ips":
+                series[e["node"]]["ips"].append(float(e["smoothed"]))
+        except KeyError as exc:
+            raise ValueError(f"a {ev} event at t={e['t']} lacks the {exc} field") from None
     return dict(series)
 
 

@@ -81,12 +81,10 @@ class JsonlTraceEmitter(TraceEmitter):
         else:
             self._file = open(path_or_file, "w", encoding="utf-8")
             self._owns_file = True
-        self.events_written = 0
 
     def emit(self, ev: str, t: float, **fields) -> None:
         record = {"ev": ev, "t": round(t, 6), **fields}
         self._file.write(json.dumps(record) + "\n")
-        self.events_written += 1
 
     def close(self) -> None:
         if self._owns_file and not self._file.closed:

@@ -88,10 +88,6 @@ class Simulator:
         self._seq += 1
         return handle
 
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously scheduled event."""
-        handle.cancel()
-
     # ------------------------------------------------------------------
     # lazy-cancellation bookkeeping
     # ------------------------------------------------------------------
@@ -178,11 +174,6 @@ class Simulator:
     @property
     def events_processed(self) -> int:
         return self._events_processed
-
-    @property
-    def heap_depth(self) -> int:
-        """Raw heap size, cancelled entries included (the memory footprint)."""
-        return len(self._heap)
 
     # ------------------------------------------------------------------
     # correctness hooks (zero-cost unless installed)

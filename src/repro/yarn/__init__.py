@@ -2,7 +2,6 @@
 
 from repro.yarn.container import Container
 from repro.yarn.heartbeat import HeartbeatService
-from repro.yarn.overhead import OverheadModel
 from repro.yarn.resource_manager import ResourceManager
 
-__all__ = ["Container", "HeartbeatService", "OverheadModel", "ResourceManager"]
+__all__ = ["Container", "HeartbeatService", "ResourceManager"]

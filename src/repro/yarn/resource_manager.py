@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class AppRecord:
     """Per-application bookkeeping held by the RM."""
 
-    __slots__ = ("am", "index", "queue", "weight", "used_slots", "granted")
+    __slots__ = ("am", "index", "queue", "weight", "used_slots")
 
     def __init__(self, am, index: int, queue: str, weight: float) -> None:
         self.am = am
@@ -65,7 +65,6 @@ class AppRecord:
         self.queue = queue
         self.weight = weight
         self.used_slots = 0  # slots currently held (per-job accounting)
-        self.granted = 0  # containers ever granted
 
 
 class ResourceManager:
@@ -126,10 +125,6 @@ class ResourceManager:
         """Registered applications in registration order."""
         return list(self._apps.values())
 
-    def app_record(self, am: "ApplicationMaster") -> AppRecord | None:
-        """Bookkeeping record for ``am``, or None if not registered."""
-        return self._apps.get(id(am))
-
     def used_slots(self, am: "ApplicationMaster") -> int:
         """Slots currently held by ``am`` (0 if unknown)."""
         record = self._apps.get(id(am))
@@ -169,12 +164,17 @@ class ResourceManager:
 
     @staticmethod
     def _live(record: AppRecord) -> bool:
-        # Plain offer sinks without a job lifecycle (tests) are always live.
+        # The reference for ``num_active_apps``.  Plain offer sinks without
+        # a job lifecycle (tests) are always live.
         return not getattr(record.am, "job_done", False)
 
     def _offer_order(self) -> list[AppRecord]:
-        """Candidate applications for the next slot, most deserving first."""
-        records = [r for r in self._apps.values() if self._live(r)]
+        """Candidate applications for the next slot, most deserving first.
+
+        Every registered application is a candidate: a finishing AM
+        unregisters right after it sets ``job_done``.
+        """
+        records = list(self._apps.values())
         if len(records) > 1 and self.scheduler is not None:
             return self.scheduler.order(records)
         return records
@@ -189,14 +189,14 @@ class ResourceManager:
         self._offer_scheduled = False
         if self._next_app_index == 0:  # no AM ever registered
             return
-        # Shuffle before the liveness check: a round triggered by the last
-        # release of a finished job must consume exactly one shuffle from
-        # the offer stream, as it always has, so drivers that persist the
-        # stream across jobs (iterative runs) replay identically.
+        # Shuffle before the registration check: a round triggered by the
+        # last release of a finished job must consume exactly one shuffle
+        # from the offer stream, as it always has, so drivers that persist
+        # the stream across jobs (iterative runs) replay identically.
         nodes = list(self.cluster.nodes)
         if self._rng is not None:
             self._rng.shuffle(nodes)
-        if not any(self._live(r) for r in self._apps.values()):
+        if not self._apps:
             return
         audit = self.audit
         closed: set[int] = set()  # id(am) of the AMs closed for this round
@@ -223,7 +223,6 @@ class ResourceManager:
                     elif not accepted and self._closes(am):
                         closed.add(id(am))
                     if accepted:
-                        record.granted += 1
                         self.containers_granted += 1
                         break
                 if not accepted:

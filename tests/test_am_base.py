@@ -6,9 +6,9 @@ import pytest
 
 from repro.check.invariants import InvariantChecker
 from repro.cluster.failures import FailureSchedule
-from repro.engines import base, driver, run_job
+from repro.engines import driver, run_job
 from repro.engines.registry import resolve_engine
-from repro.yarn.overhead import OverheadModel
+from repro.yarn import overhead
 from tests.conftest import make_cluster, quick_run, tiny_job
 
 
@@ -54,16 +54,15 @@ def test_map_output_locality_accounting():
     # Every depositing node actually ran maps.
     map_nodes = {m.node for m in r.trace.maps()}
     for node in map_nodes:
-        assert store.node_mb(node) >= 0.0
-    assert sum(store.node_mb(n) for n in map_nodes) == pytest.approx(store.total_mb)
+        assert store.node_fraction(node) >= 0.0
+    assert sum(store.node_fraction(n) for n in map_nodes) == pytest.approx(1.0)
 
 
 def test_custom_overhead_model_is_respected(monkeypatch):
     normal = quick_run("hadoop-64", input_mb=512.0)
-    monkeypatch.setattr(
-        base, "OVERHEAD",
-        OverheadModel(container_alloc_s=0.0, jvm_startup_s=0.0, jitter_frac=0.0),
-    )
+    monkeypatch.setattr(overhead, "CONTAINER_ALLOC_S", 0.0)
+    monkeypatch.setattr(overhead, "JVM_STARTUP_S", 0.0)
+    monkeypatch.setattr(overhead, "JITTER_FRAC", 0.0)
     zero = quick_run("hadoop-64", input_mb=512.0)
     assert zero.jct < normal.jct
     assert all(m.overhead == 0.0 for m in zero.trace.maps())

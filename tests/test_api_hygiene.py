@@ -258,3 +258,107 @@ def test_no_unused_module_level_imports():
             if name not in read:
                 unused.append(f"{py.relative_to(SRC_ROOT)}:{line} {name}")
     assert not unused, f"unused module-level imports: {unused}"
+
+
+# ---------------------------------------------------------------------------
+# unreferenced definitions: a ``def`` or ``class`` in ``src/repro`` that
+# nothing outside the tests reads is code only the tests keep alive.  A name
+# counts as read when it appears in ``src/repro``, ``benchmarks/``,
+# ``examples/`` or ``perfbench/`` as a name, an attribute, an import or an
+# identifier string (getattr, registries); a package ``__all__`` exports it.
+# ---------------------------------------------------------------------------
+REPO_ROOT = SRC_ROOT.parent.parent
+USE_DIRS = ("benchmarks", "examples", "perfbench")
+
+#: Definitions kept although only the tests read them.  Reason: these are
+#: ClusterService's progress counters, and the composed failure tests assert
+#: their balance.
+TEST_ONLY_ALLOWED = frozenset({
+    "jobs_expected", "jobs_submitted", "jobs_running", "jobs_completed",
+    "jobs_pending",
+})
+
+
+def _definitions(tree: ast.Module) -> list[ast.AST]:
+    """Every function and class definition, dunders excluded."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def _is_all_assignment(node: ast.AST) -> bool:
+    targets = (
+        node.targets if isinstance(node, ast.Assign)
+        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+        else []
+    )
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names the module reads, names its ``__all__`` lists)."""
+    used: set[str] = set()
+    exported: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if _is_all_assignment(node):
+            exported.update(
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            )
+            return
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            used.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return used, exported
+
+
+def _unreferenced_definitions() -> list[tuple[str, str]]:
+    """(location, name) of every definition nothing outside tests/ reads."""
+    trees = {
+        py: ast.parse(py.read_text(), filename=str(py))
+        for root in [SRC_ROOT, *(REPO_ROOT / d for d in USE_DIRS)]
+        for py in sorted(root.rglob("*.py"))
+    }
+    used: set[str] = set()
+    exported: set[str] = set()
+    for tree in trees.values():
+        module_used, module_exported = _references(tree)
+        used |= module_used
+        exported |= module_exported
+    return [
+        (f"{py.relative_to(SRC_ROOT)}:{node.lineno}", node.name)
+        for py, tree in trees.items()
+        if py.is_relative_to(SRC_ROOT)
+        for node in _definitions(tree)
+        if node.name not in used and node.name not in exported
+    ]
+
+
+def test_no_definitions_only_tests_reach():
+    unreferenced = _unreferenced_definitions()
+    flagged = [
+        f"{where} {name}" for where, name in unreferenced
+        if name not in TEST_ONLY_ALLOWED
+    ]
+    assert not flagged, (
+        "definitions nothing outside tests/ reads (delete them, or move "
+        f"them into the tests): {flagged}"
+    )
+    # An allowlisted name that gains a reader outside tests/ leaves the list.
+    assert TEST_ONLY_ALLOWED <= {name for _, name in unreferenced}

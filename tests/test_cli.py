@@ -1,5 +1,6 @@
 """CLI tests: every subcommand parses and runs."""
 
+import json
 import os
 
 import pytest
@@ -219,6 +220,49 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     assert len(errors) == 1 and errors[0].startswith(f"repro {command}: error: ")
     # A rejected serve leaves no trace file behind.
     assert not (tmp_path / "F").exists()
+
+
+@pytest.mark.parametrize("event,field", [
+    ('{"ev": "task_bind", "t": 1}', "node"),
+    ('{"ev": "sizing", "t": 1, "node": "a"}', "s_i_before"),
+])
+def test_trace_summarize_names_an_event_missing_a_field(capsys, tmp_path, event, field):
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text(event + "\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "summarize", str(trace_file)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("repro trace summarize: error: ")
+    ev = json.loads(event)["ev"]
+    assert f"a {ev} event at t=1 lacks the '{field}' field" in errors[0]
+
+
+@pytest.mark.parametrize("override", [
+    {"speeds": [0.0], "slots": [2]},
+    {"speeds": [1.0], "slots": [0]},
+    {"input_mb": -5},
+    {"reducers": -1},
+    {"shuffle_ratio": -1},
+    {"slow_fraction": 2},
+    {"n_jobs": 2, "arrival_rate": 0},
+], ids=lambda override: " ".join(f"{k}={v}" for k, v in override.items()))
+def test_fuzz_replay_rejects_an_out_of_range_reproducer(capsys, tmp_path, override):
+    from repro.check import ScenarioConfig
+
+    fields = {**ScenarioConfig().to_dict(), **override}
+    with pytest.raises(ValueError):
+        ScenarioConfig.from_dict(fields)
+    repro_file = tmp_path / "repro.json"
+    repro_file.write_text(json.dumps(fields))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", "--replay", str(repro_file)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "is not a valid reproducer" in err
 
 
 def test_fuzz_small_campaign_clean(capsys):

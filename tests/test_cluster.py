@@ -8,7 +8,7 @@ from repro.cluster.interference import (
     MultiTenantInterference,
     NoInterference,
 )
-from repro.cluster.machines import MACHINE_CATALOG, catalog_by_model, total_machines
+from repro.cluster.machines import MACHINE_CATALOG, total_machines
 from repro.cluster.network import GIGABIT, TEN_GIGABIT, NetworkModel
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
@@ -92,7 +92,7 @@ def test_work_noise_pressure_inflates():
 # ---------------------------------------------------------------------------
 def test_catalog_matches_table1():
     assert total_machines() == 12
-    by_model = catalog_by_model()
+    by_model = {m.model: m for m in MACHINE_CATALOG}
     assert by_model["OPTIPLEX 990"].count == 7
     assert by_model["PowerEdge T430"].memory_gb == 128
     # The desktops anchor relative speed 1.0; servers are faster.

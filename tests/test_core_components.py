@@ -7,7 +7,8 @@ import pytest
 from repro.core.data_provision import DataProvision
 from repro.core.late_binding import LateTaskBinder
 from repro.core.reduce_bias import ReducePlacer
-from repro.core.sizing import DynamicSizer, NodeSizing, SizingConfig
+from repro.core import sizing, speed_monitor
+from repro.core.sizing import BU_MB, DynamicSizer, NodeSizing
 from repro.core.speed_monitor import SpeedMonitor
 from repro.hdfs.block import Block
 
@@ -36,8 +37,9 @@ def test_monitor_round_average_ignores_startup_zeros():
     assert m.get_speed("b") is None
 
 
-def test_monitor_window_slides():
-    m = SpeedMonitor(window=3)
+def test_monitor_window_slides(monkeypatch):
+    monkeypatch.setattr(speed_monitor, "WINDOW", 3)
+    m = SpeedMonitor()
     for i, v in enumerate([1.0, 2.0, 3.0, 4.0], start=1):
         m.report_round(i, {"a": [v]})
     assert m.get_speed("a") == pytest.approx((2.0 + 3.0 + 4.0) / 3.0)
@@ -67,11 +69,6 @@ def test_monitor_relative_speed_floored_at_one():
     m.report_completion("a", 2.0)
     m.report_completion("b", 4.0)
     assert m.relative_speed("a") >= 1.0
-
-
-def test_monitor_validation():
-    with pytest.raises(ValueError):
-        SpeedMonitor(window=0)
 
 
 def test_monitor_drops_stale_round_reports():
@@ -122,7 +119,7 @@ def test_monitor_new_epoch_accepts_restarted_numbering():
 # Sizing — Algorithm 1
 # ---------------------------------------------------------------------------
 def test_vertical_fast_scaling_doubles():
-    s = NodeSizing(SizingConfig())
+    s = NodeSizing(BU_MB)
     assert s.size_unit_mb == 8.0
     s.vertical(0.3)  # < FAST_LIMIT
     assert s.size_unit_mb == 16.0
@@ -131,7 +128,7 @@ def test_vertical_fast_scaling_doubles():
 
 
 def test_vertical_linear_scaling_adds_one_bu():
-    s = NodeSizing(SizingConfig())
+    s = NodeSizing(BU_MB)
     s.vertical(0.85)  # between FAST and LINEAR limits
     assert s.size_unit_mb == 16.0
     s.vertical(0.85)
@@ -139,7 +136,7 @@ def test_vertical_linear_scaling_adds_one_bu():
 
 
 def test_vertical_freezes_above_linear_limit():
-    s = NodeSizing(SizingConfig())
+    s = NodeSizing(BU_MB)
     s.vertical(0.3)
     s.vertical(0.95)  # >= LINEAR_LIMIT -> stop growing
     assert s.frozen
@@ -147,16 +144,16 @@ def test_vertical_freezes_above_linear_limit():
     assert s.size_unit_mb == 16.0
 
 
-def test_vertical_capped_at_max():
-    cfg = SizingConfig(max_bus=4)
-    s = NodeSizing(cfg)
+def test_vertical_capped_at_max(monkeypatch):
+    monkeypatch.setattr(sizing, "MAX_BUS", 4)
+    s = NodeSizing(BU_MB)
     for _ in range(10):
         s.vertical(0.1)
     assert s.size_unit_mb == 32.0  # 4 BUs * 8 MB
 
 
 def test_vertical_rejects_bad_productivity():
-    s = NodeSizing(SizingConfig())
+    s = NodeSizing(BU_MB)
     with pytest.raises(ValueError):
         s.vertical(1.5)
 
@@ -195,7 +192,7 @@ def test_horizontal_half_up_on_fresh_node():
 
 
 def test_vertical_returns_decision():
-    s = NodeSizing(SizingConfig())
+    s = NodeSizing(BU_MB)
     assert s.vertical(0.3) == "fast"
     assert s.vertical(0.85) == "linear"
     assert s.vertical(0.95) == "freeze"
@@ -212,8 +209,9 @@ def test_nodes_grow_independently():
     assert d.size_unit_mb("slow") == 16.0
 
 
-def test_sizer_caps_at_max_bus():
-    d = DynamicSizer(SizingConfig(max_bus=8))
+def test_sizer_caps_at_max_bus(monkeypatch):
+    monkeypatch.setattr(sizing, "MAX_BUS", 8)
+    d = DynamicSizer()
     for _ in range(10):
         d.record_wave("n", 0.1)
     assert d.task_size_bus("n", relative_speed=10.0) == 8
@@ -221,21 +219,17 @@ def test_sizer_caps_at_max_bus():
 
 def test_sizing_config_validation():
     with pytest.raises(ValueError):
-        SizingConfig(bu_mb=0.0)
-    with pytest.raises(ValueError):
-        SizingConfig(fast_limit=0.95, linear_limit=0.9)
-    with pytest.raises(ValueError):
-        SizingConfig(max_bus=0)
+        DynamicSizer(bu_mb=0.0)
     d = DynamicSizer()
     with pytest.raises(ValueError):
         d.task_size_bus("n", relative_speed=0.0)
 
 
 def test_paper_constants():
-    cfg = SizingConfig()
-    assert cfg.bu_mb == 8.0
-    assert cfg.fast_limit == 0.8
-    assert cfg.linear_limit == 0.9
+    assert sizing.BU_MB == 8.0
+    assert sizing.FAST_LIMIT == 0.8
+    assert sizing.LINEAR_LIMIT == 0.9
+    assert DynamicSizer().bu_mb == 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +237,6 @@ def test_paper_constants():
 # ---------------------------------------------------------------------------
 def test_ltb_one_template_per_bu():
     binder = LateTaskBinder(blocks_for([("a",), ("b",), ("c",)]))
-    assert len(binder.templates) == 3
     assert binder.unprocessed_bus == 3
 
 
@@ -265,14 +258,9 @@ def test_ltb_bind_falls_back_to_remote():
 
 def test_ltb_bind_exhaustion_returns_none_and_discards_templates():
     binder = LateTaskBinder(blocks_for([("a",), ("a",)]))
-    binder.bind("a", 2)
+    assert binder.bind("a", 2).num_bus == 2
     assert binder.bind("a", 1) is None
-    assert binder.templates_used == 2
-    assert binder.templates_discarded == 0
-    # With put_back the discard count reflects unused templates.
-    binder2 = LateTaskBinder(blocks_for([("a",), ("a",)]))
-    binder2.bind("a", 1)
-    assert binder2.templates_discarded == 0  # BUs still unprocessed
+    assert binder.unprocessed_bus == 0
 
 
 def test_ltb_put_back():
@@ -280,57 +268,59 @@ def test_ltb_put_back():
     split = binder.bind("a", 2)
     binder.put_back(split)
     assert binder.unprocessed_bus == 2
-    assert binder.templates_used == 0
-
-
-def _assert_ltb_invariant(binder):
-    """templates_used + unprocessed_bus == len(templates), at every step."""
-    assert binder.templates_used + binder.unprocessed_bus == len(binder.templates)
+    assert binder.bind("a", 2).blocks == split.blocks
 
 
 def test_ltb_accounting_invariant_under_kill_and_rebind_cycles():
+    """Bound BUs + unprocessed BUs == all BUs, at every step."""
     reps = [("a", "b"), ("b", "c"), ("a", "c"), ("a",), ("b",), ("c",), ("a",), ("b",)]
     binder = LateTaskBinder(blocks_for(reps))
-    _assert_ltb_invariant(binder)
-    # Cycle 1: bind on every node, then kill (put back) all splits.
-    splits = []
-    for node in ["a", "b", "c"]:
-        split = binder.bind(node, 2)
-        splits.append(split)
-        _assert_ltb_invariant(binder)
-    for split in splits:
+    live = []
+
+    def bind(node, n):
+        split = binder.bind(node, n)
+        if split is not None:
+            live.append(split)
+        check()
+        return split
+
+    def put_back(split):
+        live.remove(split)
         binder.put_back(split)
-        _assert_ltb_invariant(binder)
-    assert binder.templates_used == 0
+        check()
+
+    def check():
+        bound = sum(split.num_bus for split in live)
+        assert bound + binder.unprocessed_bus == len(reps)
+
+    check()
+    # Cycle 1: bind on every node, then kill (put back) all splits.
+    splits = [bind(node, 2) for node in ["a", "b", "c"]]
+    for split in splits:
+        put_back(split)
     assert binder.unprocessed_bus == len(reps)
     # Cycle 2: partial kill-and-rebind — one split dies, others survive.
-    s1 = binder.bind("a", 3)
-    s2 = binder.bind("b", 3)
-    _assert_ltb_invariant(binder)
-    binder.put_back(s1)  # node a crashed
-    _assert_ltb_invariant(binder)
-    rebound = binder.bind("c", 8)  # survivor claims everything left
-    _assert_ltb_invariant(binder)
+    s1 = bind("a", 3)
+    s2 = bind("b", 3)
+    put_back(s1)  # node a crashed
+    rebound = bind("c", 8)  # survivor claims everything left
     assert rebound.num_bus == len(reps) - s2.num_bus
-    # Drain: nothing left, every template accounted for, none discarded.
-    assert binder.bind("a", 1) is None
-    _assert_ltb_invariant(binder)
+    # Drain: nothing left, every BU bound exactly once.
+    assert bind("a", 1) is None
     assert binder.unprocessed_bus == 0
-    assert binder.templates_used == len(reps)
-    assert binder.templates_discarded == 0
+    bound_ids = sorted(b.block_id for split in live for b in split.blocks)
+    assert bound_ids == list(range(len(reps)))
 
 
 def test_ltb_discard_count_after_put_back_and_drain():
-    """put_back then a larger final bind: the discard count must reflect
-    templates that never became tasks only once all BUs are taken."""
+    """put_back then a larger final bind: one task swallows every BU, so no
+    template is left over (the unused templates are the unprocessed BUs)."""
     binder = LateTaskBinder(blocks_for([("a",), ("a",), ("b",)]))
     split = binder.bind("a", 2)
     binder.put_back(split)
-    assert binder.templates_discarded == 0  # all BUs unprocessed again
-    binder.bind("b", 3)  # one task swallows all three BUs
-    _assert_ltb_invariant(binder)
-    assert binder.templates_discarded == 0
-    assert binder.templates_used == 3
+    assert binder.unprocessed_bus == 3  # all BUs unprocessed again
+    assert binder.bind("b", 3).num_bus == 3  # one task swallows all three BUs
+    assert binder.unprocessed_bus == 0
 
 
 def test_ltb_each_bu_bound_once():

@@ -130,7 +130,6 @@ def test_failure_after_job_completion_only_marks_node_dead():
     bookkeeping: the AM released everything at job end."""
     from repro.engines import ENGINES
     from repro.hdfs.namenode import NameNode
-    from repro.hdfs.placement import RandomPlacement
     from repro.sim.engine import Simulator
     from repro.sim.random import RandomStreams
     from repro.yarn.resource_manager import ResourceManager
@@ -143,7 +142,7 @@ def test_failure_after_job_completion_only_marks_node_dead():
     job = tiny_job(input_mb=256.0, reducers=0)
     namenode = NameNode(
         [n.node_id for n in c.nodes], replication=3,
-        policy=RandomPlacement(), rng=streams.stream("placement"),
+        rng=streams.stream("placement"),
     )
     namenode.create_file(job.input_file, job.input_mb, spec.block_size_mb)
     rm = ResourceManager(sim, c, rng=streams.stream("rm-offers"))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.sizing import SizingConfig
 from repro.engines import EngineSpec, run_job
 from repro.engines.flexmap import FlexMapAM
 from tests.conftest import make_cluster, tiny_job
@@ -127,8 +126,7 @@ def test_flexmap_sizing_log_matches_trace():
 
 
 def test_flexmap_custom_bu_size():
-    cfg = SizingConfig(bu_mb=16.0)
-    spec = EngineSpec("flexmap-16", 16.0, FlexMapAM, {"sizing": cfg})
+    spec = EngineSpec("flexmap-16", 16.0, FlexMapAM, {"bu_mb": 16.0})
     r = run_job(het_cluster, tiny_job(input_mb=1024.0), spec, seed=3)
     assert r.trace.data_processed_mb() == pytest.approx(1024.0)
 

@@ -6,7 +6,7 @@ import pytest
 from repro.hdfs.block import Block
 from repro.hdfs.locality import LocalityIndex
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import RandomPlacement, RoundRobinPlacement
+from repro.hdfs.placement import RandomPlacement
 
 
 def blocks_for(replicas_map):
@@ -35,18 +35,6 @@ def test_block_validation():
 # ---------------------------------------------------------------------------
 # Placement
 # ---------------------------------------------------------------------------
-def test_round_robin_stripes_evenly():
-    p = RoundRobinPlacement()
-    out = p.place(6, ["a", "b", "c"], replication=2, rng=np.random.default_rng(0))
-    assert out[0] == ("a", "b")
-    assert out[1] == ("b", "c")
-    counts = {}
-    for reps in out:
-        for r in reps:
-            counts[r] = counts.get(r, 0) + 1
-    assert set(counts.values()) == {4}
-
-
 def test_random_placement_distinct_nodes():
     p = RandomPlacement()
     out = p.place(50, ["a", "b", "c", "d"], replication=3, rng=np.random.default_rng(0))
@@ -55,7 +43,7 @@ def test_random_placement_distinct_nodes():
 
 
 def test_replication_capped_by_cluster_size():
-    p = RoundRobinPlacement()
+    p = RandomPlacement()
     out = p.place(3, ["a", "b"], replication=3, rng=np.random.default_rng(0))
     assert all(len(reps) == 2 for reps in out)
 
@@ -168,9 +156,12 @@ def test_duplicate_file_rejected():
 
 
 def test_blocks_on_node():
-    nn = NameNode(["a", "b", "c"], replication=1, policy=RoundRobinPlacement())
+    nn = NameNode(["a", "b", "c"], replication=1)
     nn.create_file("f", 48.0, 16.0)
-    assert len(nn.blocks_on_node("f", "a")) == 1
+    per_node = {
+        n: [b for b in nn.blocks_of("f") if b.is_local_to(n)] for n in "abc"
+    }
+    assert sum(len(blocks) for blocks in per_node.values()) == 3
 
 
 def test_block_ids_unique_across_files():
@@ -197,8 +188,8 @@ def test_namenode_validation():
 def test_index_initial_maps():
     idx = LocalityIndex(blocks_for([("a", "b"), ("b", "c"), ("a", "c")]))
     assert idx.unprocessed == 3
-    assert idx.local_count("a") == 2
-    assert idx.local_count("b") == 2
+    assert len(idx.local_blocks("a")) == 2
+    assert len(idx.local_blocks("b")) == 2
     assert idx.node_to_block["a"] == {0, 2}
     assert idx.block_to_node[1] == {"b", "c"}
 
@@ -207,7 +198,7 @@ def test_take_removes_from_both_maps():
     idx = LocalityIndex(blocks_for([("a", "b"), ("b", "c")]))
     idx.take(0)
     assert idx.unprocessed == 1
-    assert idx.local_count("a") == 0
+    assert idx.local_blocks("a") == []
     assert 0 not in idx.block_to_node
     assert idx.node_to_block["b"] == {1}
 
@@ -225,7 +216,7 @@ def test_put_back_restores():
     b = idx.take(0)
     idx.put_back(b)
     assert idx.unprocessed == 1
-    assert idx.local_count("a") == 1
+    assert idx.local_blocks("a") == [b]
     with pytest.raises(KeyError):
         idx.put_back(b)  # not taken anymore
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sizing import SizingConfig
+from repro.core.sizing import BU_MB
 from repro.engines import EngineSpec, FlexMapAM
 from repro.experiments.clusters import heterogeneous6_cluster
 from repro.experiments.iterative import IterativeResult, run_iterative_job
@@ -49,7 +49,7 @@ def test_flexmap_subclass_engine_gets_the_warm_start():
             super().__init__(*args, **kwargs)
             monitors.append(self.monitor)
 
-    spec = EngineSpec("flexmap-traced", SizingConfig().bu_mb, TracedFlexMapAM)
+    spec = EngineSpec("flexmap-traced", BU_MB, TracedFlexMapAM)
     run_iterative_job(het, tiny_job(input_mb=1024.0), spec, iterations=3, seed=2)
     assert len(monitors) == 3
     assert len({id(m) for m in monitors}) == 1

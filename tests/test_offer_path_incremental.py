@@ -19,6 +19,7 @@ import pytest
 
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.cluster.failures import FailureSchedule
+from repro.core import speed_monitor
 from repro.core.speed_monitor import SpeedMonitor
 from repro.engines import driver, run_job, skewtune, speculation
 from repro.engines.base import ApplicationMaster, MapAssignment, TraceRecorder
@@ -104,9 +105,10 @@ def test_fresh_copy_estimate_after_a_skewtune_run_with_a_crash():
 # SpeedMonitor
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("monitor_cls", [SpeedMonitor, SharedSpeedMonitor])
-def test_speed_monitor_reads_equal_recomputation_after_eviction(monitor_cls):
+def test_speed_monitor_reads_equal_recomputation_after_eviction(monitor_cls, monkeypatch):
     window = 3
-    monitor = monitor_cls(window=window)
+    monkeypatch.setattr(speed_monitor, "WINDOW", window)
+    monitor = monitor_cls()
     checker = InvariantChecker()
     monitor.check = checker  # reference mode: every cached read is compared
     pushed: dict[str, list[float]] = {}  # every sample, never evicted
@@ -149,7 +151,7 @@ def test_speed_monitor_reads_equal_recomputation_after_eviction(monitor_cls):
 
 
 def test_speed_monitor_reference_mode_catches_a_stale_speed():
-    monitor = SpeedMonitor(window=2)
+    monitor = SpeedMonitor()
     monitor.report_completion("a", 4.0)
     monitor.check = InvariantChecker()
     monitor._speeds["a"] = 5.0  # a cache that missed an update

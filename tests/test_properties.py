@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sizing import DynamicSizer, NodeSizing, SizingConfig
+from repro.core.sizing import BU_MB, MAX_BUS, DynamicSizer, NodeSizing
 from repro.core.speed_monitor import SpeedMonitor
 from repro.hdfs.block import Block
 from repro.hdfs.locality import LocalityIndex
@@ -97,10 +97,10 @@ def test_put_back_roundtrip(replicas, which):
     blocks = [Block(i, "f", 8.0, replicas=tuple(sorted(r))) for i, r in enumerate(replicas)]
     idx = LocalityIndex(blocks)
     which = which % len(blocks)
-    before_local = {n: idx.local_count(n) for n in "abcd"}
+    before_local = {n: idx.local_blocks(n) for n in "abcd"}
     b = idx.take(which)
     idx.put_back(b)
-    after_local = {n: idx.local_count(n) for n in "abcd"}
+    after_local = {n: idx.local_blocks(n) for n in "abcd"}
     assert before_local == after_local
     assert idx.unprocessed == len(blocks)
 
@@ -110,7 +110,7 @@ def test_put_back_roundtrip(replicas, which):
 # ---------------------------------------------------------------------------
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
 def test_size_unit_never_shrinks(productivities):
-    s = NodeSizing(SizingConfig())
+    s = NodeSizing(BU_MB)
     prev = s.size_unit_mb
     for p in productivities:
         s.vertical(p)
@@ -123,11 +123,11 @@ def test_size_unit_never_shrinks(productivities):
     st.floats(min_value=1.0, max_value=20.0),
 )
 def test_task_size_bounded_and_positive(productivities, rel_speed):
-    d = DynamicSizer(SizingConfig(max_bus=64))
+    d = DynamicSizer()
     for p in productivities:
         d.record_wave("n", p)
     bus = d.task_size_bus("n", rel_speed)
-    assert 1 <= bus <= 64
+    assert 1 <= bus <= MAX_BUS
 
 
 @given(st.floats(min_value=1.0, max_value=10.0), st.floats(min_value=1.0, max_value=10.0))
@@ -162,7 +162,7 @@ def test_relative_speed_at_least_one(reports):
 
 @given(st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=1, max_size=50))
 def test_monitor_estimate_within_sample_range(values):
-    m = SpeedMonitor(window=5)
+    m = SpeedMonitor()
     for v in values:
         m.report_completion("n", v)
     est = m.get_speed("n")

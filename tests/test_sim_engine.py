@@ -205,13 +205,13 @@ def test_determinism_two_identical_runs():
 def test_heap_compacts_when_cancelled_dominate():
     sim = Simulator()
     handles = [sim.schedule(float(i + 1), lambda: None) for i in range(1000)]
-    assert sim.heap_depth == 1000
+    assert len(sim._heap) == 1000
     for h in handles[:600]:
         h.cancel()
     # Cancelled entries became the majority, so the heap must have been
     # rebuilt from live entries instead of holding 600 dead ones.
     assert sim.compactions >= 1
-    assert sim.heap_depth < 600
+    assert len(sim._heap) < 600
     assert sim.pending == 400
 
 
@@ -269,4 +269,4 @@ def test_long_cancel_heavy_run_stays_bounded():
         sim.schedule(float(i) * 1e-3, lambda i=i: churn(i))
     sim.run()
     assert sim.compactions > 0
-    assert sim.heap_depth <= 10  # not O(5000)
+    assert len(sim._heap) <= 10  # not O(5000)

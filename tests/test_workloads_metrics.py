@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.metrics.efficiency import job_efficiency, serial_runtime
-from repro.metrics.jct import jct, normalized_jct
 from repro.metrics.stats import (
     Summary,
     normalized_runtime_pdf,
@@ -146,19 +145,6 @@ def test_efficiency_validation():
     t.map_phase_end = t.map_phase_start
     with pytest.raises(ValueError):
         job_efficiency(t, 2)
-
-
-def test_jct_and_normalization():
-    t1 = make_trace([10.0])
-    t2 = make_trace([20.0])
-    norm = normalized_jct({"a": t1, "b": t2}, baseline="a")
-    assert norm == {"a": 1.0, "b": 2.0}
-    with pytest.raises(KeyError):
-        normalized_jct({"a": t1}, baseline="zzz")
-    with pytest.raises(ValueError):
-        bad = make_trace([10.0])
-        bad.finish_time = bad.submit_time
-        jct(bad)
 
 
 def test_runtime_stats():

@@ -7,55 +7,54 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.yarn.container import Container
 from repro.yarn.heartbeat import HeartbeatService
-from repro.yarn.overhead import OverheadModel
+from repro.yarn import overhead
 from repro.yarn.resource_manager import ResourceManager
 from tests.conftest import make_cluster
 
 
 # ---------------------------------------------------------------------------
-# OverheadModel
+# startup overhead
 # ---------------------------------------------------------------------------
-def test_overhead_nominal_without_jitter():
-    m = OverheadModel(container_alloc_s=4.0, jvm_startup_s=8.0, jitter_frac=0.0,
-                      jvm_speed_scaling=0.0)
+def test_overhead_nominal_without_jitter(monkeypatch):
+    monkeypatch.setattr(overhead, "JITTER_FRAC", 0.0)
+    monkeypatch.setattr(overhead, "JVM_SPEED_SCALING", 0.0)
     rng = np.random.default_rng(0)
-    assert m.sample(1.0, rng) == 12.0
-    assert m.sample(2.0, rng) == 12.0  # no speed scaling
+    assert overhead.sample(1.0, rng) == 12.0
+    assert overhead.sample(2.0, rng) == 12.0  # no speed scaling
 
 
-def test_overhead_speed_scaling():
-    m = OverheadModel(container_alloc_s=0.0, jvm_startup_s=10.0, jitter_frac=0.0,
-                      jvm_speed_scaling=1.0)
+def test_overhead_speed_scaling(monkeypatch):
+    monkeypatch.setattr(overhead, "CONTAINER_ALLOC_S", 0.0)
+    monkeypatch.setattr(overhead, "JVM_STARTUP_S", 10.0)
+    monkeypatch.setattr(overhead, "JITTER_FRAC", 0.0)
+    monkeypatch.setattr(overhead, "JVM_SPEED_SCALING", 1.0)
     rng = np.random.default_rng(0)
-    assert m.sample(2.0, rng) == 5.0
-    assert m.sample(0.5, rng) == 20.0
+    assert overhead.sample(2.0, rng) == 5.0
+    assert overhead.sample(0.5, rng) == 20.0
 
 
-def test_overhead_jitter_bounds():
-    m = OverheadModel(container_alloc_s=5.0, jvm_startup_s=5.0, jitter_frac=0.2,
-                      jvm_speed_scaling=0.0)
+def test_overhead_jitter_bounds(monkeypatch):
+    monkeypatch.setattr(overhead, "CONTAINER_ALLOC_S", 5.0)
+    monkeypatch.setattr(overhead, "JVM_STARTUP_S", 5.0)
+    monkeypatch.setattr(overhead, "JITTER_FRAC", 0.2)
+    monkeypatch.setattr(overhead, "JVM_SPEED_SCALING", 0.0)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        v = m.sample(1.0, rng)
+        v = overhead.sample(1.0, rng)
         assert 8.0 <= v <= 12.0
 
 
 def test_overhead_validation():
     with pytest.raises(ValueError):
-        OverheadModel(container_alloc_s=-1.0)
-    with pytest.raises(ValueError):
-        OverheadModel(jitter_frac=1.0)
-    m = OverheadModel()
-    with pytest.raises(ValueError):
-        m.sample(0.0, np.random.default_rng(0))
+        overhead.sample(0.0, np.random.default_rng(0))
 
 
-def test_small_task_dominated_by_overhead():
+def test_small_task_dominated_by_overhead(monkeypatch):
     """The Fig. 3 regime: at 8 MB the default overhead yields ~0.3
     productivity for a wordcount-cost map on a slow node."""
-    m = OverheadModel(jitter_frac=0.0)
+    monkeypatch.setattr(overhead, "JITTER_FRAC", 0.0)
     compute = 8.0 * 0.625  # wordcount seconds at speed 1.0
-    total = compute + m.sample(1.0, np.random.default_rng(0))
+    total = compute + overhead.sample(1.0, np.random.default_rng(0))
     assert 0.2 < compute / total < 0.4
 
 
@@ -239,7 +238,7 @@ def test_rm_register_is_idempotent():
     rm.register(am, queue="batch", weight=3.0)
     rm.register(am)  # second call must not reset queue/weight or duplicate
     assert len(rm.apps) == 1
-    record = rm.app_record(am)
+    (record,) = rm.apps
     assert record.queue == "batch"
     assert record.weight == 3.0
 
