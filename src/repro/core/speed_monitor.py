@@ -7,13 +7,13 @@ sliding window of the last ``WINDOW`` round-averages per node.  Completed
 tasks contribute their end-to-end IPS as an extra sample, which is how the
 paper's "first-wave feedback" (Fig. 7) arrives.
 
-Because the paper's averaging is round-scoped, the monitor tracks the last
-round number seen per node and drops reports whose round is not strictly
-newer (a replayed or mis-batched round would otherwise mix samples across
-rounds undetected); dropped reports are tallied in ``stale_reports``.
-Heartbeat round numbers are scoped to one AM lifetime — a warm-started AM
-reusing a monitor (iterative workloads) calls :meth:`new_epoch` so the
-restarted numbering is not mistaken for stale rounds.
+The monitor numbers the heartbeat rounds it ingests itself: each
+``report_round`` call is the next round, and that count (``rounds``) is the
+``round`` field of its ``ips`` events.  So one monitor can outlive an AM (an
+iterative warm start) or serve many AMs at once (``repro serve``) with no
+renumbering by the caller.  It takes its clock and observability from the
+:class:`~repro.sim.engine.Simulator` it runs on; a monitor built without one
+(the local runtime) emits nothing.
 
 ``getSpeed`` exposes the smoothed per-node estimate; ``relative_speed``
 normalizes to the slowest known node, the quantity Algorithm 1's horizontal
@@ -32,10 +32,10 @@ window means recomputed from scratch.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs import Observability
+    from repro.sim.engine import Simulator
 
 #: Samples per node in the sliding window.
 WINDOW = 5
@@ -48,11 +48,8 @@ class SpeedMonitor:
     #: run using this monitor; it checks each cached speed read.
     check = None
 
-    def __init__(
-        self,
-        obs: "Observability | None" = None,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, sim: "Simulator | None" = None) -> None:
+        self.sim = sim
         self._samples: dict[str, deque[float]] = {}
         # Smoothed speed per node and their minimum, refreshed on every
         # sample.
@@ -60,83 +57,45 @@ class SpeedMonitor:
         self._slowest: float | None = None
         #: Bumped on every new sample; speed-derived caches key on it.
         self.version = 0
-        self._last_round: dict[str, int] = {}
-        self.stale_reports = 0
-        self.obs = obs
-        self.clock = clock
+        #: Heartbeat rounds ingested so far (the last round's number).
+        self.rounds = 0
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def new_epoch(self) -> None:
-        """Reset round bookkeeping (samples survive).
-
-        Call when a new heartbeat sequence starts numbering from scratch —
-        e.g. a warm-started iterative AM reusing this monitor's state.
-        """
-        self._last_round.clear()
-
-    def last_round(self, node_id: str) -> int | None:
-        """Most recent heartbeat round ingested for the node, if any."""
-        return self._last_round.get(node_id)
-
-    def report_round(self, round_no: int, node_ips: dict[str, list[float]]) -> int:
-        """Ingest one heartbeat round: per-node lists of container IPSes.
+    def report_round(self, node_ips: dict[str, list[float]]) -> None:
+        """Ingest the next heartbeat round: per-node lists of container IPSes.
 
         Zero entries (containers still in JVM startup) are discarded; a
         node with no productive containers this round contributes nothing.
-        A node whose ``round_no`` is not strictly newer than its last seen
-        round is a stale/replayed report: it is dropped and counted.
-        Returns the number of per-node reports dropped as stale.
         """
-        dropped = 0
+        self.rounds += 1
         for node_id, values in node_ips.items():
-            last = self._last_round.get(node_id)
-            if last is not None and round_no <= last:
-                dropped += 1
-                self.stale_reports += 1
-                if self.obs is not None:
-                    self.obs.metrics.counter("monitor.stale_round_reports").inc()
-                continue
-            self._last_round[node_id] = round_no
             productive = [v for v in values if v > 0]
-            if not productive:
-                continue
-            self._push(
-                node_id,
-                sum(productive) / len(productive),
-                source="round",
-                round_no=round_no,
-            )
-        return dropped
+            if productive:
+                self._push(node_id, sum(productive) / len(productive), "round", self.rounds)
 
     def report_completion(self, node_id: str, ips: float) -> None:
         """Ingest a completed task's end-to-end IPS."""
         if ips > 0:
-            self._push(node_id, ips, source="completion")
+            self._push(node_id, ips, "completion")
 
     def _push(
-        self,
-        node_id: str,
-        value: float,
-        source: str = "round",
-        round_no: int | None = None,
+        self, node_id: str, value: float, source: str, round_no: int | None = None
     ) -> None:
-        bucket = self._samples.setdefault(node_id, deque(maxlen=WINDOW))
+        bucket = self._samples.get(node_id)
+        if bucket is None:
+            bucket = self._samples[node_id] = deque(maxlen=WINDOW)
         bucket.append(value)
         self._speeds[node_id] = sum(bucket) / len(bucket)
         self._slowest = min(self._speeds.values())
         self.version += 1
-        if self.obs is not None:
-            self.obs.metrics.counter("monitor.samples").inc()
-            self.obs.trace.emit(
-                "ips",
-                self.clock() if self.clock is not None else 0.0,
-                node=node_id,
-                source=source,
-                round=round_no,
-                sample=round(value, 4),
-                smoothed=round(self._speeds[node_id], 4),
+        obs = self.sim.obs if self.sim is not None else None
+        if obs is not None:
+            obs.metrics.counter("monitor.samples").inc()
+            obs.trace.emit(
+                "ips", self.sim.now, node=node_id, source=source, round=round_no,
+                sample=round(value, 4), smoothed=round(self._speeds[node_id], 4),
             )
 
     # ------------------------------------------------------------------

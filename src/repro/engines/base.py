@@ -469,7 +469,6 @@ class ApplicationMaster:
         namenode: NameNode,
         job: JobSpec,
         streams: RandomStreams,
-        obs: Observability | None = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
@@ -477,7 +476,8 @@ class ApplicationMaster:
         self.namenode = namenode
         self.job = job
         self.streams = streams
-        self.obs = obs
+        #: The run's observability, owned by the simulator.
+        self.obs: Observability | None = sim.obs
         self.store = IntermediateStore()
         self.heartbeat = HeartbeatService(sim)
         self.recorder = TraceRecorder(self)

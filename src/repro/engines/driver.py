@@ -57,7 +57,6 @@ class Testbed:
         check=None,
     ) -> None:
         self.seed = seed
-        self.obs = obs
         self.sim = Simulator(obs=obs)
         self.streams = RandomStreams(seed)
         self.cluster = cluster_factory()
@@ -149,8 +148,8 @@ def run_job(
 
     ``failures`` optionally injects node crashes (see
     :mod:`repro.cluster.failures`); the engine re-enqueues lost work.
-    ``obs`` threads a structured tracing/metrics bundle through the
-    simulator and the AM; the per-run metric snapshot lands in
+    ``obs`` is the simulator's structured tracing/metrics bundle, which
+    the AM observes through; the per-run metric snapshot lands in
     :attr:`RunResult.metrics`.  ``check`` arms a
     :class:`repro.check.InvariantChecker` on the run (the caller
     finalizes it); like ``obs``, a run without one pays nothing.
@@ -167,7 +166,7 @@ def run_job(
             "run_meta", bed.sim.now,
             engine=spec.name, cluster=bed.cluster.name, job=job.name, seed=seed,
         )
-    am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams, obs)
+    am = spec.build(bed.sim, bed.cluster, bed.rm, bed.namenode, job, bed.streams)
     trace = am.run_to_completion(max_events=max_events)
 
     return RunResult(

@@ -9,7 +9,10 @@ Workflow, numbered as in the paper:
    the task size (DataProvision / Algorithm 1), and let LTB assemble a
    locality-preserving split of that many BUs;
 5. dispatch the elastic map task;
-6. containers report IPS through 5 s heartbeats.
+6. containers report IPS through 5 s heartbeats.  The SpeedMonitor numbers
+   the rounds it ingests itself, so a monitor carried over from an earlier
+   AM (iterative warm start) or shared by many (``repro serve``) is used
+   as is.
 
 Step 4 runs on every offer, so it reads cached state: the speculative
 backup path is taken directly once no BU is left to bind, and the tail
@@ -61,14 +64,7 @@ class FlexMapAM(ApplicationMaster):
         # Pre-warmed monitor/sizer state can be injected so iterative
         # (Spark-style, §IV-G) workloads skip the sizing ramp after the
         # first iteration.
-        self.monitor = monitor or SpeedMonitor()
-        # Heartbeat rounds are numbered per AM lifetime: a carried-over
-        # monitor must not mistake the restarted numbering for stale rounds.
-        self.monitor.new_epoch()
-        if self.obs is not None and self.monitor.obs is None:
-            self.monitor.obs = self.obs
-        if self.monitor.clock is None:
-            self.monitor.clock = lambda: self.sim.now
+        self.monitor = monitor or SpeedMonitor(self.sim)
         self.sizer = sizer or DynamicSizer(bu_mb)
         self.dp = DataProvision(self.monitor, self.sizer)
         self.placer = ReducePlacer(self.streams.stream("reduce-bias"))
@@ -165,7 +161,7 @@ class FlexMapAM(ApplicationMaster):
             self._capacity = (version, speeds, capacity)
         _, speeds, total_capacity = self._capacity
         # The app count changes without a monitor sample: divide per call.
-        total_capacity /= getattr(self.rm, "num_active_apps", 1)
+        total_capacity /= self.rm.num_active_apps
         share = speeds[node_id] / total_capacity if total_capacity > 0 else 1.0
         return max(1, int(math.ceil(remaining * share)))
 
@@ -221,7 +217,7 @@ class FlexMapAM(ApplicationMaster):
         node_ips: dict[str, list[float]] = {}
         for attempt in self.maps.running:
             node_ips.setdefault(attempt.node.node_id, []).append(attempt.ips())
-        self.monitor.report_round(round_no, node_ips)
+        self.monitor.report_round(node_ips)
 
     # ------------------------------------------------------------------
     # reduce phase: capacity-squared bias

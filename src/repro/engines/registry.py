@@ -46,9 +46,10 @@ class EngineSpec:
     kwargs: dict = field(default_factory=dict)
 
     def build(
-        self, sim, cluster, rm, namenode, job, streams, obs=None, extra: dict | None = None
+        self, sim, cluster, rm, namenode, job, streams, extra: dict | None = None
     ) -> "ApplicationMaster":
-        """Instantiate this engine's ApplicationMaster, observed by ``obs``.
+        """Instantiate this engine's ApplicationMaster (observed through
+        ``sim.obs``).
 
         ``extra`` merges caller-provided constructor kwargs over the spec's
         own (the multi-job service injects a shared SpeedMonitor this way).
@@ -56,7 +57,7 @@ class EngineSpec:
         kwargs = dict(self.kwargs)
         if extra:
             kwargs.update(extra)
-        return self.factory(sim, cluster, rm, namenode, job, streams, obs=obs, **kwargs)
+        return self.factory(sim, cluster, rm, namenode, job, streams, **kwargs)
 
 
 #: The global registry.  Mutated only through :func:`register_engine`.

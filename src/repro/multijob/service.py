@@ -9,10 +9,9 @@ the single-job registry — FlexMap jobs co-run with stock-Hadoop jobs).
 
 FlexMap AMs share **one** SpeedMonitor: IPS knowledge about a node learned
 by one job's containers immediately informs every other job's task sizing,
-exactly as a long-lived cluster service would accumulate it.  Heartbeat
-rounds are numbered per AM lifetime, so the shared monitor is a
-:class:`SharedSpeedMonitor`, which renumbers reports into one global
-sequence (the monitor's staleness check is round-scoped).
+exactly as a long-lived cluster service would accumulate it.  The monitor
+numbers the heartbeat rounds it ingests itself, so every AM's reports land
+in one global round sequence with no renumbering here.
 
 Every job draws its stochastic inputs (skew, overhead jitter, exec noise)
 from a :meth:`~repro.sim.random.RandomStreams.child` view namespaced by
@@ -37,29 +36,6 @@ from repro.multijob.policies import ClusterSchedulerPolicy, make_policy
 from repro.multijob.slo import SLOReport, compute_slo
 from repro.obs import Observability
 from repro.sim.trace import JobTrace
-
-
-class SharedSpeedMonitor(SpeedMonitor):
-    """One SpeedMonitor shared by many AMs.
-
-    AMs number heartbeat rounds from their own submission, so the per-node
-    "strictly newer round" staleness check would drop every report from a
-    later-arriving job.  This monitor renumbers each ``report_round`` call
-    into one global, monotonically increasing sequence.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._round_seq = 0
-
-    def new_epoch(self) -> None:
-        """No-op: the global sequence never restarts, so a newly submitted
-        AM's reports are always fresh."""
-
-    def report_round(self, round_no: int, node_ips: dict[str, list[float]]) -> int:
-        """Ingest a heartbeat report under the next global round number."""
-        self._round_seq += 1
-        return super().report_round(self._round_seq, node_ips)
 
 
 @dataclass
@@ -128,7 +104,7 @@ class ClusterService(Testbed):
         self.cluster_factory = cluster_factory
         self.replication = replication
         self.utilization_period_s = utilization_period_s
-        self.monitor = SharedSpeedMonitor(obs=obs, clock=lambda: self.sim.now)
+        self.monitor = SpeedMonitor(self.sim)
 
         self.outcomes: list[JobOutcome] = []
         self.utilization: list[tuple[float, float]] = []
@@ -184,15 +160,15 @@ class ClusterService(Testbed):
         streams = self.streams.child(job_id)
         self.stage(job, spec.block_size_mb, request.workload, streams)
         am = spec.build(
-            self.sim, self.cluster, self.rm, self.namenode, job, streams, self.obs,
+            self.sim, self.cluster, self.rm, self.namenode, job, streams,
             extra={"monitor": self.monitor} if is_flexmap(spec) else None,
         )
         # Register before submit() so queue/weight stick (submit()'s own
         # register call is an idempotent no-op).
         self.rm.register(am, queue=request.queue, weight=request.weight)
-        if self.obs is not None:
-            self.obs.metrics.counter("service.jobs_submitted").inc()
-            self.obs.trace.emit(
+        if self.sim.obs is not None:
+            self.sim.obs.metrics.counter("service.jobs_submitted").inc()
+            self.sim.obs.trace.emit(
                 "job_submit", self.sim.now,
                 job=job.name, engine=spec.name, queue=request.queue,
                 input_mb=round(job.input_mb, 3),
@@ -221,9 +197,9 @@ class ClusterService(Testbed):
                 trace=entry.am.trace,
             )
             self.outcomes.append(outcome)
-            if self.obs is not None:
-                self.obs.metrics.counter("service.jobs_completed").inc()
-                self.obs.metrics.histogram("service.jct").observe(outcome.jct)
+            if self.sim.obs is not None:
+                self.sim.obs.metrics.counter("service.jobs_completed").inc()
+                self.sim.obs.metrics.histogram("service.jct").observe(outcome.jct)
             nxt = self.arrivals.next_on_completion(len(self.outcomes), self.sim.now)
             if nxt is not None:
                 self._schedule_request(nxt)
@@ -232,8 +208,8 @@ class ClusterService(Testbed):
         busy = sum(n.busy_slots for n in self.cluster.nodes)
         frac = busy / self.cluster.total_slots
         self.utilization.append((self.sim.now, frac))
-        if self.obs is not None:
-            self.obs.metrics.gauge("service.busy_slot_frac").set(frac)
+        if self.sim.obs is not None:
+            self.sim.obs.metrics.gauge("service.busy_slot_frac").set(frac)
         if len(self.outcomes) < self._expected:
             self.sim.schedule(self.utilization_period_s, self._sample_utilization)
 
@@ -250,8 +226,8 @@ class ClusterService(Testbed):
         identical cluster to compute per-job slowdowns, then attaches the
         full :class:`~repro.multijob.slo.SLOReport`.
         """
-        if self.obs is not None:
-            self.obs.trace.emit(
+        if self.sim.obs is not None:
+            self.sim.obs.trace.emit(
                 "service_meta", self.sim.now,
                 cluster=self.cluster.name, policy=self.policy.name,
                 seed=self.seed, jobs=self._expected,
@@ -271,9 +247,9 @@ class ClusterService(Testbed):
                 raise RuntimeError("service exceeded event budget")
             if self._running:
                 self._collect_finished()
-        if self.obs is not None:
+        if self.sim.obs is not None:
             self.sim.record_obs()
-            self.obs.trace.emit(
+            self.sim.obs.trace.emit(
                 "service_end", self.sim.now,
                 jobs=len(self.outcomes),
                 events=self.sim.events_processed,

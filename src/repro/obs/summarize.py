@@ -9,16 +9,30 @@ smoothed IPS estimate (``ips``), and draw them as aligned sparklines.
 
 from __future__ import annotations
 
+import json
 from collections import Counter as TallyCounter
 from collections import defaultdict
 from pathlib import Path
 
-from repro.obs.trace import read_trace
+from repro.obs.trace import is_number, read_trace
 from repro.viz.ascii import labeled_sparklines
 
 
 def _first(events: list[dict], ev: str) -> dict | None:
     return next((e for e in events if e["ev"] == ev), None)
+
+
+def _field(e: dict, name: str, kind: type = float):
+    """``e[name]`` as a ``kind`` (from a JSON number for ``float``); raises
+    ``ValueError`` naming the event and the field if it is missing or of
+    another type."""
+    where = f"a {e['ev']} event at t={e['t']}"
+    if name not in e:
+        raise ValueError(f"{where} lacks the '{name}' field")
+    value = e[name]
+    if is_number(value) if kind is float else isinstance(value, kind):
+        return kind(value)
+    raise ValueError(f"{where} has a wrong-typed '{name}' field: {json.dumps(value)}")
 
 
 def node_series(events: list[dict]) -> dict[str, dict[str, list[float]]]:
@@ -29,7 +43,7 @@ def node_series(events: list[dict]) -> dict[str, dict[str, list[float]]]:
     ``productivity`` (per completed map), ``ips`` (smoothed estimate per
     sample), plus ``decisions`` (tally of Algorithm 1 outcomes).  Raises
     ``ValueError`` naming the event and the field when an event lacks a
-    field its series needs.
+    field its series needs or holds one of the wrong type.
     """
     series: dict[str, dict] = defaultdict(
         lambda: {
@@ -42,24 +56,23 @@ def node_series(events: list[dict]) -> dict[str, dict[str, list[float]]]:
     )
     for e in events:
         ev = e["ev"]
-        try:
-            if ev == "task_bind":
-                s = series[e["node"]]
-                s["task_bus"].append(float(e["n_bus"]))
-                if not s["s_i_mb"]:
-                    s["s_i_mb"].append(float(e["s_i_mb"]))
-            elif ev == "sizing":
-                s = series[e["node"]]
-                if not s["s_i_mb"]:
-                    s["s_i_mb"].append(float(e["s_i_before"]))
-                s["s_i_mb"].append(float(e["s_i_after"]))
-                s["decisions"][e["decision"]] += 1
-            elif ev == "map_complete":
-                series[e["node"]]["productivity"].append(float(e["productivity"]))
-            elif ev == "ips":
-                series[e["node"]]["ips"].append(float(e["smoothed"]))
-        except KeyError as exc:
-            raise ValueError(f"a {ev} event at t={e['t']} lacks the {exc} field") from None
+        if ev == "task_bind":
+            s = series[_field(e, "node", str)]
+            s["task_bus"].append(_field(e, "n_bus"))
+            if not s["s_i_mb"]:
+                s["s_i_mb"].append(_field(e, "s_i_mb"))
+        elif ev == "sizing":
+            s = series[_field(e, "node", str)]
+            if not s["s_i_mb"]:
+                s["s_i_mb"].append(_field(e, "s_i_before"))
+            s["s_i_mb"].append(_field(e, "s_i_after"))
+            s["decisions"][_field(e, "decision", str)] += 1
+        elif ev == "map_complete":
+            series[_field(e, "node", str)]["productivity"].append(
+                _field(e, "productivity")
+            )
+        elif ev == "ips":
+            series[_field(e, "node", str)]["ips"].append(_field(e, "smoothed"))
     return dict(series)
 
 
@@ -77,8 +90,9 @@ def summarize_trace(source: str | Path | list[dict], width: int = 48) -> str:
         )
     end = _first(events, "job_end")
     if end is not None:
+        jct = _field(end, "jct") if "jct" in end else float("nan")
         lines.append(
-            f"job_end: t={end['t']:.1f}s jct={end.get('jct', float('nan')):.1f}s "
+            f"job_end: t={end['t']:.1f}s jct={jct:.1f}s "
             f"maps={end.get('maps')} reduces={end.get('reduces')}"
         )
     lines.append(f"{len(events)} events")

@@ -30,8 +30,8 @@ plus event-specific fields.  The instrumented stack emits:
 ==================  =========================================================
 
 Emitters share one interface, :meth:`TraceEmitter.emit`.  The base class is
-a no-op with ``enabled = False`` so instrumented code can either skip the
-call entirely (``if self.obs: ...``) or call through at negligible cost.
+a no-op, so instrumented code can either skip the call entirely
+(``if self.obs: ...``) or call through at negligible cost.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from typing import IO
 
 class TraceEmitter:
     """No-op emitter; also the interface real emitters implement."""
-
-    enabled: bool = False
 
     def emit(self, ev: str, t: float, **fields) -> None:
         """Record one typed event at simulation time ``t``."""
@@ -60,8 +58,6 @@ NULL_EMITTER = TraceEmitter()
 class MemoryTraceEmitter(TraceEmitter):
     """Keeps events as dicts in memory — tests and in-process summaries."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self.events: list[dict] = []
 
@@ -71,8 +67,6 @@ class MemoryTraceEmitter(TraceEmitter):
 
 class JsonlTraceEmitter(TraceEmitter):
     """Streams events to a JSONL file (or any writable text handle)."""
-
-    enabled = True
 
     def __init__(self, path_or_file: str | Path | IO[str]) -> None:
         if hasattr(path_or_file, "write"):
@@ -97,7 +91,7 @@ def read_trace(path: str | Path) -> list[dict]:
     """Load a JSONL trace back into a list of event dicts.
 
     Raises ``ValueError`` for a line that is not an event: a JSON object
-    with ``ev`` and ``t`` fields.
+    with an ``ev`` field and a numeric ``t`` field.
     """
     events = []
     with open(path, encoding="utf-8") as fh:
@@ -107,5 +101,12 @@ def read_trace(path: str | Path) -> list[dict]:
                 event = json.loads(line)
                 if not (isinstance(event, dict) and "ev" in event and "t" in event):
                     raise ValueError(f"line {lineno} is not a trace event")
+                if not is_number(event["t"]):
+                    raise ValueError(f"line {lineno}'s t is not a number")
                 events.append(event)
     return events
+
+
+def is_number(value) -> bool:
+    """Whether a decoded JSON value is a number (``true``/``false`` are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

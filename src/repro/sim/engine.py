@@ -66,9 +66,11 @@ class Simulator:
         self._events_processed: int = 0
         self._cancelled_in_heap: int = 0
         self._compactions: int = 0
-        # Observability is sampled (record_obs), never per-event: step() has
-        # no instrumentation branch, so a disabled run costs nothing extra.
-        self._obs = obs
+        #: The run's :class:`~repro.obs.Observability` (or None), which the
+        #: AMs and SpeedMonitor on this simulator observe through.  The
+        #: engine itself is sampled (record_obs), never per-event: step() has
+        #: no instrumentation branch, so a disabled run costs nothing extra.
+        self.obs = obs
 
     # ------------------------------------------------------------------
     # scheduling
@@ -214,13 +216,13 @@ class Simulator:
         Called by drivers at natural sampling points (heartbeat rounds, end
         of bounded runs, job completion); a no-op when observability is off.
         """
-        if self._obs is None:
+        if self.obs is None:
             return
-        metrics = self._obs.metrics
+        metrics = self.obs.metrics
         metrics.gauge("sim.events_processed").set(self._events_processed)
         metrics.gauge("sim.heap_depth").set(len(self._heap))
         metrics.gauge("sim.now").set(self.now)
 
     def _record_run_obs(self) -> None:
-        if self._obs is not None:
+        if self.obs is not None:
             self.record_obs()

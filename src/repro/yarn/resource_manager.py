@@ -27,10 +27,10 @@ the sim time is fixed within a round, only an AM's own launch changes its
 running set, and a straggler scan reads progress, ``elapsed`` and
 ``est_time_left``, which are functions of ``sim.now``.  A declining AM with
 pending node-dependent work (stock delay scheduling, FlexMap's reduce-bias
-filter) stays open, and so does an offer sink without the method.  Closed
-AMs are filtered out *after* the cluster policy ranks the live records, so
-the policy sees the same records as without the closure.  Every scheduled
-round still consumes exactly one ``rm-offers`` shuffle.
+filter) stays open.  Closed AMs are filtered out *after* the cluster policy
+ranks the live records, so the policy sees the same records as without the
+closure.  Every scheduled round still consumes exactly one ``rm-offers``
+shuffle.
 
 :class:`repro.check.InvariantChecker` observes registrations and slot
 transitions through the plain ``audit`` attribute; an RM without one pays
@@ -164,9 +164,8 @@ class ResourceManager:
 
     @staticmethod
     def _live(record: AppRecord) -> bool:
-        # The reference for ``num_active_apps``.  Plain offer sinks without
-        # a job lifecycle (tests) are always live.
-        return not getattr(record.am, "job_done", False)
+        # The reference for ``num_active_apps``.
+        return not record.am.job_done
 
     def _offer_order(self) -> list[AppRecord]:
         """Candidate applications for the next slot, most deserving first.
@@ -178,12 +177,6 @@ class ResourceManager:
         if len(records) > 1 and self.scheduler is not None:
             return self.scheduler.order(records)
         return records
-
-    @staticmethod
-    def _closes(am) -> bool:
-        # Plain offer sinks without the method (tests) are never closed.
-        declines_every_node = getattr(am, "declines_every_node", None)
-        return declines_every_node is not None and declines_every_node()
 
     def _offer_round(self) -> None:
         self._offer_scheduled = False
@@ -220,7 +213,7 @@ class ResourceManager:
                         audit.on_closed_offer(container, accepted)
                         if accepted:  # its own launch reopens it
                             closed.discard(id(am))
-                    elif not accepted and self._closes(am):
+                    elif not accepted and am.declines_every_node():
                         closed.add(id(am))
                     if accepted:
                         self.containers_granted += 1
@@ -236,7 +229,7 @@ class ResourceManager:
         if self.audit is not None:
             self.audit.on_occupy(container)
         container.node.acquire_slot()
-        record = self._apps.get(id(container.am)) if container.am is not None else None
+        record = self._apps.get(id(container.am))
         if record is not None:
             record.used_slots += 1
 
@@ -248,7 +241,7 @@ class ResourceManager:
             self.audit.on_release(container)
         container.released = True
         container.node.release_slot()
-        record = self._apps.get(id(container.am)) if container.am is not None else None
+        record = self._apps.get(id(container.am))
         if record is not None:
             record.used_slots -= 1
         self.request_offers()

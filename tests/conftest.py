@@ -22,6 +22,17 @@ def streams() -> RandomStreams:
     return RandomStreams(42)
 
 
+class OfferSink:
+    """Base of the stand-in AMs tests register with a ResourceManager: the
+    parts of an ApplicationMaster the RM reads besides ``on_container``."""
+
+    job_done = False
+
+    def declines_every_node(self) -> bool:
+        """Never node-blind, so the RM never closes the sink for a round."""
+        return False
+
+
 def make_cluster(speeds=(1.0, 1.0, 2.0), slots=2, name="test") -> Cluster:
     nodes = [
         Node(f"t{i:02d}", base_speed=s, slots=slots, exec_sigma=0.0)

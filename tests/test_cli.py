@@ -199,6 +199,8 @@ def test_serve_bad_input_is_a_usage_error(capsys, bad_args, message):
     ["trace", "summarize", "."],
     ["trace", "summarize", "not-jsonl.txt"],
     ["trace", "summarize", "bad-benchmark.jsonl"],
+    ["trace", "summarize", "null-time.jsonl"],
+    ["trace", "summarize", "bool-time.jsonl"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -207,6 +209,8 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
         '{"t": 0, "benchmark": "WC", "engine": "nope"}\n'
     )
     (tmp_path / "not-jsonl.txt").write_text("not json\n")
+    (tmp_path / "null-time.jsonl").write_text('{"ev": "job_end", "t": null}\n')
+    (tmp_path / "bool-time.jsonl").write_text('{"ev": "job_end", "t": true}\n')
     if argv[0] == "serve":
         argv = [*argv, "--trace-out", "F"]
     with pytest.raises(SystemExit) as excinfo:
@@ -225,8 +229,14 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("event,field", [
     ('{"ev": "task_bind", "t": 1}', "node"),
     ('{"ev": "sizing", "t": 1, "node": "a"}', "s_i_before"),
+    ('{"ev": "task_bind", "t": 1, "node": "a", "n_bus": null, "s_i_mb": 8}', "n_bus"),
+    ('{"ev": "job_end", "t": 1, "jct": null}', "jct"),
+    ('{"ev": "ips", "t": 1, "node": 3, "smoothed": 1.0}', "node"),
+    ('{"ev": "sizing", "t": 1, "node": "a", "s_i_before": 8, "s_i_after": 16, '
+     '"decision": ["fast"]}', "decision"),
 ])
 def test_trace_summarize_names_an_event_missing_a_field(capsys, tmp_path, event, field):
+    """A missing field, and one of the wrong type, are named alike."""
     trace_file = tmp_path / "t.jsonl"
     trace_file.write_text(event + "\n")
     with pytest.raises(SystemExit) as excinfo:
@@ -236,8 +246,9 @@ def test_trace_summarize_names_an_event_missing_a_field(capsys, tmp_path, event,
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].startswith("repro trace summarize: error: ")
-    ev = json.loads(event)["ev"]
-    assert f"a {ev} event at t=1 lacks the '{field}' field" in errors[0]
+    decoded = json.loads(event)
+    fault = "has a wrong-typed" if field in decoded else "lacks the"
+    assert f"a {decoded['ev']} event at t=1 {fault} '{field}' field" in errors[0]
 
 
 @pytest.mark.parametrize("override", [

@@ -11,6 +11,8 @@ from repro.core import sizing, speed_monitor
 from repro.core.sizing import BU_MB, DynamicSizer, NodeSizing
 from repro.core.speed_monitor import SpeedMonitor
 from repro.hdfs.block import Block
+from repro.obs import MemoryTraceEmitter, Observability
+from repro.sim.engine import Simulator
 
 
 def blocks_for(replicas_map, size=8.0):
@@ -32,7 +34,7 @@ def test_monitor_returns_none_before_feedback():
 
 def test_monitor_round_average_ignores_startup_zeros():
     m = SpeedMonitor()
-    m.report_round(1, {"a": [0.0, 2.0, 4.0], "b": [0.0, 0.0]})
+    m.report_round({"a": [0.0, 2.0, 4.0], "b": [0.0, 0.0]})
     assert m.get_speed("a") == pytest.approx(3.0)
     assert m.get_speed("b") is None
 
@@ -40,8 +42,8 @@ def test_monitor_round_average_ignores_startup_zeros():
 def test_monitor_window_slides(monkeypatch):
     monkeypatch.setattr(speed_monitor, "WINDOW", 3)
     m = SpeedMonitor()
-    for i, v in enumerate([1.0, 2.0, 3.0, 4.0], start=1):
-        m.report_round(i, {"a": [v]})
+    for v in [1.0, 2.0, 3.0, 4.0]:
+        m.report_round({"a": [v]})
     assert m.get_speed("a") == pytest.approx((2.0 + 3.0 + 4.0) / 3.0)
 
 
@@ -71,48 +73,23 @@ def test_monitor_relative_speed_floored_at_one():
     assert m.relative_speed("a") >= 1.0
 
 
-def test_monitor_drops_stale_round_reports():
-    """A replayed or out-of-order round must not mix into the window."""
-    m = SpeedMonitor()
-    m.report_round(3, {"a": [2.0]})
-    # Replay of the same round and an older round are both stale.
-    assert m.report_round(3, {"a": [100.0]}) == 1
-    assert m.report_round(2, {"a": [100.0]}) == 1
-    assert m.stale_reports == 2
-    assert m.get_speed("a") == pytest.approx(2.0)
-    # A strictly newer round is accepted again.
-    assert m.report_round(4, {"a": [4.0]}) == 0
-    assert m.get_speed("a") == pytest.approx(3.0)
-    assert m.last_round("a") == 4
-
-
-def test_monitor_round_tracking_is_per_node():
-    m = SpeedMonitor()
-    m.report_round(5, {"a": [1.0]})
-    # Node b has never reported: round 2 is fresh for it, stale for a.
-    dropped = m.report_round(2, {"a": [9.0], "b": [3.0]})
-    assert dropped == 1
-    assert m.get_speed("a") == pytest.approx(1.0)
-    assert m.get_speed("b") == pytest.approx(3.0)
-
-
-def test_monitor_empty_round_still_advances_round_tracking():
-    """A round where every container was in startup is still 'seen'."""
-    m = SpeedMonitor()
-    m.report_round(1, {"a": [0.0]})
-    assert m.report_round(1, {"a": [5.0]}) == 1  # replay of round 1
-    assert m.get_speed("a") is None
-
-
-def test_monitor_new_epoch_accepts_restarted_numbering():
-    """Warm-started iterative AMs restart heartbeat rounds at 1; after
-    new_epoch() the carried-over monitor must accept them (samples kept)."""
-    m = SpeedMonitor()
-    m.report_round(50, {"a": [2.0]})
-    assert m.report_round(1, {"a": [4.0]}) == 1  # stale without the reset
-    m.new_epoch()
-    assert m.report_round(1, {"a": [4.0]}) == 0
-    assert m.get_speed("a") == pytest.approx(3.0)
+def test_monitor_numbers_its_own_rounds():
+    """Each report is the next round, empty ones included; the count is
+    the round of the ips events, taken at the simulator's clock."""
+    sim = Simulator(obs=Observability(trace=MemoryTraceEmitter()))
+    m = SpeedMonitor(sim)
+    m.report_round({"a": [0.0]})  # startup only: a round, but no sample
+    m.report_round({})
+    sim.now = 5.0
+    m.report_round({"a": [2.0], "b": [4.0]})
+    m.report_completion("a", 6.0)
+    assert m.rounds == 3
+    assert [(e["t"], e["node"], e["source"], e["round"]) for e in sim.obs.trace.events] == [
+        (5.0, "a", "round", 3),
+        (5.0, "b", "round", 3),
+        (5.0, "a", "completion", None),
+    ]
+    assert sim.obs.metrics.counter("monitor.samples").value == 3
 
 
 # ---------------------------------------------------------------------------

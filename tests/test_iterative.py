@@ -59,6 +59,37 @@ def test_flexmap_subclass_engine_gets_the_warm_start():
     assert len({id(m) for m in monitors}) == 3
 
 
+def test_a_carried_monitor_keeps_counting_rounds_across_iterations():
+    ams = []
+
+    class ReportingFlexMapAM(FlexMapAM):
+        """Logs, per heartbeat, the nodes with a productive container and
+        the monitor samples the round added."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.reports = []
+            ams.append(self)
+
+        def on_tick(self, round_no):
+            productive = {a.node.node_id for a in self.maps.running if a.ips() > 0}
+            version = self.monitor.version
+            super().on_tick(round_no)
+            self.reports.append((round_no, len(productive), self.monitor.version - version))
+
+    spec = EngineSpec("flexmap-reporting", BU_MB, ReportingFlexMapAM)
+    run_iterative_job(het, tiny_job(input_mb=1024.0), spec, iterations=3, seed=2)
+    (monitor,) = {id(am.monitor): am.monitor for am in ams}.values()
+    # Each AM numbers its heartbeats from 1; the carried monitor counts on.
+    for am in ams:
+        assert [r for r, _, _ in am.reports] == list(range(1, len(am.reports) + 1))
+    assert monitor.rounds == sum(len(am.reports) for am in ams)
+    assert all(len(am.reports) > 1 for am in ams)
+    # Every productive node report became a sample: nothing was dropped.
+    assert all(samples == nodes for am in ams for _, nodes, samples in am.reports)
+    assert sum(samples for am in ams for _, _, samples in am.reports) > 0
+
+
 def test_warm_flexmap_beats_stock_total():
     stock = run_iterative_job(heterogeneous6_cluster, puma("WC"), "hadoop-64",
                               iterations=3, seed=2, input_mb=3072.0)

@@ -20,7 +20,7 @@ from repro.multijob.policies import (
     FifoPolicy,
     make_policy,
 )
-from repro.multijob.service import ClusterService, SharedSpeedMonitor
+from repro.multijob.service import ClusterService
 from repro.multijob.slo import compute_slo
 from repro.obs import Observability
 from repro.sim.random import RandomStreams
@@ -194,7 +194,7 @@ def test_load_arrival_trace_rejects_malformed(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# namespaced streams + shared monitor
+# namespaced streams
 # ---------------------------------------------------------------------------
 def test_namespaced_streams_isolate_jobs():
     base = RandomStreams(9)
@@ -206,25 +206,6 @@ def test_namespaced_streams_isolate_jobs():
     # Replaying the same (seed, job id, name) reproduces the draws exactly.
     replay = RandomStreams(9).child("j000").stream("skew").random(4)
     assert np.allclose(draws_a, replay)
-
-
-def test_shared_monitor_accepts_reports_from_restarting_round_numbers():
-    shared = SharedSpeedMonitor()
-    shared.report_round(1, {"n0": [10.0]})
-    shared.report_round(2, {"n0": [20.0]})
-    # A second AM starts its own numbering from 1 — the base monitor's
-    # staleness check would drop this; the wrapper renumbers globally.
-    shared.report_round(1, {"n0": [40.0]})
-    assert shared.get_speed("n0") is not None
-    assert shared.get_speed("n0") > 10.0
-
-
-def test_shared_monitor_new_epoch_is_noop():
-    shared = SharedSpeedMonitor()
-    shared.report_round(1, {"n0": [10.0]})
-    before = shared.get_speed("n0")
-    shared.new_epoch()
-    assert shared.get_speed("n0") == before
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,14 @@ from repro.engines.stock import StockHadoopAM
 from repro.mapreduce.split import InputSplit
 from repro.multijob.arrivals import JobRequest, TraceArrivals
 from repro.multijob.policies import CapacityPolicy
-from repro.multijob.service import ClusterService, SharedSpeedMonitor
+from repro.multijob.service import ClusterService
 from repro.obs import Observability
 from repro.sim.engine import Simulator
 from repro.sim.trace import TaskRecord
 from repro.workloads.puma import puma
 from repro.yarn.container import Container
 from repro.yarn.resource_manager import ResourceManager
-from tests.conftest import make_cluster, tiny_job
+from tests.conftest import OfferSink, make_cluster, tiny_job
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_fresh_copy_estimate_after_a_skewtune_run_with_a_crash():
 # ----------------------------------------------------------------------
 # SpeedMonitor
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("monitor_cls", [SpeedMonitor, SharedSpeedMonitor])
+@pytest.mark.parametrize("monitor_cls", [SpeedMonitor])
 def test_speed_monitor_reads_equal_recomputation_after_eviction(monitor_cls, monkeypatch):
     window = 3
     monkeypatch.setattr(speed_monitor, "WINDOW", window)
@@ -121,13 +121,13 @@ def test_speed_monitor_reads_equal_recomputation_after_eviction(monitor_cls, mon
             return None
         return sum(window_samples) / len(window_samples)
 
-    for round_no in range(1, 60):
+    for _ in range(59):
         if rng.random() < 0.7:
             report = {
                 n: [rng.choice([0.0, rng.uniform(0.1, 50.0)]) for _ in range(rng.randint(0, 3))]
                 for n in rng.sample(nodes, rng.randint(1, 3))
             }
-            monitor.report_round(round_no, report)
+            monitor.report_round(report)
             for n, values in report.items():
                 productive = [v for v in values if v > 0]
                 if productive:
@@ -324,11 +324,9 @@ def test_a_delay_scheduling_decline_leaves_the_stock_am_open():
     assert taken and set(taken) <= local
 
 
-class _Tenant:
+class _Tenant(OfferSink):
     """Takes up to ``budget`` offers; its declines are node-blind if
     ``node_blind``."""
-
-    job_done = False
 
     def __init__(self, rm, budget, node_blind=False):
         self.rm = rm
@@ -346,8 +344,9 @@ class _Tenant:
         return self.node_blind
 
 
-class _PlainSink:
-    """An offer sink without ``declines_every_node`` that declines all."""
+class _PlainSink(OfferSink):
+    """An offer sink that declines all, keeping ``OfferSink``'s
+    ``declines_every_node`` (never node-blind)."""
 
     def on_container(self, container):
         return False
@@ -494,7 +493,7 @@ def test_tail_cap_follows_the_app_count_without_a_new_speed_sample():
 
     version = am.monitor.version
     for _ in range(3):  # idle offer sinks raise the live-app count
-        bed.rm.register(SimpleNamespace(job_done=False))
+        bed.rm.register(OfferSink())
     assert bed.rm.num_active_apps == 4
     assert am.monitor.version == version
     shared = {n: am._tail_cap(n) for n in nodes}
@@ -507,7 +506,7 @@ def test_tail_cap_follows_the_app_count_without_a_new_speed_sample():
 # ----------------------------------------------------------------------
 def test_live_app_count_reference_mode_catches_a_finished_app_left_registered():
     rm = ResourceManager(Simulator(), make_cluster())
-    finished, live = SimpleNamespace(job_done=False), SimpleNamespace(job_done=False)
+    finished, live = OfferSink(), OfferSink()
     rm.register(finished)
     rm.register(live)
     rm.audit = checker = InvariantChecker()

@@ -9,7 +9,7 @@ from repro.yarn.container import Container
 from repro.yarn.heartbeat import HeartbeatService
 from repro.yarn import overhead
 from repro.yarn.resource_manager import ResourceManager
-from tests.conftest import make_cluster
+from tests.conftest import OfferSink, make_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_small_task_dominated_by_overhead(monkeypatch):
 # ---------------------------------------------------------------------------
 # Container / ResourceManager
 # ---------------------------------------------------------------------------
-class AcceptingAM:
+class AcceptingAM(OfferSink):
     """Accepts every offer up to a budget, occupying slots."""
 
     def __init__(self, rm, budget):
@@ -108,7 +108,7 @@ def test_rm_release_triggers_new_offer():
 
     taken = []
 
-    class OneAtATime:
+    class OneAtATime(OfferSink):
         def on_container(self, container):
             if len(taken) >= 2:
                 return False
@@ -214,14 +214,13 @@ def test_heartbeat_start_idempotent():
 # ---------------------------------------------------------------------------
 # multi-application RM: registration, per-app accounting, cluster policies
 # ---------------------------------------------------------------------------
-class CountingAM:
+class CountingAM(OfferSink):
     """Accepts up to ``budget`` containers and holds them forever."""
 
     def __init__(self, rm, budget):
         self.rm = rm
         self.budget = budget
         self.held = []
-        self.job_done = False
 
     def on_container(self, container):
         if len(self.held) >= self.budget:
