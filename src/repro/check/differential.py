@@ -33,6 +33,10 @@ from repro.obs import MemoryTraceEmitter, Observability
 
 #: Engines compared by the byte-parity check.
 PARITY_ENGINES: tuple[str, ...] = ("hadoop-64", "flexmap")
+#: The speed-scaling check's factor on every node speed, and its relative
+#: tolerance on the scaled JCT.
+SCALING_FACTOR = 2.0
+SCALING_TOL = 0.35
 
 
 @dataclass(frozen=True)
@@ -45,23 +49,23 @@ class DiffReport:
 
 
 # ----------------------------------------------------------------------
-def check_speed_scaling(
-    config: ScenarioConfig, k: float = 2.0, rel_tol: float = 0.35
-) -> DiffReport:
-    """JCT(speeds * k) ~= JCT(speeds) / k, within ``rel_tol``."""
+def check_speed_scaling(config: ScenarioConfig) -> DiffReport:
+    """JCT(speeds * k) ~= JCT(speeds) / k, within ``SCALING_TOL``, for
+    k = ``SCALING_FACTOR``."""
+    k = SCALING_FACTOR
     base = run_config(config)
     scaled_config = replace(config, speeds=tuple(s * k for s in config.speeds))
     scaled = run_config(scaled_config)
     expected = base.jct / k
     error = abs(scaled.jct - expected) / expected
-    ok = error <= rel_tol and scaled.jct < base.jct
+    ok = error <= SCALING_TOL and scaled.jct < base.jct
     return DiffReport(
         name="speed-scaling",
         ok=ok,
         detail=(
             f"{config.engine}: jct={base.jct:.1f}s, x{k:g} speeds -> "
             f"{scaled.jct:.1f}s (ideal {expected:.1f}s, error {error:.1%}, "
-            f"tol {rel_tol:.0%})"
+            f"tol {SCALING_TOL:.0%})"
         ),
     )
 
@@ -100,12 +104,10 @@ def check_failure_free_equivalence(config: ScenarioConfig) -> DiffReport:
     )
 
 
-def check_byte_parity(
-    config: ScenarioConfig, engines: tuple[str, ...] = PARITY_ENGINES
-) -> DiffReport:
+def check_byte_parity(config: ScenarioConfig) -> DiffReport:
     """Every engine processes the full input; none fewer than another."""
     processed: dict[str, float] = {}
-    for engine in engines:
+    for engine in PARITY_ENGINES:
         result = run_config(replace(config, engine=engine))
         processed[engine] = result.trace.data_processed_mb()
     expected = config.input_mb
@@ -123,7 +125,7 @@ def check_byte_parity(
         )
     return DiffReport(
         "byte-parity", True,
-        f"{', '.join(engines)} each processed {expected:g} MB",
+        f"{', '.join(PARITY_ENGINES)} each processed {expected:g} MB",
     )
 
 

@@ -32,6 +32,9 @@ FUZZ_ENGINES: tuple[str, ...] = (
     "flexmap",
 )
 
+#: Candidate configs :func:`shrink` may probe before it gives up.
+MAX_SHRINK_PROBES = 200
+
 _SPEED_CHOICES: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
 _INPUT_CHOICES: tuple[float, ...] = (128.0, 256.0, 512.0)
 
@@ -179,9 +182,7 @@ def _shrink_candidates(config: ScenarioConfig):
 
 
 def shrink(
-    config: ScenarioConfig,
-    predicate: Callable[[ScenarioConfig], bool],
-    max_probes: int = 200,
+    config: ScenarioConfig, predicate: Callable[[ScenarioConfig], bool]
 ) -> tuple[ScenarioConfig, int]:
     """Greedy fixpoint shrink: keep any simplification that still fails.
 
@@ -191,10 +192,10 @@ def shrink(
     probes = 0
     current = config
     improved = True
-    while improved and probes < max_probes:
+    while improved and probes < MAX_SHRINK_PROBES:
         improved = False
         for changes in _shrink_candidates(current):
-            if probes >= max_probes:
+            if probes >= MAX_SHRINK_PROBES:
                 break
             try:
                 candidate = replace(current, **changes)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from repro.experiments import figures as F
@@ -127,11 +128,12 @@ def cmd_trace(args) -> int:
         from repro.obs.summarize import summarize_trace
 
         try:
-            print(summarize_trace(args.file, width=args.width))
+            text = summarize_trace(args.file, width=args.width)
         except OSError as exc:
             args.usage_error(f"cannot read trace file: {exc}")
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             args.usage_error(f"{args.file} is not a JSONL trace: {exc}")
+        print(text)
     return 0
 
 
@@ -489,7 +491,16 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"list": cmd_list, "run": cmd_run, "compare": cmd_compare,
                 "figure": cmd_figure, "trace": cmd_trace, "serve": cmd_serve,
                 "fuzz": cmd_fuzz, "diff": cmd_diff}
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout (``repro trace summarize T | head``):
+        # stop without a traceback, and point stdout at devnull so the
+        # interpreter's flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

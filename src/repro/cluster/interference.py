@@ -20,15 +20,27 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
 
+#: Cloud hotspots (:class:`CloudInterference`): the long-run fraction of
+#: nodes interfered, the mean clean-phase length, and the range a busy
+#: phase's slowdown factor is drawn from.  They follow the paper's own
+#: characterization of its university cloud: tasks up to 5x slower
+#: (Fig. 1b) and "slow nodes may account for nearly 50% of total nodes"
+#: (Section IV-B).
+BUSY_FRACTION = 0.45
+MEAN_CLEAN_S = 1600.0
+MIN_FACTOR = 0.12
+MAX_FACTOR = 0.5
+
+#: Speed factor of a node slowed by co-running background jobs
+#: (:class:`MultiTenantInterference`).
+SLOW_FACTOR = 0.33
+
+
 class InterferenceModel:
     """Base class: no-op interference."""
 
     def install(self, sim: Simulator, nodes: list[Node], streams: RandomStreams) -> None:
         """Attach the model to the cluster; schedules its own events."""
-
-    def describe(self) -> str:
-        """One-line human-readable model summary."""
-        return type(self).__name__
 
 
 class NoInterference(InterferenceModel):
@@ -40,97 +52,53 @@ class CloudInterference(InterferenceModel):
 
     Each node independently alternates between a clean phase and an
     interfered phase.  Phase lengths are exponential; the slowdown factor in
-    an interfered phase is drawn uniformly from ``[min_factor, max_factor]``.
-    With the defaults, at any instant roughly ``busy_fraction`` of nodes are
-    interfered and the worst suffer 5-8x slowdowns.  The defaults follow the
-    paper's own characterization of its university cloud: tasks up to 5x
-    slower (Fig. 1b) and "slow nodes may account for nearly 50% of total
-    nodes" (Section IV-B).
+    an interfered phase is drawn uniformly from ``[MIN_FACTOR, MAX_FACTOR]``.
+    At any instant roughly ``BUSY_FRACTION`` of nodes are interfered and the
+    worst suffer 5-8x slowdowns.
     """
 
-    def __init__(
-        self,
-        busy_fraction: float = 0.45,
-        mean_clean_s: float = 1600.0,
-        min_factor: float = 0.12,
-        max_factor: float = 0.5,
-        stream_name: str = "cloud-interference",
-    ) -> None:
-        if not 0.0 < busy_fraction < 1.0:
-            raise ValueError(f"busy_fraction must be in (0,1): {busy_fraction}")
-        if not 0.0 < min_factor <= max_factor <= 1.0:
-            raise ValueError(f"bad factor range: [{min_factor}, {max_factor}]")
-        self.busy_fraction = busy_fraction
-        self.mean_clean_s = mean_clean_s
-        # Chosen so the long-run fraction of time interfered = busy_fraction.
-        self.mean_busy_s = mean_clean_s * busy_fraction / (1.0 - busy_fraction)
-        self.min_factor = min_factor
-        self.max_factor = max_factor
-        self.stream_name = stream_name
-
     def install(self, sim: Simulator, nodes: list[Node], streams: RandomStreams) -> None:
-        rng = streams.stream(self.stream_name)
+        rng = streams.stream("cloud-interference")
         for node in nodes:
             # Start some nodes already interfered so short jobs see hotspots.
-            if rng.random() < self.busy_fraction:
+            if rng.random() < BUSY_FRACTION:
                 self._enter_busy(sim, node, rng)
             else:
                 self._enter_clean(sim, node, rng)
 
     def _enter_clean(self, sim: Simulator, node: Node, rng) -> None:
         node.set_interference(1.0)
-        dwell = rng.exponential(self.mean_clean_s)
+        dwell = rng.exponential(MEAN_CLEAN_S)
         sim.schedule(dwell, lambda: self._enter_busy(sim, node, rng))
 
     def _enter_busy(self, sim: Simulator, node: Node, rng) -> None:
-        factor = rng.uniform(self.min_factor, self.max_factor)
+        factor = rng.uniform(MIN_FACTOR, MAX_FACTOR)
         node.set_interference(factor)
-        dwell = rng.exponential(self.mean_busy_s)
+        # The mean busy phase makes the long-run fraction of time
+        # interfered equal BUSY_FRACTION.
+        dwell = rng.exponential(MEAN_CLEAN_S * BUSY_FRACTION / (1.0 - BUSY_FRACTION))
         sim.schedule(dwell, lambda: self._enter_clean(sim, node, rng))
-
-    def describe(self) -> str:
-        """One-line human-readable model summary."""
-        return (
-            f"CloudInterference(busy={self.busy_fraction:.0%}, "
-            f"factor=[{self.min_factor},{self.max_factor}])"
-        )
 
 
 class MultiTenantInterference(InterferenceModel):
     """Fixed fraction of nodes slowed by co-running background jobs.
 
     Reproduces the paper's Section IV-F emulation: ``slow_fraction`` of the
-    worker nodes are slowed by ``slow_factor`` for the whole experiment.
+    worker nodes are slowed by ``SLOW_FACTOR`` for the whole experiment.
     Node choice is random but reproducible via the named stream.
     """
 
-    def __init__(
-        self,
-        slow_fraction: float,
-        slow_factor: float = 0.33,
-        stream_name: str = "multi-tenant",
-    ) -> None:
+    def __init__(self, slow_fraction: float) -> None:
         if not 0.0 <= slow_fraction <= 1.0:
             raise ValueError(f"slow_fraction must be in [0,1]: {slow_fraction}")
-        if not 0.0 < slow_factor <= 1.0:
-            raise ValueError(f"slow_factor must be in (0,1]: {slow_factor}")
         self.slow_fraction = slow_fraction
-        self.slow_factor = slow_factor
-        self.stream_name = stream_name
         self.slowed_nodes: list[str] = []
 
     def install(self, sim: Simulator, nodes: list[Node], streams: RandomStreams) -> None:
-        rng = streams.stream(self.stream_name)
+        rng = streams.stream("multi-tenant")
         n_slow = int(round(self.slow_fraction * len(nodes)))
         picks = rng.choice(len(nodes), size=n_slow, replace=False) if n_slow else []
         self.slowed_nodes = []
         for idx in picks:
-            nodes[int(idx)].set_interference(self.slow_factor)
+            nodes[int(idx)].set_interference(SLOW_FACTOR)
             self.slowed_nodes.append(nodes[int(idx)].node_id)
-
-    def describe(self) -> str:
-        """One-line human-readable model summary."""
-        return (
-            f"MultiTenantInterference(slow={self.slow_fraction:.0%}, "
-            f"factor={self.slow_factor})"
-        )

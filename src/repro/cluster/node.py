@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from typing import Callable
 
+#: Work inflation of one "pressure episode" (GC/swap/disk contention) on a
+#: memory-constrained node, drawn uniformly from this range.
+PRESSURE_RANGE = (1.5, 2.5)
+
 
 class Node:
     """One worker node in the simulated cluster."""
@@ -24,7 +28,6 @@ class Node:
         model: str = "generic",
         exec_sigma: float = 0.08,
         pressure_prob: float = 0.0,
-        pressure_range: tuple[float, float] = (1.5, 2.5),
     ) -> None:
         if base_speed <= 0:
             raise ValueError(f"non-positive base speed: {base_speed}")
@@ -34,20 +37,18 @@ class Node:
             raise ValueError(f"negative exec_sigma: {exec_sigma}")
         if not 0.0 <= pressure_prob <= 1.0:
             raise ValueError(f"pressure_prob out of [0,1]: {pressure_prob}")
-        if pressure_range[0] < 1.0 or pressure_range[1] < pressure_range[0]:
-            raise ValueError(f"bad pressure range: {pressure_range}")
         self.node_id = node_id
         self.base_speed = base_speed
         self.slots = slots
         self.model = model
         # Per-attempt execution noise: multiplicative lognormal jitter plus,
         # on memory-constrained machines, occasional "pressure episodes"
-        # (GC/swap/disk contention) that inflate one attempt's work 1.5-2.5x.
+        # (GC/swap/disk contention) that inflate one attempt's work by a
+        # factor drawn from PRESSURE_RANGE.
         # This stands in for the real-world variance of low-end nodes that a
         # pure scheduling model cannot derive (see DESIGN.md substitutions).
         self.exec_sigma = exec_sigma
         self.pressure_prob = pressure_prob
-        self.pressure_range = pressure_range
         self._interference = 1.0
         self._listeners: list[Callable[[float], None]] = []
         self.busy_slots = 0
@@ -105,7 +106,7 @@ class Node:
         """Multiplicative work factor for one task attempt on this node."""
         factor = float(rng.lognormal(mean=-0.5 * self.exec_sigma**2, sigma=self.exec_sigma)) if self.exec_sigma > 0 else 1.0
         if self.pressure_prob > 0 and rng.random() < self.pressure_prob:
-            factor *= float(rng.uniform(*self.pressure_range))
+            factor *= float(rng.uniform(*PRESSURE_RANGE))
         return factor
 
     # ------------------------------------------------------------------

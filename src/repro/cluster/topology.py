@@ -67,9 +67,3 @@ class Cluster:
     def fastest_speed(self) -> float:
         """Maximum effective node speed right now."""
         return max(n.effective_speed for n in self.nodes)
-
-    def reset(self) -> None:
-        """Clear interference and slot bookkeeping between runs."""
-        for n in self.nodes:
-            n.set_interference(1.0)
-            n.busy_slots = 0

@@ -31,7 +31,6 @@ from repro.engines.registry import (
     engine_names,
     register_engine,
     resolve_engine,
-    unregister_engine,
 )
 from repro.engines.speculation import SpeculationManager
 
@@ -52,7 +51,6 @@ __all__ = [
     "engine_names",
     "register_engine",
     "resolve_engine",
-    "unregister_engine",
     "RunResult",
     "run_job",
     "compare_engines",

@@ -93,11 +93,6 @@ def register_engine(
     return decorator
 
 
-def unregister_engine(name: str) -> None:
-    """Remove a registered engine (tests registering throwaway engines)."""
-    ENGINES.pop(name, None)
-
-
 def engine_names() -> list[str]:
     """Sorted names of every registered engine."""
     return sorted(ENGINES)

@@ -46,29 +46,26 @@ def physical_cluster() -> Cluster:
     return Cluster(nodes, network=NetworkModel(), name="physical-12")
 
 
-def virtual_cluster(
-    busy_fraction: float = 0.45, min_factor: float = 0.12, max_factor: float = 0.5
-) -> Cluster:
+def virtual_cluster() -> Cluster:
     """The 20-node virtual cluster in the university cloud.
 
     Homogeneous VM shapes (4 vCPU / 4 GB) but dynamic interference: moving
     hotspots slow ~20% of nodes by up to 5x at any instant (Fig. 1b).
     """
     nodes = [Node(f"vm{idx:02d}", base_speed=1.0, slots=4) for idx in range(19)]
-    interference = CloudInterference(
-        busy_fraction=busy_fraction, min_factor=min_factor, max_factor=max_factor
+    return Cluster(
+        nodes, network=NetworkModel(), interference=CloudInterference(), name="virtual-20"
     )
-    return Cluster(nodes, network=NetworkModel(), interference=interference, name="virtual-20")
 
 
-def multitenant_cluster(slow_fraction: float, slow_factor: float = 0.33) -> Cluster:
+def multitenant_cluster(slow_fraction: float) -> Cluster:
     """The 40-node multi-tenant cluster of Section IV-F.
 
     ``slow_fraction`` of the 39 workers are slowed by co-running
     CPU-intensive background jobs for the whole experiment.
     """
     nodes = [Node(f"mt{idx:02d}", base_speed=1.0, slots=4) for idx in range(39)]
-    interference = MultiTenantInterference(slow_fraction, slow_factor)
+    interference = MultiTenantInterference(slow_fraction)
     return Cluster(
         nodes,
         network=NetworkModel(),
@@ -77,10 +74,10 @@ def multitenant_cluster(slow_fraction: float, slow_factor: float = 0.33) -> Clus
     )
 
 
-def homogeneous_cluster(num_workers: int = 6, speed: float = 1.0, slots: int = 4) -> Cluster:
-    """Homogeneous cluster for Fig. 3b/3c and the §IV-D overhead study."""
-    nodes = [Node(f"h{idx:02d}", base_speed=speed, slots=slots) for idx in range(num_workers)]
-    return Cluster(nodes, network=NetworkModel(), name=f"homogeneous-{num_workers}")
+def homogeneous_cluster() -> Cluster:
+    """Six identical nodes for Fig. 3b/3c and the §IV-D overhead study."""
+    nodes = [Node(f"h{idx:02d}", base_speed=1.0, slots=4) for idx in range(6)]
+    return Cluster(nodes, network=NetworkModel(), name="homogeneous-6")
 
 
 def heterogeneous6_cluster() -> Cluster:

@@ -33,6 +33,8 @@ from repro.workloads.puma import FIGURE_ORDER, puma
 FIG5_ENGINES = ["hadoop-128", "hadoop-64", "skewtune-64", "flexmap"]
 #: Engines compared in Fig. 8 (40-node multi-tenant cluster).
 FIG8_ENGINES = ["hadoop-64", "hadoop-nospec-64", "skewtune-64", "flexmap"]
+#: Fig. 8's fractions of slowed nodes (Section IV-F).
+FIG8_SLOW_FRACTIONS = (0.05, 0.1, 0.2, 0.4)
 
 
 @dataclass
@@ -94,13 +96,13 @@ def fig2_static_binding(seed: int = 3) -> FigureData:
 TASK_SIZES_MB = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-def fig3a_runtime_pdf(input_mb: float = 8192.0, seed: int = 1, bins: int = 20) -> FigureData:
+def fig3a_runtime_pdf(input_mb: float = 8192.0, seed: int = 1) -> FigureData:
     """PDF of normalized map runtimes at 8 vs 64 MB on the virtual cluster."""
     data = FigureData(figure="fig3a")
     for size in (8.0, 64.0):
         spec = EngineSpec(f"hadoop-{int(size)}", size, StockHadoopAM)
         r = run_job(virtual_cluster, puma("WC"), spec, seed=seed, input_mb=input_mb)
-        centers, density = normalized_runtime_pdf(r.trace.map_runtimes(), bins=bins)
+        centers, density = normalized_runtime_pdf(r.trace.map_runtimes())
         data.xs = centers.tolist()
         data.series[f"{int(size)}MB"] = density.tolist()
     data.notes = "small tasks concentrate (low variance); 64MB has a heavy tail"
@@ -238,18 +240,17 @@ def overhead_homogeneous(
 # Fig. 8 — 40-node multi-tenant cluster, varying slow-node fraction
 # ---------------------------------------------------------------------------
 def fig8_multitenant(
-    slow_fractions: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4),
     benchmarks: tuple[str, ...] = FIGURE_ORDER,
     seeds: list[int] | None = None,
     scale: float = 0.125,
 ) -> dict[float, FigureData]:
-    """Normalized JCT per benchmark at each slow-node fraction.
+    """Normalized JCT per benchmark at each of ``FIG8_SLOW_FRACTIONS``.
 
     ``scale`` multiplies Table II's *large* inputs (256 GB at scale 1.0).
     """
     seeds = seeds or [1, 2]
     out = {}
-    for frac in slow_fractions:
+    for frac in FIG8_SLOW_FRACTIONS:
         data = FigureData(figure=f"fig8-{int(frac * 100)}pct", xs=list(benchmarks),
                           series={e: [] for e in FIG8_ENGINES})
         for ab in benchmarks:

@@ -63,7 +63,6 @@ def run_iterative_job(
     seed: int = 0,
     input_mb: float | None = None,
     warm_start: bool = True,
-    replication: int = 3,
 ) -> IterativeResult:
     """Run ``iterations`` map-dominated phases over the same cached input.
 
@@ -74,7 +73,7 @@ def run_iterative_job(
     if iterations < 1:
         raise ValueError(f"need at least one iteration: {iterations}")
     spec = resolve_engine(engine)
-    bed = Testbed(cluster_factory, seed=seed, replication=replication)
+    bed = Testbed(cluster_factory, seed=seed)
     base_job = as_job(workload, input_mb)
     # Iterations are map-dominated: per-iteration shuffle is tiny (§IV-G).
     job = replace(

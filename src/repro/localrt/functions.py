@@ -15,6 +15,12 @@ from typing import Callable, Iterable
 MapFn = Callable[[str], Iterable[tuple[str, object]]]
 ReduceFn = Callable[[str, list], tuple[str, object]]
 
+#: The token :func:`grep_job` matches (a frequent word of the generated
+#: Wikipedia-like text).
+GREP_PATTERN = "w000"
+#: Key-range buckets, one per reducer, of :func:`terasort_job`.
+TERASORT_BUCKETS = 16
+
 
 @dataclass(frozen=True)
 class JobFunctions:
@@ -39,11 +45,11 @@ def wordcount_job() -> JobFunctions:
     return JobFunctions("wordcount", map_fn, _sum_reduce)
 
 
-def grep_job(pattern: str = "w000") -> JobFunctions:
-    """Count lines containing ``pattern`` (PUMA GR)."""
+def grep_job() -> JobFunctions:
+    """Count lines containing ``GREP_PATTERN`` (PUMA GR)."""
 
     def map_fn(line: str):
-        return [("match", 1)] if pattern in line else []
+        return [("match", 1)] if GREP_PATTERN in line else []
 
     return JobFunctions("grep", map_fn, _sum_reduce)
 
@@ -78,18 +84,16 @@ def inverted_index_job() -> JobFunctions:
     return JobFunctions("inverted-index", map_fn, reduce_fn, use_combiner=False)
 
 
-def terasort_job(num_buckets: int = 16) -> JobFunctions:
+def terasort_job() -> JobFunctions:
     """Range-partitioned sort of TeraGen-style ``key\\tpayload`` records
-    (PUMA TS).  Each reducer sorts one key-range bucket; concatenating the
-    buckets in key order yields a total order.
+    (PUMA TS).  Each of ``TERASORT_BUCKETS`` reducers sorts one key-range
+    bucket; concatenating the buckets in key order yields a total order.
     """
-    if num_buckets < 1:
-        raise ValueError(f"need at least one bucket: {num_buckets}")
     span = 2**32
 
     def map_fn(record: str):
         key = int(record.split("\t", 1)[0])
-        bucket = min(num_buckets - 1, key * num_buckets // span)
+        bucket = min(TERASORT_BUCKETS - 1, key * TERASORT_BUCKETS // span)
         return [(f"b{bucket:04d}", record)]
 
     def reduce_fn(key: str, values: list):

@@ -39,10 +39,6 @@ class ClusterSchedulerPolicy:
         """Return ``records`` most-deserving-first.  Must be deterministic."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """One-line human-readable configuration summary."""
-        return self.name
-
 
 class FifoPolicy(ClusterSchedulerPolicy):
     """First registered, first offered."""
@@ -89,12 +85,6 @@ class CapacityPolicy(ClusterSchedulerPolicy):
             records,
             key=lambda r: (usage[r.queue] / self.capacity_of(r.queue), r.index),
         )
-
-    def describe(self) -> str:
-        if not self.queues:
-            return "capacity (all queues at default capacity)"
-        shares = ", ".join(f"{q}={c:g}" for q, c in sorted(self.queues.items()))
-        return f"capacity ({shares})"
 
 
 #: Registry used by the CLI and the service driver.

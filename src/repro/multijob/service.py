@@ -78,7 +78,11 @@ class ServiceResult:
 
 
 class ClusterService(Testbed):
-    """Drives an arrival stream of jobs over one shared simulated cluster."""
+    """Drives an arrival stream of jobs over one shared simulated cluster.
+
+    ``policy`` is a registry name or a policy object; capacity queues with
+    their own shares come as ``CapacityPolicy(queues)``.
+    """
 
     def __init__(
         self,
@@ -86,8 +90,6 @@ class ClusterService(Testbed):
         arrivals: ArrivalProcess,
         policy: str | ClusterSchedulerPolicy = "fair",
         seed: int = 0,
-        replication: int = 3,
-        queues: dict[str, float] | None = None,
         utilization_period_s: float = 5.0,
         obs: Observability | None = None,
         failures=None,
@@ -95,14 +97,13 @@ class ClusterService(Testbed):
     ) -> None:
         if utilization_period_s <= 0:
             raise ValueError(f"non-positive sampling period: {utilization_period_s}")
-        self.policy = make_policy(policy, queues) if isinstance(policy, str) else policy
+        self.policy = make_policy(policy) if isinstance(policy, str) else policy
         super().__init__(
-            cluster_factory, seed=seed, replication=replication,
-            scheduler=self.policy, obs=obs, failures=failures, check=check,
+            cluster_factory, seed=seed, scheduler=self.policy,
+            obs=obs, failures=failures, check=check,
         )
         self.arrivals = arrivals
         self.cluster_factory = cluster_factory
-        self.replication = replication
         self.utilization_period_s = utilization_period_s
         self.monitor = SpeedMonitor(self.sim)
 
@@ -256,10 +257,7 @@ class ClusterService(Testbed):
             )
         if compute_slowdown:
             baselines = compute_isolated_baselines(
-                self.cluster_factory,
-                self.outcomes,
-                seed=self.seed,
-                replication=self.replication,
+                self.cluster_factory, self.outcomes, seed=self.seed
             )
             for outcome in self.outcomes:
                 key = (outcome.benchmark, outcome.engine, round(outcome.input_mb, 6))
@@ -286,7 +284,6 @@ def compute_isolated_baselines(
     cluster_factory: Callable[[], object],
     outcomes: list[JobOutcome],
     seed: int,
-    replication: int = 3,
 ) -> dict[tuple[str, str, float], float]:
     """Isolated-run JCT per distinct (benchmark, engine, input size).
 
@@ -306,7 +303,6 @@ def compute_isolated_baselines(
             outcome.engine,
             seed=seed,
             input_mb=outcome.input_mb,
-            replication=replication,
         )
         baselines[key] = result.jct
     return baselines

@@ -5,6 +5,9 @@ with ``repro run --trace-out FILE``, rebuild — per node and in dispatch
 order — the elastic task sizes handed out (``task_bind``), the vertical
 size unit s_i (``sizing``), per-wave productivity, and the SpeedMonitor's
 smoothed IPS estimate (``ips``), and draw them as aligned sparklines.
+
+A ``repro serve`` trace holds several jobs, but its sizing events carry no
+job field, so its per-node series combine every job's events.
 """
 
 from __future__ import annotations
@@ -88,8 +91,7 @@ def summarize_trace(source: str | Path | list[dict], width: int = 48) -> str:
             f"run: engine={meta.get('engine')} cluster={meta.get('cluster')} "
             f"job={meta.get('job')} seed={meta.get('seed')}"
         )
-    end = _first(events, "job_end")
-    if end is not None:
+    for end in (e for e in events if e["ev"] == "job_end"):
         jct = _field(end, "jct") if "jct" in end else float("nan")
         lines.append(
             f"job_end: t={end['t']:.1f}s jct={jct:.1f}s "
@@ -103,6 +105,9 @@ def summarize_trace(source: str | Path | list[dict], width: int = 48) -> str:
         return "\n".join(lines)
 
     lines.append("-- per-node sizing timeline --")
+    jobs = sum(1 for e in events if e["ev"] == "job_start")
+    if jobs > 1:
+        lines.append(f"(each node's series combine the events of all {jobs} jobs)")
     for node in sorted(per_node):
         s = per_node[node]
         decisions = ", ".join(

@@ -1,9 +1,9 @@
 """Terminal visualization helpers (no plotting dependencies).
 
-ASCII sparklines, histograms and Gantt charts used by the examples and
-benches to show figure shapes without matplotlib.
+ASCII sparklines and Gantt charts used by the examples and benches to
+show figure shapes without matplotlib.
 """
 
-from repro.viz.ascii import gantt, histogram, sparkline
+from repro.viz.ascii import gantt, sparkline
 
-__all__ = ["gantt", "histogram", "sparkline"]
+__all__ = ["gantt", "sparkline"]

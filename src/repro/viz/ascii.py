@@ -1,4 +1,4 @@
-"""ASCII charts: sparklines, histograms, and task Gantt charts."""
+"""ASCII charts: sparklines and task Gantt charts."""
 
 from __future__ import annotations
 
@@ -7,6 +7,13 @@ import numpy as np
 from repro.sim.trace import JobTrace
 
 _LEVELS = " .:-=+*#%@"
+
+#: Width of the label column of :func:`labeled_sparklines`.
+LABEL_WIDTH = 14
+#: Columns of a :func:`gantt` chart's time axis, and the most node rows it
+#: draws.
+GANTT_WIDTH = 72
+GANTT_MAX_ROWS = 40
 
 
 def sparkline(values: list[float], width: int = 60) -> str:
@@ -25,11 +32,7 @@ def sparkline(values: list[float], width: int = 60) -> str:
     return "".join(_LEVELS[i] for i in idx)
 
 
-def labeled_sparklines(
-    rows: list[tuple[str, list[float]]],
-    width: int = 48,
-    label_width: int = 14,
-) -> str:
+def labeled_sparklines(rows: list[tuple[str, list[float]]], width: int = 48) -> str:
     """Aligned block of ``label  min..max |sparkline|`` lines.
 
     Series are scaled independently (each to its own maximum), which is the
@@ -38,28 +41,15 @@ def labeled_sparklines(
     lines = []
     for label, values in rows:
         if not values:
-            lines.append(f"  {label:<{label_width}} (no data)")
+            lines.append(f"  {label:<{LABEL_WIDTH}} (no data)")
             continue
         lo, hi = min(values), max(values)
         spark = sparkline(values, width)
-        lines.append(f"  {label:<{label_width}}{lo:>9.2f}..{hi:<9.2f} |{spark}|")
+        lines.append(f"  {label:<{LABEL_WIDTH}}{lo:>9.2f}..{hi:<9.2f} |{spark}|")
     return "\n".join(lines)
 
 
-def histogram(values: list[float], bins: int = 10, width: int = 40) -> str:
-    """Multi-line horizontal histogram with counts."""
-    if not values:
-        return "(empty)"
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins)
-    peak = counts.max() or 1
-    lines = []
-    for count, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(count / peak * width))
-        lines.append(f"{lo:10.1f}-{hi:>8.1f} |{bar:<{width}} {count}")
-    return "\n".join(lines)
-
-
-def gantt(trace: JobTrace, width: int = 72, max_rows: int = 40) -> str:
+def gantt(trace: JobTrace) -> str:
     """Per-node task timeline: map tasks as ``m``/``M`` (small/large),
     reduces as ``r``, killed attempts as ``x``."""
     records = [r for r in trace.records if r.runtime > 0]
@@ -68,12 +58,13 @@ def gantt(trace: JobTrace, width: int = 72, max_rows: int = 40) -> str:
     t0 = min(r.start for r in records)
     t1 = max(r.end for r in records)
     span = max(t1 - t0, 1e-9)
+    width = GANTT_WIDTH
     median_mb = float(np.median([r.size_mb for r in records if r.kind == "map"] or [1.0]))
     by_node: dict[str, list] = {}
     for r in records:
         by_node.setdefault(r.node, []).append(r)
     lines = [f"t = {t0:.0f}s {'-' * (width - 20)} {t1:.0f}s"]
-    for node in sorted(by_node)[:max_rows]:
+    for node in sorted(by_node)[:GANTT_MAX_ROWS]:
         row = [" "] * width
         for r in by_node[node]:
             a = int((r.start - t0) / span * (width - 1))

@@ -13,31 +13,34 @@ import numpy as np
 #: A small closed vocabulary is enough: Zipf rank-frequency is what matters
 #: for wordcount/inverted-index behaviour, not the actual tokens.
 _VOCAB_SIZE = 5000
+#: Words per generated text line, and the Zipf exponent of their ranks.
+WORDS_PER_LINE = 12
+ZIPF_A = 1.3
+#: Size of the generated movie catalogue.
+NUM_MOVIES = 500
 
 
 def _vocabulary() -> list[str]:
     return [f"w{i:04d}" for i in range(_VOCAB_SIZE)]
 
 
-def wikipedia_lines(
-    num_lines: int, rng: np.random.Generator, words_per_line: int = 12, zipf_a: float = 1.3
-) -> list[str]:
+def wikipedia_lines(num_lines: int, rng: np.random.Generator) -> list[str]:
     """Zipf-distributed text lines, Wikipedia-like for counting purposes."""
     if num_lines < 0:
         raise ValueError(f"negative line count: {num_lines}")
     vocab = _vocabulary()
-    ranks = rng.zipf(zipf_a, size=(num_lines, words_per_line))
+    ranks = rng.zipf(ZIPF_A, size=(num_lines, WORDS_PER_LINE))
     ranks = np.minimum(ranks, _VOCAB_SIZE) - 1
     return [" ".join(vocab[r] for r in row) for row in ranks]
 
 
-def netflix_ratings(num_lines: int, rng: np.random.Generator, num_movies: int = 500) -> list[str]:
+def netflix_ratings(num_lines: int, rng: np.random.Generator) -> list[str]:
     """``user,movie,rating`` lines with skewed movie popularity and the
     1-5 star ratings the histogram benchmarks bucket."""
     if num_lines < 0:
         raise ValueError(f"negative line count: {num_lines}")
     users = rng.integers(1, 100_000, size=num_lines)
-    movie_ranks = np.minimum(rng.zipf(1.2, size=num_lines), num_movies)
+    movie_ranks = np.minimum(rng.zipf(1.2, size=num_lines), NUM_MOVIES)
     # Ratings concentrated on 3-4 stars like the real dataset.
     ratings = rng.choice([1, 2, 3, 4, 5], p=[0.05, 0.10, 0.30, 0.35, 0.20], size=num_lines)
     return [f"{u},{m},{r}" for u, m, r in zip(users, movie_ranks, ratings)]

@@ -49,10 +49,10 @@ class WorkloadSpec:
             return NoSkew()
         return LognormalSkew(self.skew_sigma)
 
-    def job(self, input_mb: float | None = None, small: bool = True) -> JobSpec:
-        """Render a JobSpec at ``input_mb`` (default: Table II small/large)."""
+    def job(self, input_mb: float | None = None) -> JobSpec:
+        """Render a JobSpec at ``input_mb`` (default: Table II's small input)."""
         if input_mb is None:
-            input_mb = (self.small_gb if small else self.large_gb) * 1024.0
+            input_mb = self.small_gb * 1024.0
         return JobSpec(
             name=self.abbrev,
             input_mb=input_mb,

@@ -5,6 +5,7 @@ the declared public surfaces import cleanly, and the package layering
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 import sys
 import warnings
@@ -266,6 +267,8 @@ def test_no_unused_module_level_imports():
 # counts as read when it appears in ``src/repro``, ``benchmarks/``,
 # ``examples/`` or ``perfbench/`` as a name, an attribute, an import or an
 # identifier string (getattr, registries); a package ``__all__`` exports it.
+# Names are not resolved to their owners, so a method counts as read
+# whenever any method with the same name is read.
 # ---------------------------------------------------------------------------
 REPO_ROOT = SRC_ROOT.parent.parent
 USE_DIRS = ("benchmarks", "examples", "perfbench")
@@ -328,13 +331,18 @@ def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
     return used, exported
 
 
-def _unreferenced_definitions() -> list[tuple[str, str]]:
-    """(location, name) of every definition nothing outside tests/ reads."""
-    trees = {
+def _non_test_trees() -> dict[Path, ast.Module]:
+    """The parsed modules of ``src/repro`` and of ``USE_DIRS``."""
+    return {
         py: ast.parse(py.read_text(), filename=str(py))
         for root in [SRC_ROOT, *(REPO_ROOT / d for d in USE_DIRS)]
         for py in sorted(root.rglob("*.py"))
     }
+
+
+def _unreferenced_definitions() -> list[tuple[str, str]]:
+    """(location, name) of every definition nothing outside tests/ reads."""
+    trees = _non_test_trees()
     used: set[str] = set()
     exported: set[str] = set()
     for tree in trees.values():
@@ -362,3 +370,101 @@ def test_no_definitions_only_tests_reach():
     )
     # An allowlisted name that gains a reader outside tests/ leaves the list.
     assert TEST_ONLY_ALLOWED <= {name for _, name in unreferenced}
+
+
+# ---------------------------------------------------------------------------
+# settable values only tests set: every defaulted parameter of a function or
+# method in ``src/repro`` must be passed by code in ``src/repro`` or
+# ``USE_DIRS`` as a keyword in any call, as a string key of a dict literal
+# (the engine-registry and ablation kwargs), or positionally to a callable
+# of the same name (a class's ``__init__`` by the class name).  A value
+# nothing outside the tests sets is a constant; tests monkeypatch it.
+# ---------------------------------------------------------------------------
+#: Parameters kept although only the tests pass them.  Reason: ``main`` is
+#: the console entry point, which reads ``sys.argv`` when ``argv`` is None.
+PARAMS_ONLY_TESTS_SET = frozenset({"main(argv)"})
+
+
+def _callee_name(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _passed(trees) -> tuple[set[str], dict[str, float]]:
+    """(names passed as a keyword or a dict-literal key, callable name -> the
+    most positional arguments one call passes it; a ``*args`` call counts as
+    passing every position)."""
+    by_name: set[str] = set()
+    positional: dict[str, float] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                by_name.update(k.arg for k in node.keywords if k.arg)
+                callee = _callee_name(node)
+                if callee is not None:
+                    count = (
+                        math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                        else len(node.args)
+                    )
+                    positional[callee] = max(positional.get(callee, 0), count)
+            elif isinstance(node, ast.Dict):
+                by_name.update(
+                    k.value for k in node.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                )
+    return by_name, positional
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(callable name, parameter, index among the positional arguments a
+    caller passes, or None for keyword-only) of every defaulted parameter."""
+    methods = {
+        id(item): cls.name
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "staticmethod" not in {ast.unparse(d) for d in item.decorator_list}
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = methods.get(id(fn))
+        name = owner if owner is not None and fn.name == "__init__" else fn.name
+        positional = [*fn.args.posonlyargs, *fn.args.args][owner is not None:]
+        first_defaulted = len(positional) - len(fn.args.defaults)
+        for index, arg in enumerate(positional[first_defaulted:], first_defaulted):
+            yield name, arg.arg, index
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _parameters_only_tests_set() -> list[str]:
+    """``name(parameter)`` of every defaulted parameter nothing outside
+    tests/ passes."""
+    trees = _non_test_trees()
+    by_name, positional = _passed(trees.values())
+    return [
+        f"{name}({param})"
+        for py, tree in trees.items()
+        if py.is_relative_to(SRC_ROOT)
+        for name, param, index in _defaulted_parameters(tree)
+        if param not in by_name
+        and (index is None or positional.get(name, 0) <= index)
+    ]
+
+
+def test_no_parameters_only_tests_set():
+    unset = _parameters_only_tests_set()
+    flagged = [p for p in unset if p not in PARAMS_ONLY_TESTS_SET]
+    assert not flagged, (
+        "defaulted parameters nothing outside tests/ passes (make each a "
+        f"module constant; tests monkeypatch it): {flagged}"
+    )
+    # An allowlisted parameter that gains a caller outside tests/ leaves the
+    # list.
+    assert PARAMS_ONLY_TESTS_SET <= set(unset)

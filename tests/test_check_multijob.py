@@ -38,7 +38,6 @@ def _service(policy: str, failures: FailureSchedule | None, check=None) -> Clust
         arrivals=arrivals,
         policy=policy,
         seed=11,
-        replication=3,
         failures=failures,
         check=check,
     )

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +67,23 @@ def test_run_with_trace_and_metrics_roundtrips_through_summarize(capsys, tmp_pat
     assert "per-node sizing timeline" in out
     assert "engine=flexmap" in out
     assert "s_i" in out and "ips" in out
+
+
+def test_trace_summarize_into_a_closed_stdout_ends_quietly():
+    golden = Path(__file__).parent / "data" / "golden_serve_closed_loop.jsonl"
+    src = Path(__file__).parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "summarize", str(golden)],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_trace_summarize_requires_subcommand():

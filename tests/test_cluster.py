@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import interference, node
 from repro.cluster.interference import (
     CloudInterference,
     MultiTenantInterference,
@@ -79,9 +80,10 @@ def test_work_noise_mean_near_one():
     assert np.mean(samples) == pytest.approx(1.0, abs=0.02)
 
 
-def test_work_noise_pressure_inflates():
+def test_work_noise_pressure_inflates(monkeypatch):
+    monkeypatch.setattr(node, "PRESSURE_RANGE", (2.0, 2.0))
     calm = Node("a", exec_sigma=0.0)
-    pressured = Node("b", exec_sigma=0.0, pressure_prob=1.0, pressure_range=(2.0, 2.0))
+    pressured = Node("b", exec_sigma=0.0, pressure_prob=1.0)
     rng = np.random.default_rng(0)
     assert calm.sample_work_noise(rng) == 1.0
     assert pressured.sample_work_noise(rng) == pytest.approx(2.0)
@@ -118,15 +120,6 @@ def test_cluster_rejects_duplicates_and_empty():
         Cluster([n, Node("x")])
 
 
-def test_cluster_reset_clears_state():
-    c = make_cluster()
-    c.nodes[0].set_interference(0.5)
-    c.nodes[0].acquire_slot()
-    c.reset()
-    assert c.nodes[0].effective_speed == c.nodes[0].base_speed
-    assert c.nodes[0].busy_slots == 0
-
-
 def test_cluster_lookup():
     c = make_cluster()
     assert c.node("t00").node_id == "t00"
@@ -143,9 +136,10 @@ def test_no_interference_is_noop():
     assert all(n.effective_speed == n.base_speed for n in c.nodes)
 
 
-def test_multitenant_slows_requested_fraction():
+def test_multitenant_slows_requested_fraction(monkeypatch):
+    monkeypatch.setattr(interference, "SLOW_FACTOR", 0.5)
     nodes = [Node(f"n{i}") for i in range(20)]
-    m = MultiTenantInterference(slow_fraction=0.25, slow_factor=0.5)
+    m = MultiTenantInterference(slow_fraction=0.25)
     m.install(Simulator(), nodes, RandomStreams(3))
     slowed = [n for n in nodes if n.effective_speed < 1.0]
     assert len(slowed) == 5
@@ -169,24 +163,23 @@ def test_multitenant_reproducible():
     assert pick(5) == pick(5)
 
 
-def test_cloud_interference_changes_speeds_over_time():
+def test_cloud_interference_changes_speeds_over_time(monkeypatch):
+    monkeypatch.setattr(interference, "BUSY_FRACTION", 0.4)
+    monkeypatch.setattr(interference, "MEAN_CLEAN_S", 50.0)
     sim = Simulator()
     nodes = [Node(f"n{i}") for i in range(30)]
-    CloudInterference(busy_fraction=0.4, mean_clean_s=50.0).install(
-        sim, nodes, RandomStreams(1)
-    )
+    CloudInterference().install(sim, nodes, RandomStreams(1))
     sim.run(until=500.0)
     # After several dwell periods some nodes must be interfered.
     interfered = [n for n in nodes if n.effective_speed < 1.0]
     assert 0 < len(interfered) < len(nodes)
 
 
-def test_cloud_interference_long_run_fraction():
+def test_cloud_interference_long_run_fraction(monkeypatch):
+    monkeypatch.setattr(interference, "MEAN_CLEAN_S", 40.0)
     sim = Simulator()
     nodes = [Node(f"n{i}") for i in range(60)]
-    CloudInterference(busy_fraction=0.45, mean_clean_s=40.0).install(
-        sim, nodes, RandomStreams(2)
-    )
+    CloudInterference().install(sim, nodes, RandomStreams(2))
     samples = []
 
     def probe():
@@ -199,10 +192,6 @@ def test_cloud_interference_long_run_fraction():
 
 
 def test_interference_validation():
-    with pytest.raises(ValueError):
-        CloudInterference(busy_fraction=0.0)
-    with pytest.raises(ValueError):
-        CloudInterference(min_factor=0.0)
     with pytest.raises(ValueError):
         MultiTenantInterference(slow_fraction=1.5)
 

@@ -9,7 +9,6 @@ from repro.engines.registry import (
     engine_names,
     register_engine,
     resolve_engine,
-    unregister_engine,
 )
 
 BUILTINS = {"hadoop-64", "hadoop-128", "hadoop-nospec-64", "skewtune-64", "flexmap"}
@@ -63,7 +62,7 @@ def test_register_engine_decorator_and_unregister():
         assert spec.factory is TinyAM
         assert "test-hadoop-96" in engine_names()
     finally:
-        unregister_engine("test-hadoop-96")
+        ENGINES.pop("test-hadoop-96")
     assert "test-hadoop-96" not in engine_names()
 
 

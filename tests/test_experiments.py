@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.interference import CloudInterference
 from repro.engines import compare_engines, run_job
 from repro.experiments.clusters import (
     heterogeneous6_cluster,
@@ -41,17 +42,17 @@ def test_virtual_cluster_shape():
     c = virtual_cluster()
     assert len(c) == 19
     assert all(n.base_speed == 1.0 for n in c.nodes)
-    assert "CloudInterference" in c.interference.describe()
+    assert isinstance(c.interference, CloudInterference)
 
 
 def test_multitenant_cluster_shape():
     c = multitenant_cluster(0.2)
     assert len(c) == 39
-    assert "20%" in c.interference.describe()
+    assert c.interference.slow_fraction == 0.2
 
 
 def test_small_clusters():
-    assert len(homogeneous_cluster(6)) == 6
+    assert len(homogeneous_cluster()) == 6
     assert len(heterogeneous6_cluster()) == 6
     c = three_node_example()
     assert [n.base_speed for n in c.nodes] == [1.0, 1.0, 3.0]

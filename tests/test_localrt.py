@@ -93,7 +93,7 @@ def test_wordcount_output_independent_of_splitter():
 def test_grep_counts_matches():
     lines = ["xx w000 yy", "zz", "w0001"]
     rt = LocalRuntime(workers([1.0]))
-    res = rt.run(grep_job("w000"), make_bus(lines, 1), UniformSplitter(1))
+    res = rt.run(grep_job(), make_bus(lines, 1), UniformSplitter(1))
     assert res.output == {"match": 2}
 
 
@@ -116,13 +116,15 @@ def test_combiner_sums_per_key():
     assert sorted(run_combiner([("a", 1), ("b", 2), ("a", 3)])) == [("a", 4), ("b", 2)]
 
 
-def test_terasort_produces_total_order():
+def test_terasort_produces_total_order(monkeypatch):
+    from repro.localrt import functions
     from repro.localrt.functions import terasort_job
 
+    monkeypatch.setattr(functions, "TERASORT_BUCKETS", 8)
     rng = np.random.default_rng(4)
     recs = teragen_records(500, rng)
     rt = LocalRuntime(workers([1.0, 2.0]), num_reducers=8)
-    res = rt.run(terasort_job(num_buckets=8), make_bus(recs, 25), UniformSplitter(2))
+    res = rt.run(terasort_job(), make_bus(recs, 25), UniformSplitter(2))
     merged = []
     for bucket in sorted(res.output):
         chunk = res.output[bucket]
@@ -130,13 +132,6 @@ def test_terasort_produces_total_order():
         merged.extend(chunk)
     assert merged == sorted(recs)
     assert len(merged) == 500
-
-
-def test_terasort_validation():
-    from repro.localrt.functions import terasort_job
-
-    with pytest.raises(ValueError):
-        terasort_job(num_buckets=0)
 
 
 # ---------------------------------------------------------------------------

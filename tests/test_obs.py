@@ -1,9 +1,11 @@
 """Tests for the structured observability layer (repro.obs)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.engines import stock
 from repro.obs import (
     NULL_EMITTER,
     JsonlTraceEmitter,
@@ -152,6 +154,18 @@ def test_stock_run_emits_dispatch_metrics():
     assert dispatched == len(originals)
 
 
+def test_stock_remote_fallback_waits_out_the_locality_delay():
+    # Replication 1 and one fast node: the fast node runs out of local
+    # splits and, after the delay, reads the slow nodes' blocks remotely.
+    obs = Observability(trace=MemoryTraceEmitter())
+    r = quick_run("hadoop-64", speeds=(1.0, 1.0, 4.0), input_mb=1024.0,
+                  replication=1, obs=obs)
+    fallbacks = [e for e in obs.trace.events if e["ev"] == "remote_fallback"]
+    assert fallbacks
+    assert all(e["waited_s"] >= stock.LOCALITY_DELAY_S for e in fallbacks)
+    assert r.metrics["counters"]["stock.remote_dispatch"] == len(fallbacks)
+
+
 def test_disabled_obs_changes_nothing():
     """Runs with and without observability must be bit-identical."""
     base = quick_run("flexmap", input_mb=512.0)
@@ -180,6 +194,21 @@ def test_summarize_empty_and_nonsizing_traces():
     assert summarize_trace([]) == "(empty trace)"
     text = summarize_trace([{"ev": "job_start", "t": 0.0, "job": "x", "engine": "e"}])
     assert "no per-node sizing events" in text
+
+
+def test_summarize_service_trace_shows_every_job():
+    golden = Path(__file__).parent / "data" / "golden_serve_closed_loop.jsonl"
+    events = read_trace(golden)
+    ends = [e for e in events if e["ev"] == "job_end"]
+    lines = summarize_trace(golden).splitlines()
+    job_lines = [line for line in lines if line.startswith("job_end: ")]
+    assert len(job_lines) == len(ends) == 4
+    for line, end in zip(job_lines, ends):
+        assert f"t={end['t']:.1f}s jct={end['jct']:.1f}s" in line
+    assert "(each node's series combine the events of all 4 jobs)" in lines
+    # A single-job trace carries no such note.
+    single = Path(__file__).parent / "data" / "golden_single_flexmap.jsonl"
+    assert "combine the events" not in summarize_trace(single)
 
 
 def test_node_series_extraction():

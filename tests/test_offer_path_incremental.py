@@ -411,8 +411,7 @@ def _capacity_service():
     return ClusterService(
         lambda: make_cluster(speeds=(2.0, 1.0, 0.25, 1.0), slots=2),
         arrivals,
-        policy="capacity",
-        queues={"prod": 3.0, "batch": 1.0},
+        policy=CapacityPolicy({"prod": 3.0, "batch": 1.0}),
         seed=4,
     )
 

@@ -1,12 +1,12 @@
 """Tests for ASCII visualization."""
 
 from repro.sim.trace import JobTrace
-from repro.viz.ascii import gantt, histogram, sparkline
+from repro.viz.ascii import gantt, sparkline
 from tests.conftest import quick_run
 
 
 # ---------------------------------------------------------------------------
-# sparkline / histogram
+# sparkline
 # ---------------------------------------------------------------------------
 def test_sparkline_scales_to_peak():
     s = sparkline([0.0, 5.0, 10.0])
@@ -25,16 +25,6 @@ def test_sparkline_compresses_long_series():
 def test_sparkline_empty_and_zero():
     assert sparkline([]) == ""
     assert sparkline([0.0, 0.0]).strip() == ""
-
-
-def test_histogram_counts_sum():
-    out = histogram([1.0, 1.1, 5.0, 9.9], bins=3)
-    counts = [int(line.rsplit(" ", 1)[1]) for line in out.splitlines()]
-    assert sum(counts) == 4
-
-
-def test_histogram_empty():
-    assert histogram([]) == "(empty)"
 
 
 # ---------------------------------------------------------------------------

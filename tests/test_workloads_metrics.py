@@ -47,8 +47,8 @@ def test_map_heavy_classification():
 
 def test_job_rendering_small_large():
     wc = puma("WC")
-    assert wc.job(small=True).input_mb == 20 * 1024
-    assert wc.job(small=False).input_mb == 256 * 1024
+    assert wc.job().input_mb == 20 * 1024
+    assert wc.large_gb == 256
     assert wc.job(input_mb=123.0).input_mb == 123.0
 
 
