@@ -5,10 +5,21 @@ Usage::
     python3 perfbench/run.py --workload all --seed 1 --seconds 3 --trace 1 > perfbench.out
     python3 .github/check_perfbench_pins.py perfbench.out
 
-Each pin is named ``<workload>.<metric>``: a metric of the run's last
-(JSON) line, or ``sim_digest`` from the workload's ``simulated:`` line.
-Prints every pin the run does not match, by name, and exits 1 if any.
-A change that moves a pinned value updates the JSON file and says why.
+perfbench_pins.json is the benchmark's trajectory: a list of rows, oldest
+first, one per change that was measured.  A row holds
+
+* ``commit``: the commit measured; a row committed together with its own
+  change names the commit it follows (``after <hash>``), since a commit
+  cannot hold its own hash;
+* ``pins``: the gated values, each named ``<workload>.<metric>``: a metric
+  of the run's last (JSON) line, or ``sim_digest`` from the workload's
+  ``simulated:`` line;
+* ``cpu_s``: each workload's ``--trace 0`` ``cpu_s`` (median of the A/B
+  runs that measured the change), recorded but not gated.
+
+The run is compared with the last row's pins.  Prints every pin the run
+does not match, by name, and exits 1 if any.  A change that moves a pinned
+value appends a row and says why.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     got = run_values(Path(argv[1]).read_text())
-    pins = json.loads(PINS.read_text())
+    pins = json.loads(PINS.read_text())[-1]["pins"]
     mismatches = [
         f"{name}: pinned {want!r}, got {got.get(name, 'nothing')!r}"
         for name, want in pins.items()

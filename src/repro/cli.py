@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -47,13 +48,14 @@ FIGURES = ("fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "overhead", "
 
 def _positive(kind, zero_ok: bool = False):
     """argparse ``type=`` for a positive ``kind`` (int or float), or a
-    non-negative one with ``zero_ok``."""
+    non-negative one with ``zero_ok``; infinity and NaN are rejected."""
 
     def parse(text: str):
         value = kind(text)
-        if not (value >= 0 if zero_ok else value > 0):
+        finite = kind is int or math.isfinite(value)
+        if not (finite and (value >= 0 if zero_ok else value > 0)):
             bound = "non-negative" if zero_ok else "positive"
-            raise argparse.ArgumentTypeError(f"must be {bound}: {text!r}")
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}: {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in parse errors

@@ -443,7 +443,7 @@ class ReducePhaseDriver:
         )
         if not candidates:
             return False
-        victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
+        victim = am.speculation.longest_left(candidates)
         self.speculated_ids.add(victim.task_id)
         self.launch(container, task_id=victim.task_id, speculative=True)
         return True

@@ -90,8 +90,11 @@ class SkewTuneAM(StockHadoopAM):
         ]
         if not candidates:
             return
-        victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
-        if victim.est_time_left() < MIN_REMAINING_S:
+        left, victim = max(
+            ((a.est_time_left(), a) for a in candidates),
+            key=lambda c: (c[0], c[1].task_id),
+        )
+        if left < MIN_REMAINING_S:
             return
         self._repartition(victim, container)
 

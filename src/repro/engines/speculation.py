@@ -13,6 +13,13 @@ percentile pick) and reduces
 (:meth:`repro.engines.base.ReducePhaseDriver.maybe_speculate` backs up the
 candidate with the longest estimated time left).  Its thresholds are the
 module constants below; an engine only switches speculation on or off.
+The scan is one pass: it reads the clock once and each running attempt's
+progress once, and hands each straggler on with the progress rate and time
+left it computed (the float operations of
+:meth:`~repro.mapreduce.attempt.TaskAttempt.progress_rate` and
+:meth:`~repro.mapreduce.attempt.TaskAttempt.est_time_left`), so the picks
+recompute nothing.  The SlowTaskThreshold is
+:func:`repro.metrics.stats.percentile`, the repo's one percentile rule.
 
 Whichever copy finishes first wins: the AM's
 :meth:`~repro.engines.base.ApplicationMaster.first_copy_wins` kills the
@@ -41,11 +48,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
 from repro.engines.base import MapAssignment
 from repro.mapreduce.attempt import TaskAttempt
 from repro.mapreduce.split import InputSplit
+from repro.metrics.stats import percentile
 from repro.yarn.container import Container
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,6 +68,10 @@ SPECULATIVE_CAP_FRAC = 0.1
 MIN_AGE_S = 30.0
 #: Nearly-done attempts are not worth backing up.
 MAX_PROGRESS = 0.9
+
+#: A straggler with the progress rate and estimated time left its scan
+#: computed.
+Straggler = tuple[TaskAttempt, float, float]
 
 
 class SpeculationManager:
@@ -108,8 +118,9 @@ class SpeculationManager:
 
     def stragglers(
         self, running: Iterable[TaskAttempt], kind: str, speculated: set[str]
-    ) -> list[TaskAttempt]:
-        """Original copies among ``running`` worth backing up.
+    ) -> list[Straggler]:
+        """Original copies among ``running`` worth backing up, each as
+        ``(attempt, progress rate, estimated time left)``.
 
         A straggler has run at least :data:`MIN_AGE_S`, is below
         :data:`MAX_PROGRESS`, has no backup yet (its task id is not in
@@ -120,15 +131,23 @@ class SpeculationManager:
         fresh = self._fresh_copy_estimate_s(kind)
         if fresh == math.inf:
             return []
-        return [
-            a
-            for a in running
-            if not a.record.speculative
-            and a.task_id not in speculated
-            and a.elapsed() >= MIN_AGE_S
-            and a.progress() < MAX_PROGRESS
-            and a.est_time_left() > fresh
-        ]
+        now = self.am.sim.now
+        found = []
+        for a in running:
+            record = a.record
+            if record.speculative or a.task_id in speculated:
+                continue
+            elapsed = now - record.start
+            if elapsed < MIN_AGE_S:
+                continue
+            progress = a.progress()
+            if progress >= MAX_PROGRESS:
+                continue
+            rate = progress / elapsed if elapsed > 0 else 0.0
+            left = (1.0 - progress) / rate if rate > 0 else math.inf
+            if left > fresh:
+                found.append((a, rate, left))
+        return found
 
     def select_speculative(self, container: Container) -> MapAssignment | None:
         """Pick a straggler to back up on the offered container."""
@@ -152,14 +171,18 @@ class SpeculationManager:
         maps.speculated_ids.add(victim.task_id)
         return assignment
 
-    def _pick_late(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:
-        rates = np.array([a.progress_rate() for a in candidates])
-        threshold = np.percentile(rates, SLOW_TASK_PERCENTILE)
-        slow = [a for a, r in zip(candidates, rates) if r <= threshold]
+    def _pick_late(self, candidates: list[Straggler]) -> TaskAttempt | None:
+        threshold = percentile([rate for _, rate, _ in candidates], SLOW_TASK_PERCENTILE)
+        slow = [c for c in candidates if c[1] <= threshold]
         if not slow:
             return None
-        return max(slow, key=lambda a: (a.est_time_left(), a.task_id))
+        return self.longest_left(slow)
 
+    @staticmethod
+    def longest_left(candidates: list[Straggler]) -> TaskAttempt:
+        """LATE's victim: the straggler with the longest estimated time
+        left, the larger task id on a tie."""
+        return max(candidates, key=lambda c: (c[2], c[0].task_id))[0]
 
 
 def fresh_copy_estimate_from_records(records: Iterable["TaskRecord"], kind: str) -> float:

@@ -19,6 +19,7 @@ bit-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,8 @@ class _MixArrivals(ArrivalProcess):
             raise ValueError("need at least one engine")
         if input_scale <= 0:
             raise ValueError(f"non-positive input scale: {input_scale}")
+        if not math.isfinite(input_scale):
+            raise ValueError(f"non-finite input scale: {input_scale}")
         if not benchmarks:
             raise ValueError("need at least one benchmark")
         self.n_jobs = n_jobs
@@ -141,6 +144,8 @@ class PoissonArrivals(_MixArrivals):
     ) -> None:
         if rate <= 0:
             raise ValueError(f"non-positive arrival rate: {rate}")
+        if not math.isfinite(rate):
+            raise ValueError(f"non-finite arrival rate: {rate}")
         super().__init__(n_jobs, benchmarks, engines, input_mb, input_scale)
         self.rate = rate
         # Draw the whole arrival pattern up front so the stream is fixed by
@@ -172,6 +177,7 @@ class ClosedLoopArrivals(_MixArrivals):
             checks=(
                 (width < 1, f"non-positive width: {width}"),
                 (think_time_s < 0, f"negative think time: {think_time_s}"),
+                (not math.isfinite(think_time_s), f"non-finite think time: {think_time_s}"),
             ),
         )
         self.width = min(width, n_jobs)

@@ -22,6 +22,8 @@ see, and a fixed seed replays the whole service run bit-identically.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,7 +76,16 @@ class ServiceResult:
     outcomes: list[JobOutcome]
     utilization: list[tuple[float, float]]  # (sim time, busy-slot fraction)
     events_processed: int
-    report: SLOReport | None = None
+
+    @functools.cached_property
+    def report(self) -> SLOReport:
+        """The SLO report, built on first read."""
+        return compute_slo(
+            self.outcomes,
+            self.utilization,
+            cluster_name=self.cluster_name,
+            policy=self.policy,
+        )
 
 
 class ClusterService(Testbed):
@@ -97,6 +108,8 @@ class ClusterService(Testbed):
     ) -> None:
         if utilization_period_s <= 0:
             raise ValueError(f"non-positive sampling period: {utilization_period_s}")
+        if not math.isfinite(utilization_period_s):
+            raise ValueError(f"non-finite sampling period: {utilization_period_s}")
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         super().__init__(
             cluster_factory, seed=seed, scheduler=self.policy,
@@ -224,8 +237,8 @@ class ClusterService(Testbed):
 
         ``compute_slowdown`` additionally runs each distinct
         (benchmark, engine, input size) combination alone on a fresh
-        identical cluster to compute per-job slowdowns, then attaches the
-        full :class:`~repro.multijob.slo.SLOReport`.
+        identical cluster to compute per-job slowdowns, which the result's
+        :class:`~repro.multijob.slo.SLOReport` then includes.
         """
         if self.sim.obs is not None:
             self.sim.obs.trace.emit(
@@ -263,12 +276,6 @@ class ClusterService(Testbed):
                 key = (outcome.benchmark, outcome.engine, round(outcome.input_mb, 6))
                 isolated = baselines[key]
                 outcome.slowdown = outcome.jct / isolated if isolated > 0 else float("inf")
-        report = compute_slo(
-            self.outcomes,
-            self.utilization,
-            cluster_name=self.cluster.name,
-            policy=self.policy.name,
-        )
         return ServiceResult(
             cluster_name=self.cluster.name,
             policy=self.policy.name,
@@ -276,7 +283,6 @@ class ClusterService(Testbed):
             outcomes=self.outcomes,
             utilization=self.utilization,
             events_processed=self.sim.events_processed,
-            report=report,
         )
 
 

@@ -14,8 +14,8 @@ Headline metrics:
 * **utilization** — mean and peak busy-slot fraction over the run.
 
 Every distribution is a :class:`repro.metrics.stats.Summary`, the same
-summary seed sweeps and metric histograms use: numpy's linear-interpolation
-percentiles.
+summary seed sweeps and metric histograms use, whose percentiles are
+:func:`repro.metrics.stats.percentile` (numpy's linear interpolation).
 """
 
 from __future__ import annotations

@@ -72,13 +72,9 @@ class JobTrace:
             if r.kind == "map" and (include_killed or not r.killed)
         ]
 
-    def reduces(self, include_killed: bool = False) -> list[TaskRecord]:
-        """Reduce records, excluding killed copies unless requested."""
-        return [
-            r
-            for r in self.records
-            if r.kind == "reduce" and (include_killed or not r.killed)
-        ]
+    def reduces(self) -> list[TaskRecord]:
+        """Reduce records, killed copies excluded."""
+        return [r for r in self.records if r.kind == "reduce" and not r.killed]
 
     @property
     def jct(self) -> float:

@@ -215,6 +215,18 @@ def test_serve_bad_input_is_a_usage_error(capsys, bad_args, message):
     ["serve", "--arrivals", "trace", "--trace-file", "bad-engine.jsonl"],
     ["serve", "--policy", "capacity", "--queues", "a=x"],
     ["serve", "--util-period", "0"],
+    ["run", "--input-gb", "inf"],
+    ["run", "--input-gb", "nan"],
+    ["compare", "--input-gb", "inf"],
+    ["figure", "fig8", "--scale", "inf"],
+    ["serve", "--scale", "inf"],
+    ["serve", "--scale", "nan"],
+    ["serve", "--rate", "inf"],
+    ["serve", "--rate", "nan"],
+    ["serve", "--arrivals", "closed", "--think-time", "inf"],
+    ["serve", "--arrivals", "closed", "--think-time", "nan"],
+    ["serve", "--util-period", "inf"],
+    ["serve", "--util-period", "nan"],
     ["trace", "summarize", "no-such.jsonl"],
     ["trace", "summarize", "."],
     ["trace", "summarize", "not-jsonl.txt"],

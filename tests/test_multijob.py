@@ -121,6 +121,20 @@ def test_poisson_rejects_bad_parameters():
         PoissonArrivals(1.0, 5, rng, input_scale=0.0)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_arrivals_and_service_reject_non_finite_settings(value):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="non-finite arrival rate"):
+        PoissonArrivals(value, 5, rng)
+    with pytest.raises(ValueError, match="non-finite input scale"):
+        PoissonArrivals(1.0, 5, rng, input_scale=value)
+    with pytest.raises(ValueError, match="non-finite think time"):
+        ClosedLoopArrivals(n_jobs=2, think_time_s=value)
+    with pytest.raises(ValueError, match="non-finite sampling period"):
+        ClusterService(make_cluster, ClosedLoopArrivals(n_jobs=1, width=1),
+                       utilization_period_s=value)
+
+
 def test_closed_loop_admits_on_completion():
     proc = ClosedLoopArrivals(n_jobs=5, width=2, think_time_s=3.0)
     first = proc.initial()
@@ -281,6 +295,15 @@ def test_service_slowdown_vs_isolated_baseline():
     payload = json.loads(report.to_json())
     assert payload["cluster"] == "test"
     assert payload["policy"] == "fair"
+
+
+def test_slo_report_is_built_on_first_read():
+    result = _tiny_service(n_jobs=3)
+    assert "report" not in vars(result)
+    expected = compute_slo(result.outcomes, result.utilization,
+                           cluster_name=result.cluster_name, policy=result.policy)
+    assert result.report.to_json() == expected.to_json()
+    assert result.report is result.report
 
 
 def test_slo_report_and_jct_histogram_share_one_percentile_rule():

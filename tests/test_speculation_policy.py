@@ -58,7 +58,7 @@ def test_reduce_backups_follow_the_straggler_rule(monkeypatch, constants, expect
         "hadoop-64",
         seed=2,
     )
-    backups = [m for m in r.trace.reduces(include_killed=True) if m.speculative]
+    backups = [m for m in r.trace.records if m.kind == "reduce" and m.speculative]
     assert bool(backups) == expect_backups
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.metrics import stats
 from repro.metrics.efficiency import job_efficiency, serial_runtime
 from repro.metrics.stats import (
     Summary,
@@ -175,10 +176,11 @@ def test_summary_ci95_halfwidth_and_empty_sample():
         Summary.of([])
 
 
-def test_normalized_pdf_integrates_to_one():
+def test_normalized_pdf_integrates_to_one(monkeypatch):
+    monkeypatch.setattr(stats, "PDF_BINS", 25)
     rng = np.random.default_rng(0)
     rts = rng.uniform(10, 100, size=500).tolist()
-    centers, density = normalized_runtime_pdf(rts, bins=25)
+    centers, density = normalized_runtime_pdf(rts)
     width = 1.0 / 25
     assert np.sum(density) * width == pytest.approx(1.0)
     assert len(centers) == 25
