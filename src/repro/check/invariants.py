@@ -50,8 +50,10 @@ Invariant catalogue (rule names appear in every diagnostic):
     Reference mode for the offer path's shortcuts: an AM the RM closed for
     an offer round (``declines_every_node``) declines every slot the round
     skipped it on, which the armed RM re-offers; the speculator's
-    fresh-copy estimate equals a scan of the whole trace; and every cached
-    node speed equals the mean of the node's sample window.
+    fresh-copy estimate equals a scan of the whole trace; every cached
+    node speed equals the mean of the node's sample window; and each
+    rebuild of FlexMap's tail-cap capacity sum equals the same sum over the
+    checked ``get_speed`` reads.
 """
 
 from __future__ import annotations
@@ -220,8 +222,8 @@ class InvariantChecker:
         if self.strict:
             raise violation
 
-    def _count(self, rule: str, n: int = 1) -> None:
-        self.checks[rule] = self.checks.get(rule, 0) + n
+    def _count(self, rule: str) -> None:
+        self.checks[rule] = self.checks.get(rule, 0) + 1
 
     def incremental_state(self, what: str, cached, reference) -> None:
         """A cached value read on the offer path must equal its from-scratch

@@ -24,14 +24,19 @@ offer: each new sample stores the node's smoothed speed (the window mean,
 ``sum(bucket) / len(bucket)``) and the slowest one, and bumps
 :attr:`SpeedMonitor.version`, so ``get_speed`` and ``slowest_speed`` are
 plain reads and callers may cache anything derived from the speeds per
-version.  While a :class:`repro.check.InvariantChecker` is armed
+version.  :attr:`SpeedMonitor.speeds` is a read-only view of the smoothed
+speeds for a caller that reads every node at once (FlexMap's tail cap).
+While a :class:`repro.check.InvariantChecker` is armed
 (:attr:`SpeedMonitor.check`), every cached read is compared with the
-window means recomputed from scratch.
+window means recomputed from scratch; the view's readers compare what they
+derive from it with the same sum over ``get_speed`` (the tail cap's
+capacity), so each node's speed is still checked.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +59,9 @@ class SpeedMonitor:
         # Smoothed speed per node and their minimum, refreshed on every
         # sample.
         self._speeds: dict[str, float] = {}
+        #: Read-only live view of the smoothed speeds, for callers that
+        #: read many nodes at once; unlike ``get_speed`` it is never checked.
+        self.speeds = MappingProxyType(self._speeds)
         self._slowest: float | None = None
         #: Bumped on every new sample; speed-derived caches key on it.
         self.version = 0

@@ -16,8 +16,9 @@ Workflow, numbered as in the paper:
 
 Step 4 runs on every offer, so it reads cached state: the speculative
 backup path is taken directly once no BU is left to bind, and the tail
-cap's per-node speeds and capacity sum are rebuilt only when the
-SpeedMonitor's ``version`` moves.
+cap's capacity sum is rebuilt, in one pass over the monitor's ``speeds``
+view, only when the SpeedMonitor's ``version`` moves.  While a checker is
+armed, each rebuild is compared with the same sum over ``get_speed``.
 
 Reducers are dispatched with the capacity-squared bias of Section III-F.
 FlexMap is implemented on top of YARN (Section III-G), whose LATE
@@ -76,8 +77,11 @@ class FlexMapAM(ApplicationMaster):
         self._completions: dict[str, int] = {}
         self._wave_productivity: dict[str, list[float]] = {}
         self._wave_adjusted: dict[str, int] = {}
-        # (monitor version, per-node speeds, slot-weighted capacity sum)
-        self._capacity: tuple[int, dict[str, float], float] | None = None
+        # (node id, slots) per node, in cluster order; slot counts never
+        # change.
+        self._node_slots = [(n.node_id, n.slots) for n in self.cluster.nodes]
+        # (monitor version, slot-weighted capacity sum)
+        self._capacity: tuple[int, float] | None = None
         # (sim time, node, assigned BUs, Algorithm-1 BUs before the tail
         # cap, productivity) — the Fig. 7 timeline.
         self.sizing_log: list[tuple[float, str, int, int, float]] = []
@@ -151,18 +155,21 @@ class FlexMapAM(ApplicationMaster):
         """
         assert self.binder is not None
         remaining = self.binder.unprocessed_bus
-        version = self.monitor.version
-        if self._capacity is None or self._capacity[0] != version:
-            speeds = {
-                n.node_id: self.monitor.get_speed(n.node_id) or 1.0
-                for n in self.cluster.nodes
-            }
-            capacity = sum(speeds[n.node_id] * n.slots for n in self.cluster.nodes)
-            self._capacity = (version, speeds, capacity)
-        _, speeds, total_capacity = self._capacity
+        monitor = self.monitor
+        speeds = monitor.speeds
+        if self._capacity is None or self._capacity[0] != monitor.version:
+            capacity = sum([(speeds.get(n) or 1.0) * s for n, s in self._node_slots])
+            check = self.recorder.check
+            if check is not None:
+                check.incremental_state(
+                    "tail-cap capacity",
+                    capacity,
+                    sum((monitor.get_speed(n) or 1.0) * s for n, s in self._node_slots),
+                )
+            self._capacity = (monitor.version, capacity)
         # The app count changes without a monitor sample: divide per call.
-        total_capacity /= self.rm.num_active_apps
-        share = speeds[node_id] / total_capacity if total_capacity > 0 else 1.0
+        total_capacity = self._capacity[1] / self.rm.num_active_apps
+        share = (speeds.get(node_id) or 1.0) / total_capacity if total_capacity > 0 else 1.0
         return max(1, int(math.ceil(remaining * share)))
 
     def requeue_map(self, assignment: MapAssignment) -> None:

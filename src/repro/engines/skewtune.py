@@ -79,7 +79,7 @@ class SkewTuneAM(StockHadoopAM):
 
     # ------------------------------------------------------------------
     def _try_mitigate(self, container: Container) -> None:
-        if self.outstanding_mitigators() >= MAX_OUTSTANDING_MITIGATIONS:
+        if self._at_mitigation_cap():
             return
         candidates = [
             a
@@ -98,10 +98,18 @@ class SkewTuneAM(StockHadoopAM):
             return
         self._repartition(victim, container)
 
-    def outstanding_mitigators(self) -> int:
-        """Mitigator tasks running or queued."""
-        running = sum(1 for a in self.maps.running if a.task_id.startswith("st"))
-        return running + len(self.mitigation_queue)
+    def _at_mitigation_cap(self) -> bool:
+        """Whether the mitigator tasks queued or running reach the cap; the
+        count stops there."""
+        outstanding = len(self.mitigation_queue)
+        if outstanding >= MAX_OUTSTANDING_MITIGATIONS:
+            return True
+        for a in self.maps.running:
+            if a.task_id.startswith("st"):
+                outstanding += 1
+                if outstanding >= MAX_OUTSTANDING_MITIGATIONS:
+                    return True
+        return False
 
     def _repartition(self, victim: TaskAttempt, container: Container) -> None:
         """Stop the straggler and split its remainder into equal chunks."""

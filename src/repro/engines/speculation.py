@@ -88,9 +88,16 @@ class SpeculationManager:
         self._fresh: dict[str, tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
-    def live_backups(self) -> list[TaskAttempt]:
-        """Speculative copies currently running."""
-        return [a for a in self.am.maps.running if a.record.speculative]
+    def _at_cap(self) -> bool:
+        """Whether the running speculative map copies reach the cap; the
+        count stops there."""
+        live = 0
+        for a in self.am.maps.running:
+            if a.record.speculative:
+                live += 1
+                if live >= self._cap:
+                    return True
+        return False
 
     def _fresh_copy_estimate_s(self, kind: str) -> float:
         """Expected runtime of a re-execution, from completed attempts of
@@ -151,7 +158,7 @@ class SpeculationManager:
 
     def select_speculative(self, container: Container) -> MapAssignment | None:
         """Pick a straggler to back up on the offered container."""
-        if not self.enabled or len(self.live_backups()) >= self._cap:
+        if not self.enabled or self._at_cap():
             return None
         maps = self.am.maps
         candidates = self.stragglers(maps.running, "map", maps.speculated_ids)

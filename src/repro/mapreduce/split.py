@@ -15,7 +15,14 @@ from repro.hdfs.block import Block
 
 @dataclass
 class InputSplit:
-    """An ordered list of blocks, split into local vs remote for the host."""
+    """An ordered list of blocks, split into local vs remote for the host.
+
+    A split is never changed once built (binding, backups and SkewTune make
+    new ones), so its aggregates are computed once, at construction:
+    ``blocks`` (local then remote), ``num_bus``, ``size_mb`` (nominal input
+    bytes), ``work_mb`` (skew-adjusted map work in equivalent MB),
+    ``local_mb`` and ``remote_mb``.
+    """
 
     local_blocks: list[Block] = field(default_factory=list)
     remote_blocks: list[Block] = field(default_factory=list)
@@ -23,32 +30,12 @@ class InputSplit:
     def __post_init__(self) -> None:
         if not self.local_blocks and not self.remote_blocks:
             raise ValueError("empty split")
-
-    @property
-    def blocks(self) -> list[Block]:
-        return self.local_blocks + self.remote_blocks
-
-    @property
-    def num_bus(self) -> int:
-        return len(self.local_blocks) + len(self.remote_blocks)
-
-    @property
-    def size_mb(self) -> float:
-        """Nominal input bytes."""
-        return sum(b.size_mb for b in self.blocks)
-
-    @property
-    def work_mb(self) -> float:
-        """Skew-adjusted map work in equivalent MB."""
-        return sum(b.work_mb for b in self.blocks)
-
-    @property
-    def local_mb(self) -> float:
-        return sum(b.size_mb for b in self.local_blocks)
-
-    @property
-    def remote_mb(self) -> float:
-        return sum(b.size_mb for b in self.remote_blocks)
+        self.blocks = blocks = self.local_blocks + self.remote_blocks
+        self.num_bus = len(blocks)
+        self.size_mb = sum([b.size_mb for b in blocks])
+        self.work_mb = sum([b.work_mb for b in blocks])
+        self.local_mb = sum([b.size_mb for b in self.local_blocks])
+        self.remote_mb = sum([b.size_mb for b in self.remote_blocks])
 
     @classmethod
     def for_node(cls, blocks: list[Block], node_id: str) -> "InputSplit":

@@ -40,12 +40,8 @@ class Observability:
 
     __slots__ = ("metrics", "trace")
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        trace: TraceEmitter | None = None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self, trace: TraceEmitter | None = None) -> None:
+        self.metrics = MetricsRegistry()
         self.trace = trace if trace is not None else NULL_EMITTER
 
     @classmethod

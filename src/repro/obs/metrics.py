@@ -27,11 +27,9 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0
 
-    def inc(self, n: int = 1) -> None:
-        """Add ``n`` (>= 0) to the count."""
-        if n < 0:
-            raise ValueError(f"counter increments must be >= 0: {n}")
-        self.value += n
+    def inc(self) -> None:
+        """Add one to the count."""
+        self.value += 1
 
 
 class Gauge:

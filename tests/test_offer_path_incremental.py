@@ -13,7 +13,7 @@ the armed RM still walks.
 
 import math
 import random
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
@@ -498,6 +498,26 @@ def test_tail_cap_follows_the_app_count_without_a_new_speed_sample():
     shared = {n: am._tail_cap(n) for n in nodes}
     assert shared == {n: _uncached_tail_cap(am, n) for n in nodes}
     assert shared != caps
+
+
+def test_tail_cap_reference_mode_catches_a_stale_capacity():
+    job = tiny_job(input_mb=2048.0, reducers=0)
+    checker = InvariantChecker()
+    bed, am = _bed_with("flexmap", job, check=checker, speeds=(1.0, 1.0, 2.0))
+    _step_until(bed, lambda: am.monitor.version > 0)
+    node = bed.cluster.nodes[0].node_id
+    before = checker.checks["incremental-state"]
+    am._tail_cap(node)  # a rebuild, compared once with the checked reads
+    assert checker.checks["incremental-state"] > before
+    monitor = am.monitor
+    # A view whose speeds are all scaled, so the rebuilt sum is too, while
+    # ``get_speed`` and the version still agree with each other.
+    monitor.speeds = MappingProxyType({n: 2.0 * s for n, s in monitor.speeds.items()})
+    monitor.report_completion(node, 3.0)
+    with pytest.raises(InvariantViolation) as info:
+        am._tail_cap(node)
+    assert info.value.rule == "incremental-state"
+    assert "tail-cap capacity" in str(info.value)
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,8 @@ def longest_left(attempts):
 
 
 def reference_map_pick(manager):
-    if not manager.enabled or len(manager.live_backups()) >= manager._cap:
+    live = [a for a in manager.am.maps.running if a.record.speculative]
+    if not manager.enabled or len(live) >= manager._cap:
         return None
     maps = manager.am.maps
     candidates = reference_stragglers(manager, maps.running, "map", maps.speculated_ids)
@@ -145,7 +146,10 @@ def checked_scans(monkeypatch):
 
     def mitigate_checked(am, container):
         want = None
-        if am.outstanding_mitigators() < skewtune.MAX_OUTSTANDING_MITIGATIONS:
+        outstanding = len(am.mitigation_queue) + sum(
+            1 for a in am.maps.running if a.task_id.startswith("st")
+        )
+        if outstanding < skewtune.MAX_OUTSTANDING_MITIGATIONS:
             candidates = [
                 a for a in am.maps.running
                 if a.task_id not in am.mitigated_tasks

@@ -44,6 +44,22 @@ def test_overhead_jitter_bounds(monkeypatch):
         assert 8.0 <= v <= 12.0
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("speed", [0.25, 1.0, 1.7, 4.0])
+def test_overhead_jitter_is_uniform_draw_for_draw(seed, speed):
+    # ``sample`` spells out numpy's ``uniform`` formula on one ``random()``
+    # draw; it must give the call's values and leave the generator in the
+    # same state.  A numpy whose ``uniform`` changed fails here first.
+    base = overhead.CONTAINER_ALLOC_S + overhead.JVM_STARTUP_S * (
+        (1.0 - overhead.JVM_SPEED_SCALING) + overhead.JVM_SPEED_SCALING / speed
+    )
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = [overhead.sample(speed, got_rng) for _ in range(10_000)]
+    want = [base * want_rng.uniform(0.9, 1.1) for _ in range(10_000)]
+    assert got == want
+    assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
+
+
 def test_overhead_validation():
     with pytest.raises(ValueError):
         overhead.sample(0.0, np.random.default_rng(0))
