@@ -15,7 +15,8 @@ first, one per change that was measured.  A row holds
   of the run's last (JSON) line, or ``sim_digest`` from the workload's
   ``simulated:`` line;
 * ``cpu_s``: each workload's ``--trace 0`` ``cpu_s`` (median of the A/B
-  runs that measured the change), recorded but not gated.
+  runs that measured the change), recorded but not gated;
+* ``reasons`` (where a pin moved): why each moved pin moved, by name.
 
 The run is compared with the last row's pins.  Prints every pin the run
 does not match, by name, and exits 1 if any.  A change that moves a pinned

@@ -17,6 +17,12 @@ cyclic garbage collector paused.  The three scenarios are interleaved,
 alternating plain and disabled first, over :data:`ROUNDS` rounds; the
 bound applies to the median of the per-round disabled/plain ratios.  Run
 it alone on an idle machine.
+
+A second context row is the armed/unarmed ratio at Fig. 8 scale: FlexMap
+on 40 nodes (speeds drawn from 0.5-2.5, 4 slots each, 10% slow nodes),
+16 GB of input and 8 reducers, median of :data:`SCALE_ROUNDS` paired
+rounds.  Every armed comparison is O(1) at the read it checks, so the
+ratio stays bounded as jobs grow; it has no bound of its own here.
 """
 
 from __future__ import annotations
@@ -28,7 +34,10 @@ from pathlib import Path
 
 from conftest import save_result
 
-from repro.check import InvariantChecker
+import numpy as np
+
+from repro.check import InvariantChecker, ScenarioConfig
+from repro.check.harness import build_failures, run_config
 from repro.engines import run_job
 from repro.experiments.clusters import heterogeneous6_cluster
 from repro.experiments.report import render_table
@@ -39,6 +48,16 @@ from meter import Meter  # noqa: E402
 
 ROUNDS = 31
 INPUT_MB = 131072.0
+SCALE_ROUNDS = 5
+SCALE_CONFIG = ScenarioConfig(
+    seed=1,
+    engine="flexmap",
+    speeds=tuple(round(float(s), 3) for s in np.random.default_rng(1).uniform(0.5, 2.5, 40)),
+    slots=(4,) * 40,
+    input_mb=16384.0,
+    reducers=8,
+    slow_fraction=0.1,
+)
 
 
 def _run_plain() -> None:
@@ -62,6 +81,14 @@ def _run_armed() -> None:
         seed=3, input_mb=INPUT_MB, check=checker,
     )
     assert checker.finalize().ok
+
+
+def _run_scale(armed: bool) -> None:
+    """The Fig. 8-scale scenario, armed or not."""
+    checker = InvariantChecker() if armed else None
+    run_config(SCALE_CONFIG, failures=build_failures(SCALE_CONFIG), check=checker)
+    if armed:
+        assert checker.finalize().ok
 
 
 def _timed(meter: Meter, run, times: list[float]) -> None:
@@ -91,6 +118,11 @@ def test_disabled_checks_overhead_bound():
         _timed(meter, *first)
         _timed(meter, *second)
         _timed(meter, _run_armed, armed)
+    scale_unarmed: list[float] = []
+    scale_armed: list[float] = []
+    for _ in range(SCALE_ROUNDS):
+        _timed(meter, lambda: _run_scale(False), scale_unarmed)
+        _timed(meter, lambda: _run_scale(True), scale_armed)
     meter.flush()
 
     slowdown = statistics.median(d / p for d, p in zip(disabled, plain)) - 1.0
@@ -103,6 +135,9 @@ def test_disabled_checks_overhead_bound():
         ["checks armed s", armed_s],
         ["disabled slowdown", slowdown],
         ["armed slowdown", armed_s / plain_s - 1.0],
+        ["40-node armed/unarmed", statistics.median(
+            a / u for a, u in zip(scale_armed, scale_unarmed)
+        )],
     ]
     save_result(
         "check_overhead",

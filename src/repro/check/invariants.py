@@ -23,8 +23,9 @@ Invariant catalogue (rule names appear in every diagnostic):
 ``clock-monotonic``
     The simulation clock never moves backwards across processed events.
 ``slot-bounds``
-    Every node's ``busy_slots`` stays within ``[0, slots]`` after every
-    event, and matches the checker's own occupy/release ledger.
+    At every occupy and release, the node's ``busy_slots`` after the
+    transition stays within ``[0, slots]`` and matches the checker's own
+    occupy/release ledger.
 ``container-lifecycle``
     A container is occupied at most once, released only while occupied,
     and never granted on a dead node.
@@ -50,10 +51,16 @@ Invariant catalogue (rule names appear in every diagnostic):
     Reference mode for the offer path's shortcuts: an AM the RM closed for
     an offer round (``declines_every_node``) declines every slot the round
     skipped it on, which the armed RM re-offers; the speculator's
-    fresh-copy estimate equals a scan of the whole trace; every cached
-    node speed equals the mean of the node's sample window; and each
-    rebuild of FlexMap's tail-cap capacity sum equals the same sum over the
-    checked ``get_speed`` reads.
+    fresh-copy estimate equals the mean of the completed runtimes the AM's
+    ledger collects, and at job end that mean equals a scan of the whole
+    trace; every cached node speed equals the mean of the node's sample
+    window; each rebuild of FlexMap's tail-cap capacity sum equals the same
+    sum over the checked ``get_speed`` reads, and every tail-cap read uses
+    a capacity built at the monitor's current version.
+
+Every comparison is O(1) at the read it checks (the whole-trace scan runs
+once per AM, at job end), and a diagnostic's text is built only when a
+comparison fails.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from repro.engines.speculation import fresh_copy_estimate_from_records
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import Cluster
@@ -108,7 +117,10 @@ class CheckReport:
 class _AMLedger:
     """Per-application ledger, fed by the AM's ``TraceRecorder``."""
 
-    __slots__ = ("checker", "am", "last_round", "last_round_time", "blocks")
+    __slots__ = (
+        "checker", "am", "last_round", "last_round_time", "blocks",
+        "runtimes", "_fresh",
+    )
 
     def __init__(self, checker: "InvariantChecker", am: "ApplicationMaster") -> None:
         self.checker = checker
@@ -117,19 +129,47 @@ class _AMLedger:
         self.last_round_time = -math.inf
         # block_id -> "inflight" | "done"; absent = assignable.
         self.blocks: dict[int, str] = {}
+        # kind -> runtimes of the non-killed attempts with a positive
+        # runtime, in trace order: the fresh-copy estimate's reference.
+        self.runtimes: dict[str, list[float]] = {"map": [], "reduce": []}
+        # kind -> (runtimes averaged, their mean)
+        self._fresh: dict[str, tuple[int, float]] = {}
 
     # -- incremental state ------------------------------------------------
-    def incremental_state(self, what: str, cached, reference) -> None:
-        self.checker.incremental_state(f"{self.am.job.name}: {what}", cached, reference)
+    def incremental_state(self, what: str, cached, reference, *args) -> None:
+        """:meth:`InvariantChecker.incremental_state`, the diagnostic
+        prefixed with the job's name."""
+        checker = self.checker
+        checker._count("incremental-state")
+        if cached != reference:
+            checker._stale(
+                f"{self.am.job.name}: {what.format(*args)}", cached, reference
+            )
+
+    def fresh_copy(self, kind: str) -> tuple[int, float]:
+        """``(count, mean)`` of the completed ``kind`` runtimes, the mean
+        infinite before there is one; recomputed only when the count moved."""
+        runtimes = self.runtimes[kind]
+        fresh = self._fresh.get(kind)
+        if fresh is None or fresh[0] != len(runtimes):
+            mean = sum(runtimes) / len(runtimes) if runtimes else math.inf
+            fresh = self._fresh[kind] = (len(runtimes), mean)
+        return fresh
 
     # -- TraceRecorder milestones ---------------------------------------
+    def record_added(self, record) -> None:
+        """A finished or killed attempt's record entered the job trace."""
+        if not record.killed and record.runtime > 0:
+            self.runtimes[record.kind].append(record.runtime)
+
     def map_launched(self, assignment) -> None:
         """Claim the split's BUs; a backup copy shares its original's."""
         if assignment.speculative:
             return
         checker = self.checker
-        for block in assignment.split.blocks:
-            checker._count("bu-conservation")
+        blocks = assignment.split.blocks
+        checker._count("bu-conservation", len(blocks))
+        for block in blocks:
             held = self.blocks.get(block.block_id)
             if held == "inflight":
                 checker._violate(
@@ -156,22 +196,31 @@ class _AMLedger:
     def map_requeued(self, assignment) -> None:
         """A failure requeue returns the killed attempt's BUs to the pool."""
         checker = self.checker
-        for block in assignment.split.blocks:
-            checker._count("bu-conservation")
-            if self.blocks.get(block.block_id) != "inflight":
+        blocks = assignment.split.blocks
+        checker._count("bu-conservation", len(blocks))
+        for block in blocks:
+            if self.blocks.pop(block.block_id, None) != "inflight":
                 checker._violate(
                     "bu-conservation",
                     f"BU {block.block_id} returned but no attempt held it",
                 )
-            self.blocks.pop(block.block_id, None)
 
     def job_finished(self) -> None:
+        """The ledger's runtimes against one scan of the whole trace, then
+        the terminal checks."""
+        records = self.am.trace.records
+        for kind in ("map", "reduce"):
+            self.incremental_state(
+                "{} fresh-copy ledger", self.fresh_copy(kind)[1],
+                fresh_copy_estimate_from_records(records, kind), kind,
+            )
         self.checker._check_terminal(self)
 
     def _mark_done(self, assignment, completed_twice_ok: bool) -> None:
         checker = self.checker
-        for block in assignment.split.blocks:
-            checker._count("bu-conservation")
+        blocks = assignment.split.blocks
+        checker._count("bu-conservation", len(blocks))
+        for block in blocks:
             if self.blocks.get(block.block_id) == "done" and not completed_twice_ok:
                 checker._violate(
                     "bu-conservation",
@@ -179,6 +228,28 @@ class _AMLedger:
                     f"(task {assignment.task_id})",
                 )
             self.blocks[block.block_id] = "done"
+
+    # -- heartbeats -------------------------------------------------------
+    def on_round(self, round_no: int) -> None:
+        """The AM's heartbeat subscriber: rounds arrive in sequence at
+        non-decreasing times."""
+        checker = self.checker
+        checker._count("heartbeat-order")
+        now = self.am.sim.now
+        if round_no != self.last_round + 1:
+            checker._violate(
+                "heartbeat-order",
+                f"{self.am.job.name}: heartbeat round jumped "
+                f"{self.last_round} -> {round_no} at t={now:.3f}",
+            )
+        if now < self.last_round_time:
+            checker._violate(
+                "heartbeat-order",
+                f"{self.am.job.name}: heartbeat at t={now:.3f} before "
+                f"previous round's t={self.last_round_time:.3f}",
+            )
+        self.last_round = round_no
+        self.last_round_time = now
 
 
 class InvariantChecker:
@@ -222,18 +293,22 @@ class InvariantChecker:
         if self.strict:
             raise violation
 
-    def _count(self, rule: str) -> None:
-        self.checks[rule] = self.checks.get(rule, 0) + 1
+    def _count(self, rule: str, n: int = 1) -> None:
+        self.checks[rule] = self.checks.get(rule, 0) + n
 
-    def incremental_state(self, what: str, cached, reference) -> None:
+    def incremental_state(self, what: str, cached, reference, *args) -> None:
         """A cached value read on the offer path must equal its from-scratch
-        recomputation exactly."""
+        recomputation exactly.  ``what.format(*args)`` names the value in
+        the diagnostic, built only on a mismatch."""
         self._count("incremental-state")
         if cached != reference:
-            self._violate(
-                "incremental-state",
-                f"{what}: cached {cached!r} != recomputed {reference!r}",
-            )
+            self._stale(what.format(*args), cached, reference)
+
+    def _stale(self, what: str, cached, reference) -> None:
+        self._violate(
+            "incremental-state",
+            f"{what}: cached {cached!r} != recomputed {reference!r}",
+        )
 
     # ------------------------------------------------------------------
     # arming
@@ -248,8 +323,8 @@ class InvariantChecker:
 
         AMs are attached automatically as they register with the RM (as
         its ``audit``); every simulated event is then checked for clock
-        monotonicity and slot bounds, and every occupy/release transition
-        is cross-checked against the checker's own container ledger.
+        monotonicity, and every occupy/release transition for slot bounds
+        and against the checker's own container ledger.
         """
         self._sim = sim
         self._cluster = cluster
@@ -274,10 +349,9 @@ class InvariantChecker:
                 monitor.check = None
 
     # ------------------------------------------------------------------
-    # engine: clock + slot bounds, checked after every event
+    # engine: the clock, checked after every event
     # ------------------------------------------------------------------
     def _after_event(self) -> None:
-        assert self._sim is not None
         self.events_checked += 1
         now = self._sim.now
         if now < self._last_now:
@@ -286,14 +360,6 @@ class InvariantChecker:
                 f"clock moved backwards: {self._last_now:.6f} -> {now:.6f}",
             )
         self._last_now = now
-        if self._cluster is not None:
-            for node in self._cluster.nodes:
-                if not 0 <= node.busy_slots <= node.slots:
-                    self._violate(
-                        "slot-bounds",
-                        f"node {node.node_id} holds {node.busy_slots} busy slots "
-                        f"outside [0, {node.slots}] at t={now:.3f}",
-                    )
 
     # ------------------------------------------------------------------
     # ResourceManager: container lifecycle + slot ledger
@@ -353,13 +419,20 @@ class InvariantChecker:
             )
 
     def _check_node_ledger(self, node, extra: int) -> None:
-        """Cross-check busy_slots against the occupy/release ledger.
+        """Bound busy_slots and cross-check it against the occupy/release
+        ledger.
 
         Called *before* the RM mutates the slot, so the expected busy count
         is the node's current value plus the pending transition.
         """
         self._count("slot-bounds")
         expected = node.busy_slots + extra
+        if not 0 <= expected <= node.slots:
+            self._violate(
+                "slot-bounds",
+                f"node {node.node_id} would hold {expected} busy slots "
+                f"outside [0, {node.slots}]",
+            )
         if self._occupied_by_node.get(node.node_id, 0) != expected:
             self._violate(
                 "slot-bounds",
@@ -381,29 +454,7 @@ class InvariantChecker:
         monitor = getattr(am, "monitor", None)
         if monitor is not None:
             monitor.check = self
-        am.heartbeat.subscribe(lambda round_no: self._on_round(ledger, round_no))
-
-    # ------------------------------------------------------------------
-    # heartbeats
-    # ------------------------------------------------------------------
-    def _on_round(self, ledger: _AMLedger, round_no: int) -> None:
-        self._count("heartbeat-order")
-        assert self._sim is not None
-        now = self._sim.now
-        if round_no != ledger.last_round + 1:
-            self._violate(
-                "heartbeat-order",
-                f"{ledger.am.job.name}: heartbeat round jumped "
-                f"{ledger.last_round} -> {round_no} at t={now:.3f}",
-            )
-        if now < ledger.last_round_time:
-            self._violate(
-                "heartbeat-order",
-                f"{ledger.am.job.name}: heartbeat at t={now:.3f} before "
-                f"previous round's t={ledger.last_round_time:.3f}",
-            )
-        ledger.last_round = round_no
-        ledger.last_round_time = now
+        am.heartbeat.subscribe(ledger.on_round)
 
     # ------------------------------------------------------------------
     # terminal checks

@@ -102,6 +102,12 @@ class Node:
     # ------------------------------------------------------------------
     # execution noise
     # ------------------------------------------------------------------
+    @property
+    def draws_work_noise(self) -> bool:
+        """Whether :meth:`sample_work_noise` draws from its generator; on a
+        noiseless node it returns 1.0 without a draw."""
+        return self.exec_sigma > 0 or self.pressure_prob > 0
+
     def sample_work_noise(self, rng) -> float:
         """Multiplicative work factor for one task attempt on this node."""
         factor = float(rng.lognormal(mean=-0.5 * self.exec_sigma**2, sigma=self.exec_sigma)) if self.exec_sigma > 0 else 1.0

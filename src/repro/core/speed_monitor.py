@@ -118,7 +118,7 @@ class SpeedMonitor:
         speed = self._speeds.get(node_id)
         if self.check is not None and speed is not None:
             self.check.incremental_state(
-                f"speed of {node_id}", speed, self._window_mean(node_id)
+                "speed of {}", speed, self._window_mean(node_id), node_id
             )
         return speed
 

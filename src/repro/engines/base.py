@@ -26,8 +26,9 @@ and ``kill_attempt`` (output discarded), and
 :meth:`ApplicationMaster.on_node_failure` is the one place lost map
 input is requeued.  Every milestone reaches the :class:`TraceRecorder`,
 which also feeds ``repro.check``: when ``recorder.check`` holds an
-:class:`~repro.check.InvariantChecker` ledger, the recorder forwards map
-launches, completions, stops and requeues plus the job end to it.
+:class:`~repro.check.InvariantChecker` ledger, the recorder forwards every
+added record, map launches, completions, stops and requeues plus the job
+end to it.
 
 In the last map wave, the heartbeat of an engine that backs up stragglers
 (:meth:`ApplicationMaster._backs_up_stragglers`) asks the RM for an offer
@@ -99,7 +100,8 @@ class TraceRecorder:
     """
 
     #: Per-AM ledger of a :class:`repro.check.InvariantChecker`, set while
-    #: one is armed on the run; it receives the map and job milestones.
+    #: one is armed on the run; it receives every added record and the map
+    #: and job milestones.
     check = None
 
     def __init__(self, am: "ApplicationMaster") -> None:
@@ -114,6 +116,8 @@ class TraceRecorder:
         self.trace.add(record)
         if not record.killed and record.runtime > 0:
             self.completed_runtimes[record.kind].append(record.runtime)
+        if self.check is not None:
+            self.check.record_added(record)
 
     # -- job lifecycle --------------------------------------------------
     def job_submitted(self) -> None:
@@ -487,9 +491,11 @@ class ApplicationMaster:
         self.containers: dict[TaskAttempt, Container] = {}
         self.job_done = False
         # Overhead/noise draws are interleaved across map and reduce
-        # launches, so both drivers share the AM-level generators.
+        # launches, so both drivers share the AM-level generators.  The
+        # noise stream is made at its first draw, which a run on noiseless
+        # nodes never makes.
         self._overhead_rng = streams.stream("overhead")
-        self._noise_rng = streams.stream("exec-noise")
+        self._noise_rng = None
 
     @property
     def trace(self) -> JobTrace:
@@ -543,7 +549,11 @@ class ApplicationMaster:
         self.rm.occupy(container)
         node = container.node
         overhead = sample_overhead(node.effective_speed, self._overhead_rng)
-        noise = node.sample_work_noise(self._noise_rng)
+        noise = 1.0
+        if node.draws_work_noise:
+            if self._noise_rng is None:
+                self._noise_rng = self.streams.stream("exec-noise")
+            noise = node.sample_work_noise(self._noise_rng)
         attempt = TaskAttempt(
             self.sim, node, task_id=task_id, kind=kind, size_mb=size_mb,
             work_s=work_s * noise, overhead_s=overhead, transfer_s=transfer_s,
@@ -605,7 +615,7 @@ class ApplicationMaster:
         if self.job_done:
             return False
         self.recorder.container_offered(container)
-        if not self.maps.done():
+        if self.maps.running or self.maps_pending():
             return self.maps.offer(container)
         return self.reduces.offer(container)
 
@@ -624,8 +634,10 @@ class ApplicationMaster:
         """
         if self.job_done:
             return True
-        if not self.maps.done():
-            return not self.maps_pending()
+        if self.maps_pending():
+            return False
+        if self.maps.running:
+            return True
         return not (self.reduces.started and self.reduces.pending > 0)
 
     def _backs_up_stragglers(self) -> bool:

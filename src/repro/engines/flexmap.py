@@ -18,7 +18,9 @@ Step 4 runs on every offer, so it reads cached state: the speculative
 backup path is taken directly once no BU is left to bind, and the tail
 cap's capacity sum is rebuilt, in one pass over the monitor's ``speeds``
 view, only when the SpeedMonitor's ``version`` moves.  While a checker is
-armed, each rebuild is compared with the same sum over ``get_speed``.
+armed, each rebuild is compared with the same sum over ``get_speed``, and
+every read checks that the capacity it uses was built at the monitor's
+current version.
 
 Reducers are dispatched with the capacity-squared bias of Section III-F.
 FlexMap is implemented on top of YARN (Section III-G), whose LATE
@@ -157,9 +159,9 @@ class FlexMapAM(ApplicationMaster):
         remaining = self.binder.unprocessed_bus
         monitor = self.monitor
         speeds = monitor.speeds
+        check = self.recorder.check
         if self._capacity is None or self._capacity[0] != monitor.version:
             capacity = sum([(speeds.get(n) or 1.0) * s for n, s in self._node_slots])
-            check = self.recorder.check
             if check is not None:
                 check.incremental_state(
                     "tail-cap capacity",
@@ -167,6 +169,10 @@ class FlexMapAM(ApplicationMaster):
                     sum((monitor.get_speed(n) or 1.0) * s for n, s in self._node_slots),
                 )
             self._capacity = (monitor.version, capacity)
+        if check is not None:
+            check.incremental_state(
+                "tail-cap capacity version", self._capacity[0], monitor.version
+            )
         # The app count changes without a monitor sample: divide per call.
         total_capacity = self._capacity[1] / self.rm.num_active_apps
         share = (speeds.get(node_id) or 1.0) / total_capacity if total_capacity > 0 else 1.0

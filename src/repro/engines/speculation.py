@@ -38,9 +38,11 @@ fresh-copy estimate is the mean of the completed runtimes the
 when a runtime was added.
 
 While a :class:`repro.check.InvariantChecker` is armed (the AM's
-``recorder.check``), the fresh-copy estimate is compared with a scan of the
-whole trace, and the RM re-offers every slot the closure skipped, which
-the scan must decline.
+``recorder.check``), each fresh-copy estimate and the count it averages are
+compared with the checker's own ledger of completed runtimes, fed record by
+record by the recorder; at job end the ledger is compared once with
+:func:`fresh_copy_estimate_from_records`, a scan of the whole trace.  The
+RM re-offers every slot the closure skipped, which the scan must decline.
 """
 
 from __future__ import annotations
@@ -115,11 +117,10 @@ class SpeculationManager:
         if cached is None or cached[0] != len(runtimes):
             mean = sum(runtimes) / len(runtimes) if runtimes else math.inf
             cached = self._fresh[kind] = (len(runtimes), mean)
-        if recorder.check is not None:
-            recorder.check.incremental_state(
-                f"{kind} fresh-copy estimate",
-                cached[1],
-                fresh_copy_estimate_from_records(recorder.trace.records, kind),
+        check = recorder.check
+        if check is not None:
+            check.incremental_state(
+                "{} fresh-copy estimate", cached, check.fresh_copy(kind), kind
             )
         return cached[1]
 

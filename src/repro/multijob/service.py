@@ -250,6 +250,7 @@ class ClusterService(Testbed):
             self._schedule_request(request)
         self._sample_utilization()
         guard = max_events if max_events is not None else 500_000_000
+        rm = self.rm
         while len(self.outcomes) < self._expected:
             if not self.sim.step():
                 raise RuntimeError(
@@ -259,7 +260,9 @@ class ClusterService(Testbed):
             guard -= 1
             if guard <= 0:
                 raise RuntimeError("service exceeded event budget")
-            if self._running:
+            # Every running job is registered until the event that ends it,
+            # in which its AM unregisters.
+            if rm.num_registered < len(self._running):
                 self._collect_finished()
         if self.sim.obs is not None:
             self.sim.record_obs()

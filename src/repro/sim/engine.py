@@ -189,8 +189,8 @@ class Simulator:
         instance, so a simulator that never installs one keeps the exact
         unhooked hot loop — the same zero-cost-when-disabled contract as
         :mod:`repro.obs`.  Used by :class:`repro.check.InvariantChecker` to
-        verify clock monotonicity and slot bounds per event.  Returns an
-        uninstall callable restoring the previous ``step``.
+        verify clock monotonicity per event.  Returns an uninstall callable
+        restoring the previous ``step``.
         """
         inner = self.step
 

@@ -121,6 +121,12 @@ class ResourceManager:
         self._apps.pop(id(am), None)
 
     @property
+    def num_registered(self) -> int:
+        """Registered applications; a finishing AM unregisters in the event
+        that ends its job."""
+        return len(self._apps)
+
+    @property
     def apps(self) -> list[AppRecord]:
         """Registered applications in registration order."""
         return list(self._apps.values())

@@ -20,9 +20,12 @@ from repro.check import (
     run_scenario,
 )
 from repro.check.harness import build_failures, run_config
+from repro.cluster.node import Node
 from repro.engines import ENGINES, run_job
 from repro.experiments.clusters import heterogeneous6_cluster
+from repro.sim.engine import Simulator
 from repro.workloads.puma import puma
+from repro.yarn.container import Container
 
 ALL_ENGINES = sorted(ENGINES)
 
@@ -174,3 +177,58 @@ def test_put_back_outside_requeue_is_caught_at_relaunch(engine):
     assert (
         f"BU {checker.returned.block_id} assigned twice" in excinfo.value.message
     )
+
+
+class _BumpsASlot(InvariantChecker):
+    """Moves one node's ``busy_slots`` by ``delta`` behind the RM's back
+    after the 40th event."""
+
+    def __init__(self, delta: int) -> None:
+        super().__init__()
+        self.delta = delta
+        self.node = None
+
+    def _after_event(self) -> None:
+        super()._after_event()
+        if self.events_checked == 40:
+            self.node = self._cluster.nodes[0]
+            self.node.busy_slots += self.delta
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_a_busy_slot_moved_behind_the_rms_back_is_caught(delta):
+    config = ScenarioConfig(engine="hadoop-64")
+    checker = _BumpsASlot(delta)
+    with pytest.raises(InvariantViolation) as excinfo:
+        run_config(config, failures=build_failures(config), check=checker)
+        checker.finalize()
+    assert excinfo.value.rule in ("slot-bounds", "slot-leak")
+    assert f"node {checker.node.node_id} " in excinfo.value.message
+
+
+def test_slot_bounds_are_checked_at_the_transition():
+    checker = InvariantChecker()
+    node = Node("n0", base_speed=1.0, slots=1)
+    node.busy_slots = 1
+    # The checker's ledger agrees with the RM, but the occupy would
+    # overfill the node.
+    checker._occupied_by_node["n0"] = 1
+    with pytest.raises(InvariantViolation) as excinfo:
+        checker.on_occupy(Container(node))
+    assert excinfo.value.rule == "slot-bounds"
+    assert excinfo.value.message == "node n0 would hold 2 busy slots outside [0, 1]"
+
+
+def test_an_event_that_rewinds_the_clock_is_caught():
+    sim = Simulator()
+    InvariantChecker().arm(sim)
+
+    def rewind() -> None:
+        sim.now = 5.0
+
+    sim.schedule(10.0, lambda: None)
+    sim.schedule(20.0, rewind)
+    with pytest.raises(InvariantViolation) as excinfo:
+        sim.run()
+    assert excinfo.value.rule == "clock-monotonic"
+    assert "10.000000 -> 5.000000" in excinfo.value.message

@@ -8,21 +8,29 @@ ResourceManager closes an AM for the rest of an offer round once its
 decline cannot depend on the node; the closure tests pin that a closed AM
 is skipped, that it is offered again in the next round, that node-dependent
 declines leave it open, and that grants and traces equal the unclosed loop
-the armed RM still walks.
+the armed RM still walks.  Armed, each shortcut is checked in O(1) at its
+read, and a seeded stale cache (recompiled from the source with its
+refresh condition cut short) must be caught; a declined offer reads the
+AM's pending map work at most once.
 """
 
+import inspect
 import math
 import random
+import textwrap
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
+from repro.check import ScenarioConfig, invariants, run_scenario
+from repro.check.harness import build_failures, run_config
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.cluster.failures import FailureSchedule
 from repro.core import speed_monitor
 from repro.core.speed_monitor import SpeedMonitor
 from repro.engines import driver, run_job, skewtune, speculation
 from repro.engines.base import ApplicationMaster, MapAssignment, TraceRecorder
+from repro.engines.flexmap import FlexMapAM
 from repro.engines.registry import EngineSpec, resolve_engine
 from repro.engines.speculation import SpeculationManager, fresh_copy_estimate_from_records
 from repro.engines.skewtune import SkewTuneAM
@@ -101,6 +109,79 @@ def test_fresh_copy_estimate_after_a_skewtune_run_with_a_crash():
         assert result.am.speculation._fresh_copy_estimate_s(kind) == _full_scan(records, kind)
 
 
+def _mutated(func, old, new):
+    """``func`` recompiled from its source with ``old`` replaced by ``new``:
+    a seeded bug in the code under test."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{old!r} not in {func.__qualname__}"
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"),
+         func.__globals__, namespace)
+    return namespace[func.__name__]
+
+
+#: The speculation-rescue scenario: a crawling node forces straggler scans
+#: both before and after the first completions of each kind.
+SPECULATING = ScenarioConfig(
+    seed=5, engine="hadoop-64", speeds=(2.0, 2.0, 0.25), slots=(2, 2, 2),
+    input_mb=768.0, reducers=2, shuffle_ratio=0.5,
+)
+
+
+def test_a_fresh_copy_cache_that_never_refreshes_is_caught(monkeypatch):
+    assert run_scenario(SPECULATING).report.ok
+    stale = _mutated(
+        SpeculationManager._fresh_copy_estimate_s,
+        "if cached is None or cached[0] != len(runtimes):",
+        "if cached is None:",
+    )
+    monkeypatch.setattr(SpeculationManager, "_fresh_copy_estimate_s", stale)
+    with pytest.raises(InvariantViolation) as info:
+        run_scenario(SPECULATING)
+    assert info.value.rule == "incremental-state"
+    assert "map fresh-copy estimate: cached (" in info.value.message
+
+
+def test_the_whole_trace_scan_runs_once_per_kind_per_am_not_per_scan(monkeypatch):
+    scans = []
+    reference = invariants.fresh_copy_estimate_from_records
+
+    def counted(records, kind):
+        scans.append(kind)
+        return reference(records, kind)
+
+    monkeypatch.setattr(invariants, "fresh_copy_estimate_from_records", counted)
+    monkeypatch.setattr(speculation, "fresh_copy_estimate_from_records", counted)
+    estimates = []
+    estimate = SpeculationManager._fresh_copy_estimate_s
+
+    def logged(manager, kind):
+        estimates.append(kind)
+        return estimate(manager, kind)
+
+    monkeypatch.setattr(SpeculationManager, "_fresh_copy_estimate_s", logged)
+    for config in (SPECULATING, ScenarioConfig(n_jobs=3, engine="hadoop-64")):
+        scans.clear()
+        estimates.clear()
+        report = run_scenario(config).report
+        assert report.ok
+        assert scans == ["map", "reduce"] * report.ams_attached
+        assert len(estimates) > len(scans)
+
+
+def test_a_record_that_bypasses_the_recorder_is_caught_at_job_end():
+    class _SneaksARecord(InvariantChecker):
+        def attach_am(self, am):
+            super().attach_am(am)
+            am.trace.records.append(_record("map", 0.0, 5.0))
+
+    config = ScenarioConfig(engine="hadoop-64")
+    with pytest.raises(InvariantViolation) as info:
+        run_config(config, failures=build_failures(config), check=_SneaksARecord())
+    assert info.value.rule == "incremental-state"
+    assert "map fresh-copy ledger" in info.value.message
+
+
 # ----------------------------------------------------------------------
 # SpeedMonitor
 # ----------------------------------------------------------------------
@@ -158,6 +239,7 @@ def test_speed_monitor_reference_mode_catches_a_stale_speed():
     with pytest.raises(InvariantViolation) as info:
         monitor.get_speed("a")
     assert info.value.rule == "incremental-state"
+    assert info.value.message == "speed of a: cached 5.0 != recomputed 4.0"
 
 
 # ----------------------------------------------------------------------
@@ -518,6 +600,64 @@ def test_tail_cap_reference_mode_catches_a_stale_capacity():
         am._tail_cap(node)
     assert info.value.rule == "incremental-state"
     assert "tail-cap capacity" in str(info.value)
+
+
+def test_a_tail_cap_rebuilt_only_when_empty_is_caught(monkeypatch):
+    config = ScenarioConfig(engine="flexmap")
+    assert run_scenario(config).report.ok
+    stale = _mutated(
+        FlexMapAM._tail_cap,
+        "if self._capacity is None or self._capacity[0] != monitor.version:",
+        "if self._capacity is None:",
+    )
+    monkeypatch.setattr(FlexMapAM, "_tail_cap", stale)
+    with pytest.raises(InvariantViolation) as info:
+        run_scenario(config)
+    assert info.value.rule == "incremental-state"
+    assert "tail-cap capacity version" in info.value.message
+
+
+# ----------------------------------------------------------------------
+# decline path
+# ----------------------------------------------------------------------
+#: State -> (maps pending, maps running, reduces started, reducers pending,
+#: job done), and what a declined offer in that state answers:
+#: (the driver ``on_container`` routes to, ``declines_every_node``).
+DECLINE_STATES = {
+    "pending": ((True, False, False, 0, False), ("maps", False)),
+    "pending-and-running": ((True, True, False, 0, False), ("maps", False)),
+    "running-only": ((False, True, False, 0, False), ("maps", True)),
+    "reduces-not-started": ((False, False, False, 0, False), ("reduces", True)),
+    "reduces-pending": ((False, False, True, 2, False), ("reduces", False)),
+    "reduces-running-only": ((False, False, True, 0, False), ("reduces", True)),
+    "done": ((False, False, True, 0, True), (None, True)),
+}
+
+
+@pytest.mark.parametrize("state", sorted(DECLINE_STATES))
+def test_a_declined_offer_reads_pending_maps_at_most_once(state, monkeypatch):
+    (pending, running, started, reducers, done), (routed, blind) = DECLINE_STATES[state]
+    bed, am = _bed_with("hadoop-64", tiny_job())
+    reads = []
+    offers = []
+    monkeypatch.setattr(am, "maps_pending", lambda: reads.append(1) or pending)
+    monkeypatch.setattr(am.maps, "offer", lambda c: offers.append("maps") or False)
+    monkeypatch.setattr(am.reduces, "offer", lambda c: offers.append("reduces") or False)
+    am.maps.running = {object(): None} if running else {}
+    am.reduces.started, am.reduces.pending, am.job_done = started, reducers, done
+
+    assert am.on_container(Container(bed.cluster.nodes[0], am=am)) is False
+    assert offers == ([routed] if routed else [])
+    assert len(reads) <= 1
+    reads.clear()
+    assert am.declines_every_node() is blind
+    assert len(reads) <= 1
+    # The answers the three-read formulation gave.
+    maps_done = not pending and not running
+    assert routed == (None if done else "reduces" if maps_done else "maps")
+    assert blind == (
+        done or (not pending if not maps_done else not (started and reducers > 0))
+    )
 
 
 # ----------------------------------------------------------------------
