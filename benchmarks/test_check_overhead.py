@@ -93,8 +93,11 @@ def _run_scale(armed: bool) -> None:
 
 def _timed(meter: Meter, run, times: list[float]) -> None:
     # Collect first and pause the cyclic collector while timing, as timeit
-    # does: a job leaves enough cyclic garbage that where the collections
-    # fall moves single runs by +-20%, more than the bound.
+    # does.  Task attempts are freed by reference counting, but each job
+    # still leaves its per-run object graph (the AM with its phase drivers,
+    # and the Testbed) to the collector, and where collections fall moved
+    # single runs by +-20%, more than the bound, while attempts were cyclic
+    # too.
     gc.collect()
     gc.disable()
     try:

@@ -278,7 +278,12 @@ class MapPhaseDriver:
 
     # -- offer routing ---------------------------------------------------
     def offer(self, container: Container) -> bool:
-        """Route an RM offer to the engine's map selector; True if bound."""
+        """Route an RM offer to the engine's map selector; True if bound.
+
+        ``on_container`` routes an offer here only while maps are running
+        or pending, so with none running the selector takes pending work as
+        given instead of reading it again.
+        """
         assignment = self.am.select_map(container)
         if assignment is None:
             return False
@@ -341,15 +346,12 @@ class MapPhaseDriver:
         caller may requeue."""
         return self.am.kill_attempt(attempt, self.running)
 
-    def done(self) -> bool:
-        """True once no map work is pending and nothing is running."""
-        return not self.am.maps_pending() and not self.running
-
     def check_phase_end(self) -> None:
         """Close the map phase and hand over to the reduce driver."""
         am = self.am
-        if not self.done() or am.reduces.started:
-            if am.maps_pending():
+        pending = am.maps_pending()
+        if pending or self.running or am.reduces.started:
+            if pending:
                 am.rm.request_offers()
             return
         am.recorder.close_map_phase()
@@ -588,12 +590,22 @@ class ApplicationMaster:
         raise NotImplementedError
 
     def select_map(self, container: Container) -> MapAssignment | None:
-        """Pick a map task for the offered container, or None to decline."""
+        """Pick a map task for the offered container, or None to decline.
+
+        Called only while maps are running or pending, so with no map
+        running some map work is pending (see :meth:`MapPhaseDriver.offer`).
+        """
         raise NotImplementedError
 
     def maps_pending(self) -> bool:
         """True while unlaunched map work remains."""
         raise NotImplementedError
+
+    def maps_queued(self) -> bool:
+        """Whether unlaunched map work waits outside :attr:`index`; an
+        engine with an index is pending exactly when the index holds work or
+        this is True.  None waits there by default."""
+        return False
 
     def on_map_complete(self, attempt: TaskAttempt, assignment: MapAssignment) -> None:
         """Hook: called after a map attempt finishes successfully (and its
@@ -707,14 +719,19 @@ class ApplicationMaster:
     def _on_heartbeat(self, round_no: int) -> None:
         self.recorder.heartbeat(round_no)
         self.on_tick(round_no)
-        # Last map wave: no regular work remains, but idle slots must still
-        # be offered so the straggler scan can back up (or split) a map.
-        # Engines with placement filters (FlexMap's reduce bias) may decline
-        # every free container in a round; retry on the next heartbeat so
-        # pending reducers cannot stall.  Running reduces also need periodic
-        # offers so idle containers can launch backups.
-        index, reduces = self.index, self.reduces
-        last_wave = index is not None and index.unprocessed == 0 and not self.maps.done()
+        # Last map wave: the index is empty but the map phase is not done (a
+        # map runs, or work is queued outside the index), so idle slots must
+        # still be offered for the straggler scan to back up (or split) a
+        # map.  Engines with placement filters (FlexMap's reduce bias) may
+        # decline every free container in a round; retry on the next
+        # heartbeat so pending reducers cannot stall.  Running reduces also
+        # need periodic offers so idle containers can launch backups.
+        index, maps, reduces = self.index, self.maps, self.reduces
+        last_wave = (
+            index is not None
+            and (maps.running or self.maps_queued())
+            and index.unprocessed == 0
+        )
         if (last_wave and self._backs_up_stragglers()) or (
             reduces.started and (reduces.pending > 0 or reduces.running)
         ):

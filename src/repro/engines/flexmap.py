@@ -106,7 +106,8 @@ class FlexMapAM(ApplicationMaster):
 
     def select_map(self, container: Container) -> MapAssignment | None:
         assert self.binder is not None
-        if self.binder.unprocessed_bus == 0:
+        # With no map running, BUs are pending (see MapPhaseDriver.offer).
+        if self.maps.running and self.binder.unprocessed_bus == 0:
             # No BUs left: the idle container may still back up a straggler.
             return self.speculation.select_speculative(container)
         node_id = container.node_id

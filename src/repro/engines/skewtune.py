@@ -56,15 +56,20 @@ class SkewTuneAM(StockHadoopAM):
 
     # ------------------------------------------------------------------
     def maps_pending(self) -> bool:
-        return super().maps_pending() or bool(self.mitigation_queue)
+        return super().maps_pending() or self.maps_queued()
+
+    def maps_queued(self) -> bool:
+        return bool(self.mitigation_queue)
 
     def select_map(self, container: Container) -> MapAssignment | None:
         # Mitigators first: they exist precisely because slots were idle.
         if self.mitigation_queue:
             return self._dequeue_mitigator(container)
         assert self.index is not None
-        if self.index.unprocessed > 0:
-            return super().select_map(container)
+        # With no map running and the queue empty, a block is pending (see
+        # MapPhaseDriver.offer).
+        if not self.maps.running or self.index.unprocessed > 0:
+            return self._dispatch_block(container)
         self._try_mitigate(container)
         if self.mitigation_queue:
             return self._dequeue_mitigator(container)

@@ -46,44 +46,52 @@ class StockHadoopAM(ApplicationMaster):
 
     def select_map(self, container: Container) -> MapAssignment | None:
         assert self.index is not None
-        node_id = container.node_id
-        if self.index.unprocessed > 0:
-            block_id = self.index.min_local_block(node_id)
-            if block_id is not None:
-                block = self.index.take(block_id)
-                if self.obs is not None:
-                    self.obs.metrics.counter("stock.local_dispatch").inc()
-            else:
-                # No local split left: delay briefly hoping for local work,
-                # then run any pending split remotely.
-                idle_since = self._idle_since.setdefault(node_id, self.sim.now)
-                waited = self.sim.now - idle_since
-                if waited < LOCALITY_DELAY_S:
-                    # Declined; the heartbeat tick retries every 5 s, which
-                    # doubles as the "scheduling opportunity" cadence.
-                    return None
-                donor = self.index.busiest_node()
-                block = self.index.take(
-                    self.index.min_local_block(donor)
-                    if donor is not None
-                    else next(iter(b.block_id for b in self.index.remaining_blocks()))
-                )
-                if self.obs is not None:
-                    self.obs.metrics.counter("stock.remote_dispatch").inc()
-                    self.obs.trace.emit(
-                        "remote_fallback", self.sim.now,
-                        node=node_id, waited_s=round(waited, 3),
-                    )
-            self._idle_since.pop(node_id, None)
-            wave = self._wave_counter.get(node_id, 0)
-            self._wave_counter[node_id] = wave + 1
-            return MapAssignment(
-                task_id=self.maps.next_task_id(),
-                split=InputSplit.for_node([block], node_id),
-                wave=wave // max(1, container.node.slots),
-            )
+        # With no map running, the offer was routed here because a block is
+        # pending (see MapPhaseDriver.offer): the index is read only once.
+        if not self.maps.running or self.index.unprocessed > 0:
+            return self._dispatch_block(container)
         # Nothing pending: maybe launch a speculative copy.
         return self.speculation.select_speculative(container)
+
+    def _dispatch_block(self, container: Container) -> MapAssignment | None:
+        """A pending block for the container: a local one, else a remote
+        one once the node has sat out the locality delay."""
+        assert self.index is not None
+        node_id = container.node_id
+        block_id = self.index.min_local_block(node_id)
+        if block_id is not None:
+            block = self.index.take(block_id)
+            if self.obs is not None:
+                self.obs.metrics.counter("stock.local_dispatch").inc()
+        else:
+            # No local split left: delay briefly hoping for local work,
+            # then run any pending split remotely.
+            idle_since = self._idle_since.setdefault(node_id, self.sim.now)
+            waited = self.sim.now - idle_since
+            if waited < LOCALITY_DELAY_S:
+                # Declined; the heartbeat tick retries every 5 s, which
+                # doubles as the "scheduling opportunity" cadence.
+                return None
+            donor = self.index.busiest_node()
+            block = self.index.take(
+                self.index.min_local_block(donor)
+                if donor is not None
+                else next(iter(b.block_id for b in self.index.remaining_blocks()))
+            )
+            if self.obs is not None:
+                self.obs.metrics.counter("stock.remote_dispatch").inc()
+                self.obs.trace.emit(
+                    "remote_fallback", self.sim.now,
+                    node=node_id, waited_s=round(waited, 3),
+                )
+        self._idle_since.pop(node_id, None)
+        wave = self._wave_counter.get(node_id, 0)
+        self._wave_counter[node_id] = wave + 1
+        return MapAssignment(
+            task_id=self.maps.next_task_id(),
+            split=InputSplit.for_node([block], node_id),
+            wave=wave // max(1, container.node.slots),
+        )
 
     def requeue_map(self, assignment: MapAssignment) -> None:
         """Node failure: the split's blocks return to the locality index

@@ -11,6 +11,12 @@ An attempt runs three phases on its container's node:
 
 Attempts can be killed (speculation race lost) or stopped early with partial
 output committed (SkewTune straggler mitigation).
+
+Ownership: an attempt keeps no fired or cancelled phase handle and no stored
+bound method of its own, and its compute process drops the attempt's
+callback once it is done or cancelled.  So nothing but its users (the AM's
+running tables) refers to a finished attempt, and reference counting frees
+it, its work process and its handles as soon as the AM drops it.
 """
 
 from __future__ import annotations
@@ -74,7 +80,6 @@ class TaskAttempt:
         self._compute: VariableRateWork | None = None
         self._phase_event: EventHandle | None = None
         self._compute_start = math.nan
-        self._rate_listener = self._on_rate_change
         self._phase_event = sim.schedule(overhead_s, self._begin_transfer)
 
     # ------------------------------------------------------------------
@@ -90,8 +95,9 @@ class TaskAttempt:
         if self.killed:
             return
         self.phase = "compute"
+        self._phase_event = None
         self._compute_start = self.sim.now
-        self.node.add_rate_listener(self._rate_listener)
+        self.node.add_rate_listener(self._on_rate_change)
         self._compute = VariableRateWork(
             self.sim,
             work=self.work_s,
@@ -106,7 +112,7 @@ class TaskAttempt:
     def _finish(self) -> None:
         self.finished = True
         self.phase = "done"
-        self.node.remove_rate_listener(self._rate_listener)
+        self.node.remove_rate_listener(self._on_rate_change)
         self.record.end = self.sim.now
         self.record.effective = self.sim.now - (self.record.start + self.overhead_s)
         self.record.processed_mb = self.size_mb
@@ -136,9 +142,10 @@ class TaskAttempt:
         self.phase = "dead"
         if self._phase_event is not None:
             self._phase_event.cancel()
+            self._phase_event = None
         if self._compute is not None:
             self._compute.cancel()
-        self.node.remove_rate_listener(self._rate_listener)
+        self.node.remove_rate_listener(self._on_rate_change)
         self.record.end = self.sim.now
         self.record.killed = discard
         self.record.processed_mb = 0.0 if discard else processed

@@ -7,6 +7,13 @@ instant, so two runs with identical inputs produce identical traces.
 
 Heap entries are plain ``(time, seq, handle)`` tuples: ``seq`` is unique,
 so tuple comparison never reaches the handle and stays in C.
+
+Ownership: no owner keeps a handle once it has fired or been cancelled.  A
+handle's callback is usually a bound method of its owner, so an owner that
+kept it would sit in a reference cycle and wait for the cycle collector
+instead of being freed when its last user drops it.  :meth:`Simulator.step`
+detaches each handle it fires, so a late :meth:`EventHandle.cancel` only
+sets the flag and is not counted as a cancelled heap entry.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ class EventHandle:
     and O(1) amortized respectively.  The owning simulator counts cancelled
     entries and compacts the heap once they are the majority, so long runs
     that cancel many events (rate changes re-scheduling task finishes,
-    multi-job services stopping heartbeats) stay bounded in memory.
+    multi-job services stopping heartbeats) stay bounded in memory.  A
+    handle that has fired is detached from its simulator, so cancelling it
+    afterwards changes no heap accounting.
     """
 
     __slots__ = ("callback", "cancelled", "time", "_sim")
@@ -128,6 +137,7 @@ class Simulator:
                 continue
             self.now = time
             self._events_processed += 1
+            handle._sim = None
             handle.callback()
             return True
         return False

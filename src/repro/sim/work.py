@@ -5,6 +5,12 @@ multi-tenant co-runners) is modelled as a fixed amount of *work* consumed at
 a piecewise-constant *rate*.  When the rate changes, the remaining work is
 settled at the old rate and the completion event is rescheduled — the
 standard preemptive-rate DES pattern.
+
+Ownership: once the work is done or cancelled it drops its ``on_done``
+callback and its completion handle, so the process holds no reference back
+to its owner (a task attempt's bound method) nor to its own bound method in
+a handle; an owner that keeps the finished process is still freed by
+reference counting.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ class VariableRateWork:
     rate:
         Initial consumption rate in work units per simulated second.
     on_done:
-        Callback fired when the work completes.
+        Callback fired when the work completes; dropped once the work is
+        done or cancelled.
     """
 
     def __init__(
@@ -44,7 +51,7 @@ class VariableRateWork:
         self._total_work = work
         self._remaining = work
         self._rate = rate
-        self._on_done = on_done
+        self._on_done: Callable[[], None] | None = on_done
         self._last_update = sim.now
         self._finish_event: EventHandle | None = None
         self._done = False
@@ -70,7 +77,9 @@ class VariableRateWork:
         self._settle()
         self._remaining = 0.0
         self._done = True
-        self._on_done()
+        on_done = self._on_done
+        self._on_done = self._finish_event = None
+        on_done()
 
     # ------------------------------------------------------------------
     def set_rate(self, rate: float) -> None:
@@ -89,8 +98,10 @@ class VariableRateWork:
             return
         self._settle()
         self._cancelled = True
+        self._on_done = None
         if self._finish_event is not None:
             self._finish_event.cancel()
+            self._finish_event = None
 
     # ------------------------------------------------------------------
     @property

@@ -660,6 +660,66 @@ def test_a_declined_offer_reads_pending_maps_at_most_once(state, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "engine, queued",
+    [("hadoop-64", False), ("hadoop-nospec-64", False), ("flexmap", False),
+     ("skewtune-64", False), ("skewtune-64", True)],
+)
+@pytest.mark.parametrize("unprocessed", [0, 3])
+@pytest.mark.parametrize("running", [False, True])
+def test_the_last_wave_rule_reads_the_index_once(
+    engine, queued, unprocessed, running, monkeypatch
+):
+    """A heartbeat outside the reduce phase requests offers exactly when
+    the index is empty, the map phase is not done and the engine backs up
+    stragglers, reading ``index.unprocessed`` at most once (``on_tick``'s
+    own delay-scheduling read is left out).  Only SkewTune queues map work
+    outside the index."""
+    bed, am = _bed_with(engine, tiny_job())
+    reads, requests = [], []
+    monkeypatch.setattr(
+        type(am.index), "unprocessed", property(lambda s: reads.append(1) or unprocessed)
+    )
+    monkeypatch.setattr(am, "on_tick", lambda round_no: None)
+    monkeypatch.setattr(bed.rm, "request_offers", lambda: requests.append(1))
+    am.maps.running = {object(): None} if running else {}
+    if queued:
+        am.mitigation_queue = [object()]
+
+    am._on_heartbeat(1)
+    assert len(reads) <= 1
+    # The rule as it read before: the index is empty and the map phase is
+    # not done (nothing pending and nothing running).
+    pending = unprocessed > 0 or queued
+    last_wave = unprocessed == 0 and not (not pending and not running)
+    assert len(requests) == int(last_wave and am._backs_up_stragglers())
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("running", [False, True])
+@pytest.mark.parametrize("started", [False, True])
+def test_a_map_phase_end_check_reads_pending_maps_once(
+    pending, running, started, monkeypatch
+):
+    bed, am = _bed_with("hadoop-64", tiny_job())
+    reads, calls = [], []
+    monkeypatch.setattr(am, "maps_pending", lambda: reads.append(1) or pending)
+    monkeypatch.setattr(bed.rm, "request_offers", lambda: calls.append("offers"))
+    monkeypatch.setattr(am.recorder, "close_map_phase", lambda: calls.append("close"))
+    monkeypatch.setattr(am.reduces, "begin", lambda: calls.append("reduces"))
+    am.maps.running = {object(): None} if running else {}
+    am.reduces.started = started
+
+    am.maps.check_phase_end()
+    assert len(reads) == 1
+    # The answers of the former ``not maps.done() or reduces.started``,
+    # where maps were done once nothing was pending or running.
+    if (pending or running) or started:
+        assert calls == (["offers"] if pending else [])
+    else:
+        assert calls == ["close", "reduces"]
+
+
 # ----------------------------------------------------------------------
 # live-app count
 # ----------------------------------------------------------------------

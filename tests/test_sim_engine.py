@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.cluster.failures import FailureSchedule
+from repro.engines import run_job
 from repro.sim.engine import Simulator
+from tests.conftest import make_cluster, tiny_job
 
 
 def test_clock_starts_at_zero(sim):
@@ -270,3 +273,46 @@ def test_long_cancel_heavy_run_stays_bounded():
     sim.run()
     assert sim.compactions > 0
     assert len(sim._heap) <= 10  # not O(5000)
+
+
+def test_cancelling_a_fired_handle_counts_no_heap_entry():
+    """A handle that has fired is gone from the heap: cancelling it late
+    (an owner tidying up) must not count toward compaction."""
+    sim = Simulator()
+    fired = sim.schedule(1.0, lambda: None)
+    later = [sim.schedule(5.0 + i, lambda: None) for i in range(2)]
+    sim.run(until=2.0)
+    fired.cancel()
+    assert fired.cancelled
+    assert sim._cancelled_in_heap == 0
+    sim.run()
+    fired.cancel()
+    assert sim._cancelled_in_heap == 0
+    assert sim.compactions == 0
+    assert sim.events_processed == 3 and not any(h.cancelled for h in later)
+
+
+@pytest.mark.parametrize("engine", ["hadoop-64", "skewtune-64"])
+def test_compaction_counts_exactly_the_cancelled_heap_entries(engine, monkeypatch):
+    """A run with backup copies and a node crash cancels phase and finish
+    events of live attempts: at every compaction the counter equals the
+    cancelled entries actually in the heap."""
+    seen = []
+    compact = Simulator._compact
+
+    def checked_compact(self):
+        seen.append(
+            (self._cancelled_in_heap, sum(1 for e in self._heap if e[2].cancelled))
+        )
+        compact(self)
+
+    monkeypatch.setattr(Simulator, "_compact", checked_compact)
+    result = run_job(
+        lambda: make_cluster(speeds=(2.0, 2.0, 0.2, 1.0)),
+        tiny_job(input_mb=1024.0, reducers=4, shuffle=0.5),
+        engine, seed=4, failures=FailureSchedule.single(60.0, "t03"),
+    )
+    assert any(r.speculative for r in result.trace.records)
+    assert any(r.killed and r.node == "t03" for r in result.trace.records)
+    assert seen
+    assert all(counted == in_heap for counted, in_heap in seen), seen
